@@ -254,8 +254,12 @@ def _cmd_analyze(args) -> int:
         print(f"# suggested-K={suggest_K(paths):.6g} (heuristic: 1.05 x max observation)")
     out = _resolve_out(args.out)
     save_estimate(result, out, capacity=args.K, seed=0)
-    clip = result.diagnostics["clip_count"]
-    print(f"wrote estimate for {paths.n_paths} locations to {out} (clipped cells: {clip})")
+    diag = result.diagnostics
+    print(
+        f"wrote estimate for {paths.n_paths} locations to {out} "
+        f"(clipped cells: {diag['ingest_clip_count']} on ingest, "
+        f"{diag['transform_clip_count']} in the transform)"
+    )
     return 0
 
 

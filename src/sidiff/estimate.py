@@ -78,7 +78,9 @@ def transform_paths(paths: PathSet, *, clip_eps: float = CLIP_EPS_DEFAULT) -> Pa
     column of the result is exactly zero.  Values that touch the
     boundary (possible in preprocessed count data) are pulled inward by
     clip_eps * capacity before the log; the number of clipped entries
-    lands in meta["clip_count"].
+    lands in meta["clip_count"].  The input's own meta["clip_count"]
+    (cells clipped on ingest, by `cumulate_normalize`) is carried over
+    as meta["ingest_clip_count"].
     """
     if paths.space != "X":
         raise ValueError("transform_paths expects X-space paths")
@@ -94,6 +96,7 @@ def transform_paths(paths: PathSet, *, clip_eps: float = CLIP_EPS_DEFAULT) -> Pa
     x0 = x[:, :1]  # per-path reference point
     y = x_to_y(x, x0, k)
     meta = dict(paths.meta)
+    meta["ingest_clip_count"] = int(paths.meta.get("clip_count", 0))
     meta["clip_count"] = n_clipped
     return PathSet(
         grid=paths.grid,
@@ -236,8 +239,12 @@ def estimate_pipeline(
     times = ypaths.grid.times
     s2_raw = cov_curve.derivative(times)
     negative_fraction = float(np.mean(s2_raw < 0.0))
+    ingest_clips = int(ypaths.meta.get("ingest_clip_count", 0))
+    transform_clips = int(ypaths.meta.get("clip_count", 0))
     diagnostics = {
-        "clip_count": int(ypaths.meta.get("clip_count", 0)),
+        "clip_count": ingest_clips + transform_clips,
+        "ingest_clip_count": ingest_clips,
+        "transform_clip_count": transform_clips,
         "negative_noise_fraction": negative_fraction,
         "low_confidence_boundary": _edge_flag(mean_curve, times),
     }

@@ -22,10 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import bisect
 from scipy.special import erf
 
-from .rates import RateFunction, RatePair, constant, evaluate, integrate
+from .rates import RateFunction, RatePair, constant, cumulative, evaluate, integrate
 
 __all__ = [
     "DegenerateTimeError",
@@ -42,9 +43,8 @@ __all__ = [
 ]
 
 BISECT_TIME_TOL = 1e-10
-GH_DEFAULT_ORDER = 64
-GH_MAX_ORDER = 1024
-GH_STABLE_RTOL = 1e-9
+MOMENT_HALF_WIDTH = 40.0  # standard deviations; the Gaussian mass beyond is below 1e-340
+MOMENT_RTOL = 1e-12
 
 
 class DegenerateTimeError(ValueError):
@@ -74,7 +74,8 @@ def deterministic_solution(capacity: float, x0: float, transmission, t0: float, 
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < t0):
         raise ValueError("t must be >= t0")
-    growth = np.array([integrate(lam, t0, float(ti)) for ti in np.atleast_1d(t_arr)])
+    ends = cumulative(lam, np.append(float(t0), t_arr.ravel()))
+    growth = ends[1:] - ends[0]
     out = capacity * x0 / (x0 + (capacity - x0) * np.exp(-growth))
     if np.ndim(t) == 0:
         return float(out[0])
@@ -107,15 +108,18 @@ def threshold_time(
         if value <= 0.0:
             raise ValueError("constant transmission must be positive to reach the level")
         return t0 + target / value
+    base = float(cumulative(lam, t0))
+
+    def excess(s: float) -> float:
+        return float(cumulative(lam, s)) - base - target
+
     # bracket the root by doubling, then bisect
     hi = t0 + 1.0
-    while integrate(lam, t0, hi) < target:
+    while excess(hi) < 0.0:
         hi = t0 + 2.0 * (hi - t0)
         if hi - t0 > t_max - t0:
             raise ValueError(f"threshold not reached within [{t0}, {t_max}]")
-    return float(
-        bisect(lambda s: integrate(lam, t0, s) - target, t0, hi, xtol=BISECT_TIME_TOL)
-    )
+    return float(bisect(excess, t0, hi, xtol=BISECT_TIME_TOL))
 
 
 def _check_state(x, capacity, name="x"):
@@ -246,40 +250,40 @@ def conditional_median(law: TransitionLaw, t: float) -> float:
     return float(k * law.x0 / (law.x0 + (k - law.x0) * math.exp(-lam_int)))
 
 
-def conditional_moment(
-    law: TransitionLaw,
-    m: int,
-    t: float,
-    *,
-    order: int = GH_DEFAULT_ORDER,
-    rtol: float = GH_STABLE_RTOL,
-    max_order: int = GH_MAX_ORDER,
-) -> float:
+def conditional_moment(law: TransitionLaw, m: int, t: float) -> float:
     """m-th conditional moment E[X(t)^m | X(t0) = x0].
 
-    Gauss-Hermite quadrature on the Gaussian coordinate, starting at
-    `order` nodes and doubling until the relative change drops below
-    `rtol`.  The integrand is bounded by K^m, so the rule converges
-    fast for every parameter set.
+    One adaptive quadrature (scipy's `quad`, relative tolerance 1e-12)
+    over the standardized Gaussian coordinate z, on [-40, 40], with a
+    breakpoint at the logistic knee y = ln r, r = (K - x0) / x0.  The
+    integrand (x / K)^m times the standard normal density is formed in
+    log space, -m * logaddexp(0, ln r - y) - z^2 / 2, so it lies in
+    [0, 1] and cannot overflow at any growth or variance.  The cost is
+    bounded: about 400 to 900 integrand calls for growths up to 50 in
+    magnitude and variances from 1e-14 to 1e6.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError("moment order m must be an integer >= 1")
     lam_int, var_int = law.accumulated(t)
     k = law.rates.capacity
-    ratio = (k - law.x0) / law.x0
-    spread = math.sqrt(2.0 * var_int)
+    log_ratio = math.log((k - law.x0) / law.x0)
+    sd = math.sqrt(var_int)
+    log_norm = -0.5 * math.log(2.0 * math.pi)
 
-    def quad(n_nodes: int) -> float:
-        z, w = np.polynomial.hermite.hermgauss(n_nodes)
-        vals = (1.0 + ratio * np.exp(-z * spread - lam_int)) ** (-float(m))
-        return k**m / math.sqrt(math.pi) * float(np.sum(w * vals))
+    def integrand(z: float) -> float:
+        a = log_ratio - lam_int - sd * z
+        softplus = max(a, 0.0) + math.log1p(math.exp(-abs(a)))
+        return math.exp(log_norm - m * softplus - 0.5 * z * z)
 
-    current = quad(order)
-    n = order
-    while n < max_order:
-        n *= 2
-        refined = quad(n)
-        if abs(refined - current) <= rtol * max(abs(refined), 1e-300):
-            return refined
-        current = refined
-    raise RuntimeError(f"Gauss-Hermite failed to stabilize by order {max_order}")
+    knee = (log_ratio - lam_int) / sd
+    width = MOMENT_HALF_WIDTH
+    value, _ = quad(
+        integrand,
+        -width,
+        width,
+        points=[knee] if abs(knee) < width else None,
+        epsabs=0.0,
+        epsrel=MOMENT_RTOL,
+    )
+    # a law saturated at K integrates to 1 + a few ulps; the moment cannot exceed K^m
+    return k**m * min(value, 1.0)

@@ -1,4 +1,4 @@
-"""Time-dependent rate curves: evaluation, exact integrals, quadrature.
+"""Time-dependent rate curves: evaluation and exact integrals.
 
 A RateFunction is one of four kinds:
 
@@ -7,10 +7,12 @@ A RateFunction is one of four kinds:
     exp_saturating  f(t) = offset + scale * (1 - exp(-rate * t)) ** 2
     tabulated       natural cubic spline through (times, values) knots
 
-The three analytic kinds integrate in closed form.  Tabulated kinds go
-through adaptive Simpson quadrature (absolute tolerance 1e-10, maximum
-recursion depth 40); Simpson is exact on each cubic piece, so the
-recursion only has to resolve knot crossings.
+Every kind has an exact antiderivative: the three analytic kinds in
+closed form, tabulated kinds as the spline's own antiderivative (a
+piecewise quartic).  `cumulative` evaluates it on an array of times,
+and every integral in the package (`integrate`, `increment_table`,
+the model's accumulated growth) is a difference of its values, so no
+quadrature enters anywhere.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ __all__ = [
     "evaluate",
     "integrate",
     "increment_table",
-    "adaptive_simpson",
+    "cumulative",
     "check_window",
     "rate_to_dict",
     "rate_from_dict",
@@ -42,10 +44,6 @@ __all__ = [
 ]
 
 KINDS = ("constant", "sinusoid", "exp_saturating", "tabulated")
-
-SIMPSON_TOL = 1e-10
-SIMPSON_MAX_DEPTH = 40
-SIMPSON_MIN_DEPTH = 4
 
 _PARAM_KEYS = {
     "constant": ("value",),
@@ -91,6 +89,11 @@ class RateFunction:
             np.asarray(self.params["values"], dtype=float),
             bc_type="natural",
         )
+
+    @cached_property
+    def _spline_integral(self):
+        # zero at the first knot; exact on every cubic piece
+        return self._spline.antiderivative()
 
     @property
     def window(self) -> tuple[float, float] | None:
@@ -156,22 +159,31 @@ def evaluate(f: RateFunction, t):
     elif f.kind == "exp_saturating":
         out = p["offset"] + p["scale"] * (1.0 - np.exp(-p["rate"] * t_arr)) ** 2
     else:
-        lo, hi = f.window
-        # tiny slack for float round-off on grid endpoints
-        tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if np.any(t_arr < lo - tol) or np.any(t_arr > hi + tol):
-            raise ValueError(
-                f"time outside tabulated window [{lo}, {hi}]"
-            )
-        out = f._spline(np.clip(t_arr, lo, hi))
+        out = f._spline(_inside_window(f, t_arr))
     if np.ndim(t) == 0:
         return float(out)
     return out
 
 
-def _antiderivative(f: RateFunction, t_arr: np.ndarray) -> np.ndarray:
-    """Closed-form antiderivative values for analytic kinds (constant of
-    integration arbitrary)."""
+def _inside_window(f: RateFunction, t_arr: np.ndarray) -> np.ndarray:
+    """Times of a tabulated rate, refused outside its knot span."""
+    lo, hi = f.window
+    # tiny slack for float round-off on grid endpoints
+    tol = 1e-9 * max(1.0, abs(lo), abs(hi))
+    if np.any(t_arr < lo - tol) or np.any(t_arr > hi + tol):
+        raise ValueError(f"time outside tabulated window [{lo}, {hi}]")
+    return np.clip(t_arr, lo, hi)
+
+
+def cumulative(f: RateFunction, times) -> np.ndarray:
+    """Exact antiderivative of the rate at each of `times`.
+
+    The constant of integration is fixed per rate (tabulated kinds are
+    zero at their first knot), so only differences are meaningful: the
+    integral over [a, b] is cumulative(f, [a, b]) differenced.  Tabulated
+    kinds refuse times outside the knot span, as `evaluate` does.
+    """
+    t_arr = np.asarray(times, dtype=float)
     p = f.params
     if f.kind == "constant":
         return p["value"] * t_arr
@@ -188,7 +200,7 @@ def _antiderivative(f: RateFunction, t_arr: np.ndarray) -> np.ndarray:
         return (a + b) * t_arr + (2.0 * b / c) * np.exp(-c * t_arr) - (b / (2.0 * c)) * np.exp(
             -2.0 * c * t_arr
         )
-    raise ValueError(f"no closed-form antiderivative for kind {f.kind!r}")
+    return f._spline_integral(_inside_window(f, t_arr))
 
 
 def integrate(f: RateFunction, t0: float, t: float) -> float:
@@ -197,9 +209,7 @@ def integrate(f: RateFunction, t0: float, t: float) -> float:
         raise ValueError(f"integration endpoint t={t} precedes t0={t0}")
     if t == t0:
         return 0.0
-    if f.kind == "tabulated":
-        return adaptive_simpson(lambda s: evaluate(f, s), t0, t)
-    ends = _antiderivative(f, np.array([t0, t], dtype=float))
+    ends = cumulative(f, np.array([t0, t], dtype=float))
     return float(ends[1] - ends[0])
 
 
@@ -213,53 +223,7 @@ def increment_table(f: RateFunction, grid) -> np.ndarray:
         raise ValueError("need at least two grid times")
     if np.any(np.diff(times) <= 0):
         raise ValueError("grid times must be strictly increasing")
-    if f.kind == "tabulated":
-        return np.array(
-            [adaptive_simpson(lambda s: evaluate(f, s), a, b) for a, b in zip(times[:-1], times[1:])]
-        )
-    return np.diff(_antiderivative(f, times))
-
-
-def adaptive_simpson(
-    fn,
-    a: float,
-    b: float,
-    tol: float = SIMPSON_TOL,
-    max_depth: int = SIMPSON_MAX_DEPTH,
-    min_depth: int = SIMPSON_MIN_DEPTH,
-) -> float:
-    """Adaptive Simpson quadrature with the classic (S2 - S1)/15 error control.
-
-    The first `min_depth` splits are unconditional: an oscillatory integrand
-    on a near-symmetric window can fool the very first error estimate into
-    an exact cancellation, so we refuse to trust it until the panels are
-    small enough to see the structure.
-    """
-    if b < a:
-        raise ValueError("adaptive_simpson needs a <= b")
-    if a == b:
-        return 0.0
-    fa, fb = fn(a), fn(b)
-    m = 0.5 * (a + b)
-    fm = fn(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, max_depth, min_depth)
-
-
-def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth, force):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = fn(lm), fn(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or (force <= 0 and abs(err) <= 15.0 * tol):
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return _simpson_rec(
-        fn, a, m, fa, flm, fm, left, half, depth - 1, force - 1
-    ) + _simpson_rec(fn, m, b, fm, frm, fb, right, half, depth - 1, force - 1)
+    return np.diff(cumulative(f, times))
 
 
 def check_window(

@@ -17,6 +17,7 @@ subset of paths is unchanged by simulating more of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,8 +48,12 @@ class TimeGrid:
     n: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"grid size n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError("grid needs at least two points")
+        if not (math.isfinite(self.t0) and math.isfinite(self.delta)):
+            raise ValueError("grid start and step must be finite")
         if not self.delta > 0.0:
             raise ValueError("grid step must be positive")
 

@@ -194,6 +194,21 @@ def test_analyze_raw_series(tmp_path, capsys):
     assert sidecar["mle"] is not None
 
 
+def test_analyze_reports_ingest_and_transform_clips(tmp_path, capsys):
+    table = RawSeriesTable(
+        times=np.arange(30.0),
+        counts={"a": np.r_[0.0, np.full(29, 3.0)], "b": np.full(30, 2.0)},
+        populations={"a": 4000.0, "b": 6000.0},
+    )
+    cf, pf = str(tmp_path / "counts.csv"), str(tmp_path / "pops.csv")
+    save_raw_series(table, cf, pf)
+    out = str(tmp_path / "est.csv")
+    assert main(["analyze", "--in", cf, "--pop", pf, "--K", "0.1", "--out", out]) == 0
+    assert "clipped cells: 1 on ingest, 0 in the transform" in capsys.readouterr().out
+    diagnostics = json.loads(open(out + ".meta.json").read())["diagnostics"]
+    assert diagnostics["clip_count"] == diagnostics["ingest_clip_count"] == 1
+
+
 def test_analyze_with_window(tmp_path):
     cf, pf = _raw_series_files(tmp_path)
     out = str(tmp_path / "est.csv")

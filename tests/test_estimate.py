@@ -6,9 +6,11 @@ import pytest
 from sidiff import (
     PathSet,
     RatePair,
+    RawSeriesTable,
     SplineCurve,
     TimeGrid,
     constant,
+    cumulate_normalize,
     estimate_pipeline,
     fit_moment_curves,
     log_likelihood,
@@ -50,6 +52,33 @@ def test_transform_clips_boundary_values_and_counts():
     y = transform_paths(ps)
     assert y.meta["clip_count"] == 1
     assert np.all(np.isfinite(y.values))
+
+
+def test_ingest_clip_count_survives_the_transform():
+    # a zero first count is clipped on ingest; the transform sees the
+    # clipped value, inside its own clip band, and clips nothing more
+    rng = np.random.default_rng(5)
+    counts = {"a": rng.poisson(3.0, 12).astype(float), "b": rng.poisson(3.0, 12).astype(float)}
+    counts["a"][0] = 0.0
+    counts["b"][0] = 4.0
+    table = RawSeriesTable(np.arange(12.0), counts, {"a": 1000.0, "b": 1000.0})
+    paths = cumulate_normalize(table, 0.25)
+    assert paths.meta["clip_count"] == 1
+    ypaths = transform_paths(paths)
+    assert ypaths.meta["ingest_clip_count"] == 1
+    assert ypaths.meta["clip_count"] == 0
+    diag = estimate_pipeline(paths).diagnostics
+    assert diag["ingest_clip_count"] == 1
+    assert diag["transform_clip_count"] == 0
+    assert diag["clip_count"] == 1
+
+
+def test_transform_clip_count_adds_to_the_ingest_count():
+    grid = TimeGrid(0.0, 1.0, 4)
+    values = np.array([[20.0, 100.0, K, 150.0], [30.0, 60.0, 90.0, 120.0]])
+    ps = PathSet(grid, values, "X", K, meta={"clip_count": 2})
+    diag = estimate_pipeline(ps, with_mle=False).diagnostics
+    assert (diag["ingest_clip_count"], diag["transform_clip_count"], diag["clip_count"]) == (2, 1, 3)
 
 
 def test_transform_rejects_values_outside_interval():
@@ -167,7 +196,14 @@ def test_pipeline_diagnostics_shape():
     ps = simulate_exact(PAIR, 20.0, TimeGrid(0.0, 0.1, 101), 30, 11)
     est = estimate_pipeline(ps, stride=5)
     diag = est.diagnostics
-    assert set(diag) == {"clip_count", "negative_noise_fraction", "low_confidence_boundary"}
+    assert set(diag) == {
+        "clip_count",
+        "ingest_clip_count",
+        "transform_clip_count",
+        "negative_noise_fraction",
+        "low_confidence_boundary",
+    }
+    assert diag["clip_count"] == diag["ingest_clip_count"] + diag["transform_clip_count"] == 0
     assert 0.0 <= diag["negative_noise_fraction"] <= 1.0
     assert isinstance(diag["low_confidence_boundary"], bool)
     assert est.sigma2_hat_floored(5.0) >= 0.0

@@ -1,0 +1,25 @@
+import importlib
+
+import pytest
+
+import sidiff
+
+SUBMODULES = ("rates", "model", "simulate", "estimate", "experiments", "dataio", "synthetic", "cli")
+
+
+@pytest.mark.parametrize("module_name", ["sidiff", *(f"sidiff.{name}" for name in SUBMODULES)])
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    exported = getattr(module, "__all__", [])
+    assert len(exported) == len(set(exported)), "duplicate names in __all__"
+    missing = [name for name in exported if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
+
+
+def test_package_reexports_every_public_library_name():
+    for name in sidiff.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(sidiff, name)
+        home = importlib.import_module(getattr(obj, "__module__", "sidiff"))
+        assert getattr(home, name) is obj

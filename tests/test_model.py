@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import expit
 
 from sidiff import (
     DegenerateTimeError,
@@ -243,6 +244,34 @@ def test_conditional_moment_matches_trapezoid_oracle():
         vals = (K / (1.0 + ratio * np.exp(-(lam_int + math.sqrt(var_int) * z)))) ** m
         oracle = np.trapezoid(vals * weights, z)
         assert conditional_moment(law, m, t) == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("var_int", [500.0, 1e4])
+def test_conditional_moment_at_large_variance(var_int):
+    # sigma2 * t = var_int at t = 10; the logistic knee is far narrower
+    # than the Gaussian, so the oracle is a fine trapezoid rule in y
+    t = 10.0
+    law = TransitionLaw(_pair(0.4, var_int / t), X0, 0.0)
+    lam_int, var = law.accumulated(t)
+    sd = math.sqrt(var)
+    y = np.linspace(lam_int - 12.0 * sd, lam_int + 12.0 * sd, 2_000_001)
+    density = np.exp(-0.5 * ((y - lam_int) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+    x = K * expit(y - math.log((K - X0) / X0))
+    m1 = conditional_moment(law, 1, t)
+    m2 = conditional_moment(law, 2, t)
+    assert math.isfinite(m1) and math.isfinite(m2)
+    assert 0.0 < m1 < K
+    assert m2 >= m1 * m1
+    assert m1 == pytest.approx(np.trapezoid(x * density, y), rel=1e-8)
+    assert m2 == pytest.approx(np.trapezoid(x * x * density, y), rel=1e-8)
+
+
+def test_conditional_moment_saturated_law_stays_below_capacity_power():
+    law = TransitionLaw(_pair(5.0, 0.1), X0, 0.0)
+    for m in (1, 2):
+        value = conditional_moment(law, m, 10.0)
+        assert value <= K**m
+        assert value == pytest.approx(K**m, rel=1e-15)
 
 
 def test_conditional_moment_frozen_value():

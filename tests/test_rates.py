@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from sidiff import (
     RateFunction,
     RatePair,
-    adaptive_simpson,
     check_window,
     constant,
+    cumulative,
     exp_saturating,
     increment_table,
     integrate,
@@ -19,6 +20,7 @@ from sidiff import (
     sinusoid,
     tabulated,
 )
+from sidiff.synthetic import measles_like_rates
 
 
 def test_constant_evaluate_and_integral():
@@ -46,14 +48,15 @@ def test_exp_saturating_limits():
     assert f(1000.0) == pytest.approx(0.11, rel=1e-12)
 
 
-def test_exp_saturating_integral_vs_composite_simpson():
+def test_exp_saturating_integral_vs_composite_rule():
+    # composite 1-4-2-...-4-1 rule on a million panels
     f = exp_saturating(0.1, 0.01, 2.0)
     n = 1_000_000
     t = np.linspace(0.0, 5.0, n + 1)
     y = f(t)
     h = 5.0 / n
-    simpson = h / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
-    assert integrate(f, 0.0, 5.0) == pytest.approx(simpson, rel=1e-9)
+    composite = h / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
+    assert integrate(f, 0.0, 5.0) == pytest.approx(composite, rel=1e-9)
 
 
 def test_closed_forms_match_adaptive_quadrature():
@@ -80,7 +83,7 @@ def test_closed_forms_match_adaptive_quadrature():
         a = float(rng.uniform(-5, 5)) if f.kind != "exp_saturating" else float(rng.uniform(0, 5))
         b = a + float(rng.uniform(0.1, 10))
         exact = integrate(f, a, b)
-        numeric = adaptive_simpson(f, a, b)
+        numeric, _ = quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
         assert exact == pytest.approx(numeric, rel=1e-9, abs=1e-9)
 
 
@@ -129,7 +132,41 @@ def test_tabulated_outside_window_raises():
         f(2.5)
     with pytest.raises(ValueError, match="tabulated window"):
         integrate(f, -1.0, 1.0)
+    for call in (
+        lambda: integrate(f, 0.5, 2.5),
+        lambda: increment_table(f, [0.0, 1.0, 2.0, 3.0]),
+        lambda: cumulative(f, [1.0, 2.1]),
+    ):
+        with pytest.raises(ValueError, match="tabulated window"):
+            call()
     assert f(2.0) == pytest.approx(1.0)
+    # round-off on the end knots is tolerated, as for evaluate
+    assert integrate(f, 0.0, 2.0 + 1e-12) == pytest.approx(2.0, rel=1e-11)
+
+
+def test_tabulated_integrals_match_quadrature():
+    rng = np.random.default_rng(3)
+    knots = np.sort(np.concatenate([[0.0, 10.0], rng.uniform(0.0, 10.0, 10)]))
+    f = tabulated(knots, rng.uniform(-1.0, 2.0, knots.size))
+    # an irregular grid whose steps straddle knots
+    times = np.sort(np.concatenate([[0.0, 10.0], rng.uniform(0.0, 10.0, 40)]))
+    inc = increment_table(f, times)
+    for j, (a, b) in enumerate(zip(times[:-1], times[1:])):
+        inside = knots[(knots > a) & (knots < b)]
+        numeric, _ = quad(f, a, b, points=inside if inside.size else None, epsabs=1e-13, epsrel=1e-12)
+        assert inc[j] == pytest.approx(numeric, rel=1e-9, abs=1e-12)
+    whole, _ = quad(f, 0.0, 10.0, points=knots[1:-1], epsabs=1e-13, epsrel=1e-12)
+    assert integrate(f, 0.0, 10.0) == pytest.approx(whole, rel=1e-9, abs=1e-12)
+    assert inc.sum() == pytest.approx(whole, rel=1e-9, abs=1e-12)
+
+
+def test_synthetic_increment_tables_match_quadrature():
+    rates = measles_like_rates()
+    times = np.arange(546.0)
+    for f in (rates.transmission, rates.noise):
+        inc = increment_table(f, times)
+        numeric = [quad(f, a, a + 1.0, epsabs=1e-15, epsrel=1e-13)[0] for a in times[:-1]]
+        np.testing.assert_allclose(inc, numeric, rtol=0.0, atol=1e-13)
 
 
 def test_tabulated_validation():
@@ -250,9 +287,3 @@ def test_check_window_bounds():
     with pytest.raises(ValueError):
         check_window(f, 1.0, 0.0, 10)
 
-
-def test_adaptive_simpson_known_values():
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-9)
-    assert adaptive_simpson(math.sin, 1.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        adaptive_simpson(math.sin, 2.0, 1.0)

@@ -47,6 +47,28 @@ def test_time_grid_validation():
         TimeGrid(0.0, -0.1, 10)
 
 
+@pytest.mark.parametrize(
+    "t0, delta, n",
+    [
+        (0.0, 0.1, 5.5),
+        (0.0, 0.1, 5.0),
+        (0.0, 0.1, True),
+        (math.nan, 0.1, 5),
+        (math.inf, 0.1, 5),
+        (0.0, math.inf, 5),
+        (0.0, math.nan, 5),
+    ],
+)
+def test_time_grid_rejects_malformed_fields(t0, delta, n):
+    with pytest.raises(ValueError):
+        TimeGrid(t0, delta, n)
+
+
+def test_time_grid_accepts_numpy_scalars():
+    g = TimeGrid(np.float64(0.5), np.float64(0.25), np.int64(3))
+    assert np.allclose(g.times, [0.5, 0.75, 1.0])
+
+
 # ------------------------------------------------------------------- seed plan
 
 
