@@ -494,6 +494,12 @@ def cumulate_normalize(
     capacity means the capacity is set too small; that is an error, not
     a clip.
 
+    A location whose first count is 0 is refused (ValueError naming
+    every such location): each path is measured against its first
+    value, and a zero start, clipped to clip_eps*K, would put a jump of
+    about ln(1/clip_eps) into that path and skew every estimate.  Drop
+    the location, or start the time window where it has cases.
+
     time_unit "index" numbers observations 0, 1, 2, ...; "calendar"
     keeps the table's own time column (which must be uniformly spaced).
     Rates are in units of one over the chosen time unit.
@@ -503,6 +509,12 @@ def cumulate_normalize(
         raise ValueError(f"time_unit must be one of {TIME_UNITS}")
     if not capacity > 0.0:
         raise ValueError("capacity must be positive")
+    zero_start = [name for name in table.locations if table.counts[name][0] == 0.0]
+    if zero_start:
+        raise ValueError(
+            f"first count is 0 at location(s) {', '.join(map(repr, zero_start))}; "
+            "a path cannot start at zero prevalence: drop them or start the window later"
+        )
     global_pop = max(table.populations.values())
     values = np.empty((len(table.counts), table.times.size))
     for i, name in enumerate(table.locations):

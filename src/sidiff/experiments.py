@@ -9,6 +9,14 @@ Replicates are independent by construction (per-replicate seed streams
 derived from the master seed), so they may execute in parallel; the
 aggregation is a deterministic fold in replicate order and the output
 is identical however the work was scheduled.
+
+Work is split into chunks of replicates, the unit handed to a worker.
+An Euler-Maruyama chunk is simulated as one batch, one vector step for
+all its paths, and holds as many replicates as fit EM_CHUNK_BYTES of
+path values (three 50 x 5001 replicates in 6 MiB).  Exact-sampler chunks are
+single replicates: a cumulative sum has no step loop to share.
+Estimation and aggregation stay per replicate, so every output is
+the same as simulating and estimating each replicate on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 
 from .estimate import estimate_pipeline
 from .rates import RatePair, constant, exp_saturating, sinusoid
-from .simulate import DRIFT_CORRECTIONS, TimeGrid, simulate_em, simulate_exact
+from .simulate import DRIFT_CORRECTIONS, TimeGrid, _em_replicates, simulate_exact
 
 __all__ = [
     "ExperimentConfig",
@@ -45,6 +53,11 @@ METHODS = ("GMM", "MLE")
 MRE_MIN_TRUTH_DEFAULT = 0.05
 KDE_GRID_POINTS = 4096
 KDE_CHUNK = 512
+
+# path values of one Euler-Maruyama chunk: three 50 x 5001 replicates;
+# larger chunks step faster but raise the peak memory of a run
+EM_CHUNK_BYTES = 6 * 2**20
+STAGES = ("simulate", "estimate")
 
 # standard synthetic setup shared by the error-table and band runs
 STANDARD_CAPACITY = 200.0
@@ -132,8 +145,10 @@ class ExperimentReport:
     Curves are raw spline derivatives sampled on the observation grid,
     one row per replicate.  Scalar columns come from endpoint
     differences of the integral fits over the scalar window; mle_*
-    exist only when the MLE method is enabled.  elapsed_seconds is
-    informational and never written to data files.
+    exist only when the MLE method is enabled.  elapsed_seconds and
+    timings (seconds spent per stage, "simulate" and "estimate", summed
+    over replicates and workers) are informational and never written
+    to data files.
     """
 
     config: ExperimentConfig
@@ -146,76 +161,101 @@ class ExperimentReport:
     mle_sigma2: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
     elapsed_seconds: float = 0.0
+    timings: dict = field(default_factory=dict)
 
     def band(self, which: str = "lambda", unbiased: bool = False):
         curves = {"lambda": self.lambda_curves, "sigma2": self.sigma2_curves}[which]
         return pointwise_band(curves, unbiased=unbiased)
 
 
-def _replicate_worker(args: tuple[ExperimentConfig, int]) -> dict:
-    config, r = args
-    try:
-        if config.simulator == "exact":
-            paths = simulate_exact(
-                config.rates,
-                config.x0,
-                config.grid,
-                config.n_paths,
-                config.master_seed,
-                replicate=r,
-            )
-        else:
-            paths = simulate_em(
-                config.rates,
-                config.x0,
-                config.grid,
-                config.n_paths,
-                config.master_seed,
-                replicate=r,
-                refine=config.em_refine,
-                drift_correction=config.em_drift_correction,
-            )
-        result = estimate_pipeline(
-            paths,
-            stride=config.stride,
-            clip_eps=config.clip_eps,
-            with_mle="MLE" in config.methods,
+def _simulations(config: ExperimentConfig, replicates: range):
+    """Lazy per-replicate PathSets: exact draws one replicate per `next`,
+    Euler-Maruyama integrates the whole chunk on the first `next`."""
+    if config.simulator == "exact":
+        return (
+            simulate_exact(config.rates, config.x0, config.grid, config.n_paths, config.master_seed, replicate=r)
+            for r in replicates
         )
-    except Exception as exc:
-        raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+    return _em_replicates(
+        config.rates,
+        config.x0,
+        config.grid,
+        config.n_paths,
+        config.master_seed,
+        replicates,
+        refine=config.em_refine,
+        drift_correction=config.em_drift_correction,
+    )
 
+
+def _chunk_worker(args: tuple[ExperimentConfig, range]) -> tuple[list[dict], dict]:
+    config, replicates = args
     times = config.grid.times
     a, b = config.resolved_scalar_window()
     k = config.rates.capacity
-    return {
-        "replicate": r,
-        "lambda_curve": np.asarray(result.lambda_hat(times), dtype=float),
-        "sigma2_curve": np.asarray(result.sigma2_hat_raw(times), dtype=float),
-        "scalar_lambda": result.avg_lambda_hat(a, b),
-        "scalar_sigma2": result.avg_sigma2_hat(a, b),
-        "mle": result.mle,
-        "clip_count": result.diagnostics["clip_count"],
-        "negative_noise_fraction": result.diagnostics["negative_noise_fraction"],
-        "low_confidence_boundary": result.diagnostics["low_confidence_boundary"],
-        "clamp_count": paths.meta.get("clamp_count", 0),
-        "saturation_fraction": float(np.mean(paths.values[:, -1] > 0.99 * k)),
-    }
+    timings = dict.fromkeys(STAGES, 0.0)
+    simulations = _simulations(config, replicates)
+    rows = []
+    for r in replicates:
+        try:
+            started = time.perf_counter()
+            paths = next(simulations)
+            simulated = time.perf_counter()
+            result = estimate_pipeline(
+                paths,
+                stride=config.stride,
+                clip_eps=config.clip_eps,
+                with_mle="MLE" in config.methods,
+            )
+            timings["simulate"] += simulated - started
+            timings["estimate"] += time.perf_counter() - simulated
+        except Exception as exc:
+            raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+        rows.append(
+            {
+                "lambda_curve": np.asarray(result.lambda_hat(times), dtype=float),
+                "sigma2_curve": np.asarray(result.sigma2_hat_raw(times), dtype=float),
+                "scalar_lambda": result.avg_lambda_hat(a, b),
+                "scalar_sigma2": result.avg_sigma2_hat(a, b),
+                "mle": result.mle,
+                "clip_count": result.diagnostics["clip_count"],
+                "negative_noise_fraction": result.diagnostics["negative_noise_fraction"],
+                "low_confidence_boundary": result.diagnostics["low_confidence_boundary"],
+                "clamp_count": paths.meta.get("clamp_count", 0),
+                "saturation_fraction": float(np.mean(paths.values[:, -1] > 0.99 * k)),
+            }
+        )
+    return rows, timings
+
+
+def _chunks(config: ExperimentConfig) -> list[range]:
+    """Replicate index ranges, one per worker task.  Euler-Maruyama
+    chunks fill EM_CHUNK_BYTES of path values; exact runs go one
+    replicate at a time, having no step loop to share."""
+    size = 1
+    if config.simulator == "em":
+        size = max(1, EM_CHUNK_BYTES // (8 * config.n_paths * config.grid.n))
+    return [range(lo, min(lo + size, config.replicates)) for lo in range(0, config.replicates, size)]
 
 
 def run_experiment(config: ExperimentConfig, max_workers: int = 1) -> ExperimentReport:
     """Simulate and estimate all replicates; aggregate in replicate order.
 
-    max_workers > 1 spreads replicates over processes.  Seeds are keyed
-    by replicate index, so the report does not depend on the schedule.
+    Replicates run in chunks (see `_chunks`); max_workers > 1 spreads
+    the chunks over processes.  Seeds are keyed by replicate index and
+    the Euler-Maruyama batch is elementwise, so the report does not
+    depend on the chunking or the schedule.  A failure is raised as
+    RuntimeError naming the first failing replicate.
     """
     started = time.perf_counter()
-    jobs = [(config, r) for r in range(config.replicates)]
+    jobs = [(config, replicates) for replicates in _chunks(config)]
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(_replicate_worker, jobs, chunksize=1))
+            results = list(pool.map(_chunk_worker, jobs, chunksize=1))
     else:
-        rows = [_replicate_worker(job) for job in jobs]
-    rows.sort(key=lambda row: row["replicate"])  # map preserves order; be explicit
+        results = [_chunk_worker(job) for job in jobs]
+    rows = [row for chunk_rows, _ in results for row in chunk_rows]
+    timings = {stage: sum(chunk_timings[stage] for _, chunk_timings in results) for stage in STAGES}
 
     n_rep = config.replicates
     with_mle = "MLE" in config.methods
@@ -243,6 +283,7 @@ def run_experiment(config: ExperimentConfig, max_workers: int = 1) -> Experiment
             "replicates": n_rep,
         },
         elapsed_seconds=time.perf_counter() - started,
+        timings=timings,
     )
     return report
 

@@ -96,29 +96,36 @@ def threshold_time(
     t0 + ln(level (K - x0) / (x0 (K - level))) / value; any other kind
     is solved by bisection on the accumulated growth (time tolerance
     1e-10).  Bisection rather than Newton: the transmission intensity
-    may vanish or change sign inside the window.
+    may vanish or change sign inside the window.  The search ends at
+    t_max, or at the last knot of a tabulated transmission if that
+    comes first; a level not reached by then raises ValueError
+    "threshold not reached within [t0, end]".
     """
     _check_state(x0, capacity, "x0")
     if not (x0 < level < capacity):
         raise ValueError(f"level must lie in (x0, capacity) = ({x0}, {capacity})")
     lam = _as_rate(transmission)
     target = math.log(level * (capacity - x0) / (x0 * (capacity - level)))
+    end = t_max if lam.window is None else min(t_max, lam.window[1])
     if lam.kind == "constant":
         value = lam.params["value"]
         if value <= 0.0:
             raise ValueError("constant transmission must be positive to reach the level")
-        return t0 + target / value
+        t_star = t0 + target / value
+        if t_star > end:
+            raise ValueError(f"threshold not reached within [{t0}, {end}]")
+        return t_star
     base = float(cumulative(lam, t0))
 
     def excess(s: float) -> float:
         return float(cumulative(lam, s)) - base - target
 
-    # bracket the root by doubling, then bisect
-    hi = t0 + 1.0
-    while excess(hi) < 0.0:
-        hi = t0 + 2.0 * (hi - t0)
-        if hi - t0 > t_max - t0:
-            raise ValueError(f"threshold not reached within [{t0}, {t_max}]")
+    # bracket the root by doubling, capped at the end of the search, then bisect
+    hi = min(t0 + 1.0, end)
+    while hi <= t0 or excess(hi) < 0.0:
+        if hi >= end:
+            raise ValueError(f"threshold not reached within [{t0}, {end}]")
+        hi = min(t0 + 2.0 * (hi - t0), end)
     return float(bisect(excess, t0, hi, xtol=BISECT_TIME_TOL))
 
 
@@ -143,11 +150,14 @@ def y_to_x(y, x0: float, capacity: float):
     """Inverse transform K x0 / (x0 + (K - x0) exp(-y)).  Vectorized.
 
     Large |y| saturates toward the interval ends; values within roughly
-    37 of zero stay strictly inside (0, K) in double precision.
+    37 of zero stay strictly inside (0, K) in double precision.  Below
+    about -709 exp(-y) overflows to inf and the result is exactly 0,
+    without an overflow warning.
     """
     _check_state(x0, capacity, "x0")
     y_arr = np.asarray(y, dtype=float)
-    out = capacity * x0 / (x0 + (capacity - x0) * np.exp(-y_arr))
+    with np.errstate(over="ignore"):
+        out = capacity * x0 / (x0 + (capacity - x0) * np.exp(-y_arr))
     if np.ndim(y) == 0:
         return float(out)
     return out

@@ -7,11 +7,18 @@ cumulative sum.  No discretization error enters anywhere.
 
 An Euler-Maruyama integrator on the original state equation is kept as
 an independent cross-check.  It carries O(step) weak bias and a
-boundary clamp, and is not meant for production runs.
+boundary clamp, and is not meant for production runs.  Its step loop is
+the one pure-Python loop left here, so it runs once for a whole batch
+of paths: each internal step is a few vector operations over every
+path of every replicate in the batch (`simulate_em` is the batch of one
+replicate; `run_experiment` passes chunks of replicates).  Noise is
+drawn per path in blocks of EM_NOISE_BLOCK steps, never as one
+(paths, steps) array, so a batch holds its path values plus a small
+noise buffer.
 
 Random numbers: every (replicate, path) pair gets its own stream,
-derived from the master seed by a counter-based key.  Serial and
-parallel schedules therefore produce bit-identical output, and a
+derived from the master seed by a counter-based key.  Serial, parallel
+and batched schedules therefore produce bit-identical output, and a
 subset of paths is unchanged by simulating more of them.
 """
 
@@ -35,6 +42,7 @@ __all__ = [
 ]
 
 EM_CLAMP_EPS = 1e-9  # relative clamp width for Euler-Maruyama iterates
+EM_NOISE_BLOCK = 512  # internal steps of noise drawn per path at a time
 
 DRIFT_CORRECTIONS = ("state", "constant")
 
@@ -207,7 +215,8 @@ def simulate_em(
     The integrator runs at internal step delta/refine and records every
     refine-th iterate.  Iterates are clamped into
     [eps K, (1 - eps) K] with eps = 1e-9; clamp hits are counted in
-    meta["clamp_count"].
+    meta["clamp_count"].  A path that goes NaN raises RuntimeError
+    naming the path and the first observation time at which it is NaN.
 
     drift_correction selects the Ito correction inside the drift:
 
@@ -220,11 +229,101 @@ def simulate_em(
                   s2 * x / K at any step size.  Kept as an explicit
                   option for replicating results produced that way.
     """
+    batch = _em_replicates(
+        rates,
+        x0,
+        grid,
+        n_paths,
+        master_seed,
+        [replicate],
+        refine=refine,
+        drift_correction=drift_correction,
+        allow_zero_noise=allow_zero_noise,
+    )
+    return next(batch)
+
+
+def _em_replicates(
+    rates: RatePair,
+    x0: float,
+    grid: TimeGrid,
+    n_paths: int,
+    master_seed: int,
+    replicates,
+    *,
+    refine: int,
+    drift_correction: str,
+    allow_zero_noise: bool = False,
+):
+    """Yield the `simulate_em` PathSet of each replicate, in order.
+
+    All replicates are integrated together as one batch, on the first
+    `next`; their paths are the rows of one (len(replicates) * n_paths,
+    grid.n) array, and each yielded PathSet holds a view of its rows.
+    A replicate with a NaN path raises when its turn comes, so callers
+    that interleave other work per replicate see failures in replicate
+    order.
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    seeds = [derive_path_seed(master_seed, r, i) for r in replicates for i in range(n_paths)]
+    values, clamps = _em_batch(
+        rates,
+        x0,
+        grid,
+        seeds,
+        refine=refine,
+        drift_correction=drift_correction,
+        allow_zero_noise=allow_zero_noise,
+    )
+    for j, r in enumerate(replicates):
+        rows = slice(j * n_paths, (j + 1) * n_paths)
+        nan_paths = np.flatnonzero(np.isnan(values[rows, -1]))
+        if nan_paths.size:
+            i = int(nan_paths[0])
+            first = int(np.argmax(np.isnan(values[rows][i])))
+            raise RuntimeError(
+                f"Euler-Maruyama path {i} went NaN by t={grid.times[first]}; "
+                "reduce the step or check the rates"
+            )
+        yield PathSet(
+            grid=grid,
+            values=values[rows],
+            space="X",
+            capacity=rates.capacity,
+            seed={"master_seed": int(master_seed), "replicate": int(r)},
+            meta={
+                "clamp_count": int(clamps[rows].sum()),
+                "refine": int(refine),
+                "drift_correction": drift_correction,
+            },
+        )
+
+
+def _em_batch(
+    rates: RatePair,
+    x0: float,
+    grid: TimeGrid,
+    seeds: list[np.random.SeedSequence],
+    *,
+    refine: int,
+    drift_correction: str,
+    allow_zero_noise: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-Maruyama kernel: one vector step per internal step for all paths.
+
+    Path i draws its noise from `seeds[i]`, EM_NOISE_BLOCK steps at a
+    time; consecutive draws from one generator continue its stream, so
+    the noise equals one draw of the full length.  Every operation is
+    elementwise, so a path's values do not depend on which other paths
+    share the batch.  Returns the (len(seeds), grid.n) values and the
+    clamp hits per path.  A NaN iterate stays NaN through the step and
+    the clamp, so NaN paths are left in and found by the caller from
+    the last column.
+    """
     k = rates.capacity
     if not (0.0 < x0 < k):
         raise ValueError(f"x0 must lie strictly inside (0, {k})")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     if not isinstance(refine, (int, np.integer)) or refine < 1:
         raise ValueError("refine must be an integer >= 1")
     if drift_correction not in DRIFT_CORRECTIONS:
@@ -238,44 +337,55 @@ def simulate_em(
     s2_vals = np.asarray(evaluate(rates.noise, t_left), dtype=float)
     if np.any(s2_vals < 0.0):
         raise ValueError("noise intensity is negative on the internal grid")
+    sd_vals = np.sqrt(s2_vals)
+    if drift_correction == "constant":
+        lam_vals = lam_vals + 0.5 * s2_vals
 
-    noise = np.empty((n_paths, total_steps))
-    for i in range(n_paths):
-        rng = np.random.default_rng(derive_path_seed(master_seed, replicate, i))
-        noise[i] = rng.standard_normal(total_steps)
-
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    n_paths = len(rngs)
     lo, hi = EM_CLAMP_EPS * k, (1.0 - EM_CLAMP_EPS) * k
+    two_k = 2.0 * k
+    sqrt_h = math.sqrt(h)
     x = np.full(n_paths, float(x0))
     values = np.empty((n_paths, grid.n))
     values[:, 0] = x
-    clamp_count = 0
-    sqrt_h = np.sqrt(h)
-    for step in range(total_steps):
-        s2 = s2_vals[step]
-        logistic = x * (k - x) / k
-        if drift_correction == "state":
-            drift = logistic * (lam_vals[step] + s2 * (k - 2.0 * x) / (2.0 * k))
-        else:
-            drift = logistic * (lam_vals[step] + 0.5 * s2)
-        x = x + drift * h + np.sqrt(s2) * logistic * sqrt_h * noise[:, step]
-        if np.any(np.isnan(x)):
-            raise RuntimeError(
-                f"Euler-Maruyama iterate went NaN at internal step {step} "
-                f"(t={t_left[step] + h}); reduce the step or check the rates"
-            )
-        outside = (x < lo) | (x > hi)
-        n_outside = int(outside.sum())
-        if n_outside:
-            clamp_count += n_outside
-            np.clip(x, lo, hi, out=x)
-        if (step + 1) % refine == 0:
-            values[:, (step + 1) // refine] = x
-
-    return PathSet(
-        grid=grid,
-        values=values,
-        space="X",
-        capacity=k,
-        seed={"master_seed": int(master_seed), "replicate": int(replicate)},
-        meta={"clamp_count": clamp_count, "refine": int(refine), "drift_correction": drift_correction},
-    )
+    clamps = np.zeros(n_paths, dtype=np.int64)
+    # the step is x + drift h + sd logistic sqrt(h) z written in place,
+    # with every operation in that expression's order, so the iterates
+    # are bit-identical to evaluating it directly
+    logistic, drift, shock = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
+    draws = np.empty((n_paths, min(EM_NOISE_BLOCK, total_steps)))
+    for start in range(0, total_steps, EM_NOISE_BLOCK):
+        stop = min(start + EM_NOISE_BLOCK, total_steps)
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=draws[i, : stop - start])
+        noise = draws[:, : stop - start].T.copy()  # one contiguous row per step
+        lam_b = lam_vals[start:stop].tolist()
+        s2_b = s2_vals[start:stop].tolist()
+        sd_b = sd_vals[start:stop].tolist()
+        for j in range(stop - start):
+            np.subtract(k, x, out=logistic)
+            logistic *= x
+            logistic /= k
+            if drift_correction == "state":
+                np.multiply(x, 2.0, out=drift)
+                np.subtract(k, drift, out=drift)
+                drift *= s2_b[j]
+                drift /= two_k
+                drift += lam_b[j]
+                drift *= logistic
+            else:
+                np.multiply(logistic, lam_b[j], out=drift)
+            drift *= h
+            np.multiply(logistic, sd_b[j], out=shock)
+            shock *= sqrt_h
+            shock *= noise[j]
+            x += drift
+            x += shock
+            # fmin/fmax skip NaN, so a NaN path does not hide another path's clamp
+            if np.fmin.reduce(x) < lo or np.fmax.reduce(x) > hi:
+                clamps += (x < lo) | (x > hi)
+                np.clip(x, lo, hi, out=x)
+            if (start + j + 1) % refine == 0:
+                values[:, (start + j + 1) // refine] = x
+    return values, clamps

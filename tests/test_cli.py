@@ -197,7 +197,7 @@ def test_analyze_raw_series(tmp_path, capsys):
 def test_analyze_reports_ingest_and_transform_clips(tmp_path, capsys):
     table = RawSeriesTable(
         times=np.arange(30.0),
-        counts={"a": np.r_[0.0, np.full(29, 3.0)], "b": np.full(30, 2.0)},
+        counts={"a": np.r_[1e-7, np.full(29, 3.0)], "b": np.full(30, 2.0)},
         populations={"a": 4000.0, "b": 6000.0},
     )
     cf, pf = str(tmp_path / "counts.csv"), str(tmp_path / "pops.csv")
@@ -212,11 +212,25 @@ def test_analyze_reports_ingest_and_transform_clips(tmp_path, capsys):
 def test_analyze_with_window(tmp_path):
     cf, pf = _raw_series_files(tmp_path)
     out = str(tmp_path / "est.csv")
+    # location a has no cases at t = 5
     rc = main(["analyze", "--in", cf, "--pop", pf, "--K", "0.1",
-               "--out", out, "--window", "5", "25"])
+               "--out", out, "--window", "6", "25"])
     assert rc == 0
     sidecar = json.loads(open(out + ".meta.json").read())
-    assert sidecar["n_times"] == 21
+    assert sidecar["n_times"] == 20
+
+
+def test_analyze_refuses_zero_first_counts(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    counts = {f"loc{i}": rng.poisson(3.0, 60).astype(float) for i in range(5)}
+    counts["loc1"][0] = counts["loc3"][0] = 0.0
+    table = RawSeriesTable(np.arange(60.0), counts, {name: 1000.0 for name in counts})
+    cf, pf = str(tmp_path / "counts.csv"), str(tmp_path / "pops.csv")
+    save_raw_series(table, cf, pf)
+    out = tmp_path / "est.csv"
+    assert main(["analyze", "--in", cf, "--pop", pf, "--K", "0.5", "--out", str(out)]) == 1
+    assert "first count is 0 at location(s) 'loc1', 'loc3'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_capacity_too_small_is_a_data_error(tmp_path, capsys):

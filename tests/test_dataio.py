@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidiff import (
     AnalysisConfig,
@@ -322,9 +323,40 @@ def test_cumulate_normalize_frozen_values():
 def test_cumulate_normalize_capacity_error_and_clip():
     with pytest.raises(ValueError, match="increase capacity"):
         cumulate_normalize(_table(), 0.05)
-    ps = cumulate_normalize(_table(counts=(0.0, 3.0, 5.0)), 0.25)
-    assert ps.meta["clip_count"] == 1  # leading zero pulled inside the interval
+    ps = cumulate_normalize(_table(counts=(1e-9, 3.0, 5.0)), 0.25)
+    assert ps.meta["clip_count"] == 1  # tiny leading value pulled inside the interval
     assert ps.values[0, 0] > 0.0
+
+
+def test_cumulate_normalize_refuses_zero_first_counts():
+    # one zero start among five locations used to be clipped to clip_eps K
+    # and taken as that path's reference, so its Y path jumped by about 20:
+    # here the MLE went from (0.072, 0.011) to (0.126, 0.881)
+    rng = np.random.default_rng(2)
+    counts = {f"loc{i}": rng.poisson(3.0, 60).astype(float) for i in range(5)}
+    table = RawSeriesTable(np.arange(60.0), counts, {name: 1000.0 for name in counts})
+    assert estimate_pipeline(cumulate_normalize(table, 0.5)).mle[1] < 0.05
+    counts["loc2"][0] = 0.0
+    with pytest.raises(ValueError, match=r"first count is 0 at location\(s\) 'loc2';"):
+        cumulate_normalize(table, 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 8).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 50), min_size=n, max_size=n), min_size=1, max_size=5)
+    )
+)
+def test_zero_first_count_is_refused_exactly_when_present(rows):
+    counts = {f"loc{i}": np.asarray(r, dtype=float) for i, r in enumerate(rows)}
+    table = RawSeriesTable(np.arange(float(len(rows[0]))), counts, {n: 1e4 for n in counts})
+    zero_start = [n for n, c in counts.items() if c[0] == 0.0]
+    if zero_start:
+        with pytest.raises(ValueError) as err:
+            cumulate_normalize(table, 1.0)
+        assert ", ".join(map(repr, zero_start)) + ";" in str(err.value)
+    else:
+        assert cumulate_normalize(table, 1.0).n_paths == len(rows)
 
 
 def test_cumulate_normalize_global_population():
@@ -397,5 +429,8 @@ def test_analyze_series_end_to_end():
     assert paths.values.shape == (3, 40)
     assert est.mle is not None
     assert est.mle[0] > 0.0
-    windowed, _ = analyze_series(table, AnalysisConfig(capacity=0.2, time_window=(5.0, 30.0)))
-    assert windowed.values.shape[1] == 26
+    # location b has no cases at t = 5 and 6
+    with pytest.raises(ValueError, match="'b'"):
+        analyze_series(table, AnalysisConfig(capacity=0.2, time_window=(5.0, 30.0)))
+    windowed, _ = analyze_series(table, AnalysisConfig(capacity=0.2, time_window=(7.0, 30.0)))
+    assert windowed.values.shape[1] == 24

@@ -55,11 +55,11 @@ def test_transform_clips_boundary_values_and_counts():
 
 
 def test_ingest_clip_count_survives_the_transform():
-    # a zero first count is clipped on ingest; the transform sees the
+    # a tiny first count is clipped on ingest; the transform sees the
     # clipped value, inside its own clip band, and clips nothing more
     rng = np.random.default_rng(5)
     counts = {"a": rng.poisson(3.0, 12).astype(float), "b": rng.poisson(3.0, 12).astype(float)}
-    counts["a"][0] = 0.0
+    counts["a"][0] = 1e-7
     counts["b"][0] = 4.0
     table = RawSeriesTable(np.arange(12.0), counts, {"a": 1000.0, "b": 1000.0})
     paths = cumulate_normalize(table, 0.25)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sidiff.experiments as experiments
 from sidiff import (
     ExperimentConfig,
     RatePair,
@@ -18,6 +19,7 @@ from sidiff import (
     mre_curves,
     pointwise_band,
     run_experiment,
+    simulate_em,
     simulate_exact,
     sinusoid,
     standardize,
@@ -255,3 +257,83 @@ def test_replicate_failure_is_attributed():
         grid=TimeGrid(0.0, 0.05, 101), n_paths=4, replicates=2, master_seed=3)
     with pytest.raises(RuntimeError, match="replicate 0"):
         run_experiment(cfg)
+
+
+def _em_config(**changes):
+    fields = dict(
+        label="em", rates=RatePair(sinusoid(0.4, 0.5, 1.0), constant(3.0), K), x0=60.0,
+        grid=TimeGrid(0.0, 0.05, 101), n_paths=6, replicates=5, master_seed=8, stride=4,
+        simulator="em", em_refine=2)
+    fields.update(changes)
+    return ExperimentConfig(**fields)
+
+
+@pytest.fixture
+def two_replicate_chunks(monkeypatch):
+    # the standard 6 MiB chunk would hold every replicate of these small runs
+    monkeypatch.setattr(experiments, "EM_CHUNK_BYTES", 2 * 8 * 6 * 101)
+
+
+@pytest.mark.parametrize("drift_correction", ["state", "constant"])
+def test_em_chunks_match_per_replicate_composition(two_replicate_chunks, drift_correction):
+    cfg = _em_config(
+        rates=RatePair(constant(0.4), constant(3.0), K), methods=("GMM", "MLE"),
+        em_drift_correction=drift_correction)
+    assert [list(c) for c in experiments._chunks(cfg)] == [[0, 1], [2, 3], [4]]
+    report = run_experiment(cfg)
+    a, b = cfg.resolved_scalar_window()
+    clamps = 0
+    for r in range(cfg.replicates):
+        ps = simulate_em(cfg.rates, cfg.x0, cfg.grid, cfg.n_paths, cfg.master_seed, replicate=r,
+                         refine=2, drift_correction=drift_correction)
+        est = estimate_pipeline(ps, stride=4)
+        clamps += ps.meta["clamp_count"]
+        assert np.array_equal(report.lambda_curves[r], est.lambda_hat(cfg.grid.times))
+        assert np.array_equal(report.sigma2_curves[r], est.sigma2_hat_raw(cfg.grid.times))
+        assert report.scalar_lambda[r] == est.avg_lambda_hat(a, b)
+        assert report.scalar_sigma2[r] == est.avg_sigma2_hat(a, b)
+        assert (report.mle_lambda[r], report.mle_sigma2[r]) == est.mle
+    assert clamps > 0
+    assert report.diagnostics["clamp_count_total"] == clamps
+
+
+def test_em_report_does_not_depend_on_the_schedule(two_replicate_chunks):
+    cfg = _em_config()
+    serial = run_experiment(cfg)
+    pooled = run_experiment(cfg, max_workers=2)
+    for name in ("lambda_curves", "sigma2_curves", "scalar_lambda", "scalar_sigma2"):
+        assert np.array_equal(getattr(serial, name), getattr(pooled, name))
+    assert serial.diagnostics == pooled.diagnostics
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_em_failures_name_the_first_failing_replicate(two_replicate_chunks, workers):
+    zero_noise = _em_config(rates=RatePair(constant(0.4), constant(0.0), K))
+    with pytest.raises(RuntimeError, match="replicate 0 failed: rate kind"):
+        run_experiment(zero_noise, max_workers=workers)
+    # x (K - x) overflows at this capacity and the step turns to inf - inf
+    huge = _em_config(rates=RatePair(constant(0.4), constant(0.1), 1e300), x0=5e299)
+    with pytest.raises(RuntimeError, match=r"replicate 0 failed: Euler-Maruyama path \d+ went NaN"):
+        run_experiment(huge, max_workers=workers)
+
+
+def test_em_estimate_failure_in_a_later_chunk_is_attributed(two_replicate_chunks, monkeypatch):
+    def failing_on_replicate_3(paths, **kwargs):
+        if paths.seed["replicate"] == 3:
+            raise ValueError("boom")
+        return estimate_pipeline(paths, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_pipeline", failing_on_replicate_3)
+    with pytest.raises(RuntimeError, match="replicate 3 failed: boom"):
+        run_experiment(_em_config())
+
+
+def test_report_records_stage_timings():
+    report = run_experiment(_em_config())
+    assert set(report.timings) == {"simulate", "estimate"}
+    assert all(v > 0.0 for v in report.timings.values())
+    assert sum(report.timings.values()) <= report.elapsed_seconds
+    pooled = run_experiment(_em_config(), max_workers=2)
+    assert set(pooled.timings) == {"simulate", "estimate"}
+    assert all(v > 0.0 for v in pooled.timings.values())

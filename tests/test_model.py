@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sidiff import (
     deterministic_solution,
     infinitesimal_moments,
     sinusoid,
+    tabulated,
     threshold_time,
     transition_cdf,
     transition_pdf,
@@ -100,6 +102,23 @@ def test_threshold_time_errors():
         threshold_time(K, X0, sinusoid(0.0, 0.1, 1.0), 100.0, t_max=1000.0)
 
 
+def test_threshold_time_search_ends_at_the_knot_span_and_t_max():
+    # out of reach inside the knot span: refused as not reached, not as a
+    # time outside the tabulated window
+    with pytest.raises(ValueError, match=r"not reached within \[0\.0, 20\.0\]"):
+        threshold_time(K, X0, tabulated([0.0, 10.0, 20.0], [0.1] * 3), 190.0)
+    # the root (ln 9 / 4, about 0.55) lies past t_max < t0 + 1
+    fast = tabulated([0.0, 10.0, 20.0], [4.0] * 3)
+    assert threshold_time(K, X0, fast, 100.0) == pytest.approx(math.log(9.0) / 4.0, abs=1e-9)
+    with pytest.raises(ValueError, match=r"not reached within \[0\.0, 0\.5\]"):
+        threshold_time(K, X0, fast, 100.0, t_max=0.5)
+    with pytest.raises(ValueError, match="not reached"):
+        threshold_time(K, X0, 4.0, 100.0, t_max=0.5)
+    # a root between the last doubling point and t_max is still found
+    slow = sinusoid(0.4, 0.0, 1.0)
+    assert threshold_time(K, X0, slow, 100.0, t_max=6.0) == pytest.approx(2.5 * math.log(9.0), abs=1e-9)
+
+
 # ------------------------------------------------------------------ transforms
 
 
@@ -120,6 +139,13 @@ def test_transform_round_trip(cap, u0, u):
     x = u * cap
     back = y_to_x(x_to_y(x, x0, cap), x0, cap)
     assert back == pytest.approx(x, rel=1e-10)
+
+
+def test_y_to_x_saturates_to_zero_without_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert y_to_x(-800.0, X0, K) == 0.0
+        assert np.array_equal(y_to_x(np.array([-1e4, -800.0]), X0, K), [0.0, 0.0])
 
 
 def test_transform_rejects_boundary_states():

@@ -11,10 +11,13 @@ from sidiff import (
     constant,
     derive_path_seed,
     deterministic_solution,
+    evaluate,
     simulate_em,
     simulate_exact,
+    sinusoid,
     x_to_y,
 )
+from sidiff.simulate import DRIFT_CORRECTIONS, EM_NOISE_BLOCK
 
 K = 200.0
 PAIR = RatePair(constant(0.4), constant(0.1), K)
@@ -203,6 +206,76 @@ def test_em_records_refine():
     ps = simulate_em(PAIR, 20.0, TimeGrid(0.0, 0.1, 6), 2, 3, refine=4)
     assert ps.meta["refine"] == 4
     assert ps.values.shape == (2, 6)
+
+
+def _reference_em(rates, x0, grid, n_paths, master_seed, refine, replicate, drift_correction):
+    """Euler-Maruyama as one full-length draw per path and one loop step per
+    internal step, the form the batched kernel must reproduce bit for bit."""
+    k = rates.capacity
+    h = grid.delta / refine
+    total_steps = (grid.n - 1) * refine
+    t_left = grid.t0 + h * np.arange(total_steps)
+    lam_vals = np.asarray(evaluate(rates.transmission, t_left), dtype=float)
+    s2_vals = np.asarray(evaluate(rates.noise, t_left), dtype=float)
+    noise = np.array([
+        np.random.default_rng(derive_path_seed(master_seed, replicate, i)).standard_normal(total_steps)
+        for i in range(n_paths)
+    ])
+    lo, hi = 1e-9 * k, (1.0 - 1e-9) * k
+    x = np.full(n_paths, float(x0))
+    values = np.empty((n_paths, grid.n))
+    values[:, 0] = x
+    clamp_count = 0
+    for step in range(total_steps):
+        s2 = s2_vals[step]
+        logistic = x * (k - x) / k
+        if drift_correction == "state":
+            drift = logistic * (lam_vals[step] + s2 * (k - 2.0 * x) / (2.0 * k))
+        else:
+            drift = logistic * (lam_vals[step] + 0.5 * s2)
+        x = x + drift * h + np.sqrt(s2) * logistic * np.sqrt(h) * noise[:, step]
+        outside = (x < lo) | (x > hi)
+        clamp_count += int(outside.sum())
+        np.clip(x, lo, hi, out=x)
+        if (step + 1) % refine == 0:
+            values[:, (step + 1) // refine] = x
+    return values, clamp_count
+
+
+@pytest.mark.parametrize("drift_correction", DRIFT_CORRECTIONS)
+@pytest.mark.parametrize(
+    "rates, x0, refine",
+    [(PAIR, 20.0, 1), (PAIR, 20.0, 3), (RatePair(sinusoid(0.4, 1.0, 1.0), constant(6.0), K), 100.0, 2)],
+)
+def test_em_matches_the_reference_loop_bit_for_bit(rates, x0, refine, drift_correction):
+    # 200 * refine internal steps: one to two noise blocks with a partial last one
+    grid = TimeGrid(0.0, 0.05, 201)
+    assert (grid.n - 1) * refine % EM_NOISE_BLOCK != 0
+    ps = simulate_em(rates, x0, grid, 7, 13, refine=refine, replicate=2, drift_correction=drift_correction)
+    values, clamp_count = _reference_em(rates, x0, grid, 7, 13, refine, 2, drift_correction)
+    assert np.array_equal(ps.values, values)
+    assert ps.meta["clamp_count"] == clamp_count
+
+
+def test_block_draws_continue_one_stream():
+    # the kernel draws each path's noise EM_NOISE_BLOCK steps at a time
+    seed = derive_path_seed(5, 1, 2)
+    whole = np.random.default_rng(seed).standard_normal(3 * EM_NOISE_BLOCK + 17)
+    rng = np.random.default_rng(seed)
+    blocks = np.empty((2, EM_NOISE_BLOCK))
+    parts = []
+    for size in (EM_NOISE_BLOCK, EM_NOISE_BLOCK, EM_NOISE_BLOCK, 17):
+        rng.standard_normal(out=blocks[1, :size])
+        parts.append(blocks[1, :size].copy())
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_em_nan_names_the_path_and_the_time():
+    # x (K - x) overflows at this capacity and the step turns to inf - inf
+    huge = RatePair(constant(0.4), constant(0.1), 1e300)
+    with pytest.raises(RuntimeError, match=r"Euler-Maruyama path \d+ went NaN by t=0\.\d+"):
+        simulate_em(huge, 5e299, TimeGrid(0.0, 0.05, 21), 3, 1)
 
 
 # --------------------------------------------------------------- reproducibility
