@@ -40,6 +40,10 @@ from .simulate import TimeGrid, simulate_em, simulate_exact
 __all__ = ["main", "build_parser"]
 
 OUT_DIR_ENV = "SIDIFF_OUT_DIR"
+EXPERIMENT_KEYS = frozenset(
+    "rows cases n_paths replicates master_seed stride t0 T delta row_simulator row_drift_correction".split()
+)
+ROW_KEYS = frozenset({"transmission", "noise"})
 
 
 def _resolve_out(path: str) -> str:
@@ -177,7 +181,14 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _refuse_unknown_keys(entry: dict, known: frozenset, where: str) -> None:
+    unknown = sorted(set(entry) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}; known keys are {sorted(known)}")
+
+
 def _experiment_configs(cfg: dict, seed_override: int | None):
+    _refuse_unknown_keys(cfg, EXPERIMENT_KEYS, "experiment config")
     shared = {
         "n_paths": int(cfg.get("n_paths", 50)),
         "replicates": int(cfg.get("replicates", 100)),
@@ -195,6 +206,8 @@ def _experiment_configs(cfg: dict, seed_override: int | None):
     cases = cfg.get("cases", [])
     if not rows and not cases:
         raise ValueError("experiment config needs a nonempty 'rows' or 'cases' entry")
+    for row in rows:
+        _refuse_unknown_keys(row, ROW_KEYS, "row")
     row_configs = [
         table1_config(
             float(row["transmission"]),

@@ -52,10 +52,6 @@ GRID_UNIFORM_RTOL = 1e-8
 TIME_UNITS = ("index", "calendar")
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -68,6 +64,31 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_csv(
+    path: str, header: list[str], columns: list, meta: tuple[dict, int] | None = None
+) -> None:
+    """Atomically write equal-length columns as one CSV, one row per index.
+
+    A list column holds ready-made strings; any other column is a float
+    array, written cell by cell as the shortest round-trip repr.
+    meta=(payload, seed) puts the metadata comment line first.
+    """
+    # float cells are formatted lazily, row by row, so the strings of a
+    # whole table are never alive at once
+    cells = [
+        col if isinstance(col, list) else map(repr, np.asarray(col, dtype=float).tolist())
+        for col in columns
+    ]
+    lines = [metadata_line(*meta)] if meta is not None else []
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*cells)))
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _write_json(path: str, payload: dict) -> None:
+    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def config_hash(payload: dict) -> str:
@@ -111,13 +132,9 @@ def save_paths(paths: PathSet, path: str, *, rates=None) -> None:
         "rates": pair_to_dict(rates) if rates is not None else None,
     }
     seed = (paths.seed or {}).get("master_seed", 0)
-    lines = [metadata_line(sidecar, seed)]
-    lines.append("t," + ",".join(f"path_{i + 1}" for i in range(paths.n_paths)))
-    times = paths.grid.times
-    for j in range(paths.grid.n):
-        lines.append(_fmt(times[j]) + "," + ",".join(_fmt(v) for v in paths.values[:, j]))
-    _atomic_write(path, "\n".join(lines) + "\n")
-    _atomic_write(path + ".meta.json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    header = ["t", *(f"path_{i + 1}" for i in range(paths.n_paths))]
+    _write_csv(path, header, [paths.grid.times, *paths.values], meta=(sidecar, seed))
+    _write_json(path + ".meta.json", sidecar)
 
 
 def load_paths(path: str, capacity: float | None = None) -> PathSet:
@@ -174,10 +191,6 @@ def save_estimate(result: EstimateResult, path: str, *, capacity: float, seed: i
     diagnostics dict.
     """
     times = result.grid.times
-    lam = np.asarray(result.lambda_hat(times), dtype=float)
-    s2_raw = np.asarray(result.sigma2_hat_raw(times), dtype=float)
-    s2_floor = np.asarray(result.sigma2_hat_floored(times), dtype=float)
-
     a, b = float(times[0]), float(times[-1])
     sidecar = {
         "capacity": capacity,
@@ -188,14 +201,14 @@ def save_estimate(result: EstimateResult, path: str, *, capacity: float, seed: i
         "diagnostics": result.diagnostics,
         "n_times": int(times.size),
     }
-    lines = [metadata_line(sidecar, seed)]
-    lines.append("t,lambda_hat,sigma2_hat_raw,sigma2_hat_floored")
-    for j in range(times.size):
-        lines.append(
-            ",".join((_fmt(times[j]), _fmt(lam[j]), _fmt(s2_raw[j]), _fmt(s2_floor[j])))
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
-    _atomic_write(path + ".meta.json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    curves = (result.lambda_hat, result.sigma2_hat_raw, result.sigma2_hat_floored)
+    _write_csv(
+        path,
+        ["t", "lambda_hat", "sigma2_hat_raw", "sigma2_hat_floored"],
+        [times, *(curve(times) for curve in curves)],
+        meta=(sidecar, seed),
+    )
+    _write_json(path + ".meta.json", sidecar)
 
 
 # ---------------------------------------------------------------------------
@@ -222,51 +235,19 @@ def _report_payload(report: ExperimentReport) -> dict:
 
 def write_table1(rows: list[dict], path: str, *, payload: dict, seed: int) -> None:
     """Error-table CSV: one row per (case, method)."""
-    lines = [metadata_line(payload, seed)]
-    lines.append("case,method,lambda_true,sigma2_true,mre_lambda,mre_sigma2")
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row["case"]),
-                    str(row["method"]),
-                    _fmt(row["lambda_true"]),
-                    _fmt(row["sigma2_true"]),
-                    _fmt(row["mre_lambda"]),
-                    _fmt(row["mre_sigma2"]),
-                )
-            )
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    header = ["case", "method", "lambda_true", "sigma2_true", "mre_lambda", "mre_sigma2"]
+    columns = [[str(row[key]) for row in rows] for key in header[:2]]
+    columns.extend(np.array([row[key] for row in rows], dtype=float) for key in header[2:])
+    _write_csv(path, header, columns, meta=(payload, seed))
 
 
 def write_bands(report: ExperimentReport, path: str, *, unbiased: bool = False) -> None:
     """Pointwise mean/sd band CSV for both fitted intensity curves."""
-    lam_mean, lam_sd, lam_lo, lam_hi = pointwise_band(report.lambda_curves, unbiased=unbiased)
-    s2_mean, s2_sd, s2_lo, s2_hi = pointwise_band(report.sigma2_curves, unbiased=unbiased)
-    lines = [metadata_line(_report_payload(report), report.config.master_seed)]
-    lines.append(
-        "t,lambda_mean,lambda_sd,lambda_lower,lambda_upper,"
-        "sigma2_mean,sigma2_sd,sigma2_lower,sigma2_upper"
-    )
-    for j, t in enumerate(report.times):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    t,
-                    lam_mean[j],
-                    lam_sd[j],
-                    lam_lo[j],
-                    lam_hi[j],
-                    s2_mean[j],
-                    s2_sd[j],
-                    s2_lo[j],
-                    s2_hi[j],
-                )
-            )
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    header, columns = ["t"], [report.times]
+    for name, curves in (("lambda", report.lambda_curves), ("sigma2", report.sigma2_curves)):
+        header.extend(f"{name}_{stat}" for stat in ("mean", "sd", "lower", "upper"))
+        columns.extend(pointwise_band(curves, unbiased=unbiased))
+    _write_csv(path, header, columns, meta=(_report_payload(report), report.config.master_seed))
 
 
 def _scalar_estimates(report: ExperimentReport) -> list[tuple[str, str, np.ndarray]]:
@@ -283,42 +264,33 @@ def _scalar_estimates(report: ExperimentReport) -> list[tuple[str, str, np.ndarr
 
 def write_boxplot(reports: list[ExperimentReport], path: str, *, seed: int) -> None:
     """Five-number summaries of per-replicate scalar estimates."""
+    summaries = [
+        (report.config.label, method, param, boxplot_stats(values))
+        for report in reports
+        for method, param, values in _scalar_estimates(report)
+    ]
+    header = ["case", "method", "param", "min", "q1", "median", "q3", "max", "outliers"]
+    columns = [[row[i] for row in summaries] for i in range(3)]
+    columns.extend(np.array([row[3][stat] for row in summaries]) for stat in header[3:8])
+    columns.append([";".join(map(repr, row[3]["outliers"])) for row in summaries])
     payload = {"reports": [_report_payload(r) for r in reports]}
-    lines = [metadata_line(payload, seed)]
-    lines.append("case,method,param,min,q1,median,q3,max,outliers")
-    for report in reports:
-        for method, param, values in _scalar_estimates(report):
-            stats = boxplot_stats(values)
-            lines.append(
-                ",".join(
-                    (
-                        report.config.label,
-                        method,
-                        param,
-                        _fmt(stats["min"]),
-                        _fmt(stats["q1"]),
-                        _fmt(stats["median"]),
-                        _fmt(stats["q3"]),
-                        _fmt(stats["max"]),
-                        ";".join(_fmt(v) for v in stats["outliers"]),
-                    )
-                )
-            )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_csv(path, header, columns, meta=(payload, seed))
 
 
 def write_kde(reports: list[ExperimentReport], path: str, *, seed: int) -> None:
     """Kernel densities of standardized scalar estimates, long format."""
-    payload = {"reports": [_report_payload(r) for r in reports]}
-    lines = [metadata_line(payload, seed)]
-    lines.append("case,method,param,bandwidth,x,density")
+    labels, grids, densities = [[], [], [], []], [], []
     for report in reports:
         for method, param, values in _scalar_estimates(report):
             grid, density, bw = kde(standardize(values))
-            prefix = f"{report.config.label},{method},{param},{_fmt(bw)}"
-            for x, dens in zip(grid, density):
-                lines.append(f"{prefix},{_fmt(x)},{_fmt(dens)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+            for column, cell in zip(labels, (report.config.label, method, param, repr(bw))):
+                column.extend([cell] * grid.size)
+            grids.append(grid)
+            densities.append(density)
+    floats = [np.concatenate(arrays) if arrays else np.empty(0) for arrays in (grids, densities)]
+    payload = {"reports": [_report_payload(r) for r in reports]}
+    header = ["case", "method", "param", "bandwidth", "x", "density"]
+    _write_csv(path, header, labels + floats, meta=(payload, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -452,27 +424,29 @@ def load_csv(counts_path: str, populations_path: str) -> RawSeriesTable:
 def save_raw_series(table: RawSeriesTable, counts_path: str, populations_path: str) -> None:
     """Write a raw series table in the two-file format load_csv reads."""
     table.validate()
-    lines = ["time," + ",".join(table.locations)]
-    for j in range(table.times.size):
-        row = [_fmt(table.times[j])]
-        row.extend(_fmt(table.counts[name][j]) for name in table.locations)
-        lines.append(",".join(row))
-    _atomic_write(counts_path, "\n".join(lines) + "\n")
-    pop_lines = ["location,population"]
-    pop_lines.extend(f"{name},{_fmt(table.populations[name])}" for name in table.locations)
-    _atomic_write(populations_path, "\n".join(pop_lines) + "\n")
+    names = list(table.locations)
+    _write_csv(counts_path, ["time", *names], [table.times, *(table.counts[name] for name in names)])
+    populations = np.array([table.populations[name] for name in names])
+    _write_csv(populations_path, ["location", "population"], [names, populations])
 
 
 def restrict_window(table: RawSeriesTable, t_lo: float, t_hi: float) -> RawSeriesTable:
-    """Sub-table with observation times inside [t_lo, t_hi]."""
+    """Sub-table with observation times inside [t_lo, t_hi].
+
+    The counts before t_lo are added to the first kept row, so the
+    cumulated paths start at the prevalence reached by the window start,
+    not at zero.  They are summed in cumsum's order, so a windowed path
+    is the slice of the whole path bit for bit.
+    """
     mask = (table.times >= t_lo) & (table.times <= t_hi)
     if int(mask.sum()) < 2:
         raise ValueError("time window keeps fewer than two observations")
-    return RawSeriesTable(
-        times=table.times[mask],
-        counts={name: series[mask] for name, series in table.counts.items()},
-        populations=dict(table.populations),
-    )
+    first = int(np.argmax(mask))
+    counts = {}
+    for name, series in table.counts.items():
+        counts[name] = series[mask]
+        counts[name][0] = np.cumsum(series[: first + 1])[-1]
+    return RawSeriesTable(times=table.times[mask], counts=counts, populations=dict(table.populations))
 
 
 def cumulate_normalize(
@@ -497,7 +471,9 @@ def cumulate_normalize(
     A location whose first count is 0 is refused (ValueError naming
     every such location): each path is measured against its first
     value, and a zero start, clipped to clip_eps*K, would put a jump of
-    about ln(1/clip_eps) into that path and skew every estimate.  Drop
+    about ln(1/clip_eps) into that path and skew every estimate.  After
+    restrict_window the first count holds every case up to the window
+    start, so only a location with no cases by then is refused.  Drop
     the location, or start the time window where it has cases.
 
     time_unit "index" numbers observations 0, 1, 2, ...; "calendar"

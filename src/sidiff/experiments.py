@@ -460,8 +460,7 @@ def table1_config(
 
     Default simulator is Euler-Maruyama at the observation step with
     the constant Ito correction: the scheme the reference error tables
-    were produced with (see the error-table script for the exact
-    comparison).  Pass simulator="exact" for the unbiased law.
+    were produced with.  Pass simulator="exact" for the unbiased law.
     """
     return ExperimentConfig(
         label=f"table1_lam{transmission:g}_s2{noise:g}",

@@ -43,6 +43,8 @@ __all__ = [
 
 EM_CLAMP_EPS = 1e-9  # relative clamp width for Euler-Maruyama iterates
 EM_NOISE_BLOCK = 512  # internal steps of noise drawn per path at a time
+# largest capacity whose Euler-Maruyama drift term (K - x) x stays finite
+EM_MAX_CAPACITY = math.sqrt(np.finfo(float).max)
 
 DRIFT_CORRECTIONS = ("state", "constant")
 
@@ -217,6 +219,8 @@ def simulate_em(
     [eps K, (1 - eps) K] with eps = 1e-9; clamp hits are counted in
     meta["clamp_count"].  A path that goes NaN raises RuntimeError
     naming the path and the first observation time at which it is NaN.
+    A capacity above EM_MAX_CAPACITY (about 1.34e154), where the drift
+    term (K - x) x overflows, is refused; simulate_exact has no limit.
 
     drift_correction selects the Ito correction inside the drift:
 
@@ -324,6 +328,11 @@ def _em_batch(
     k = rates.capacity
     if not (0.0 < x0 < k):
         raise ValueError(f"x0 must lie strictly inside (0, {k})")
+    if k > EM_MAX_CAPACITY:
+        raise ValueError(
+            f"capacity {k:g} is above {EM_MAX_CAPACITY:.4g}, where the Euler-Maruyama drift "
+            '(K - x) x overflows; use simulator="exact"'
+        )
     if not isinstance(refine, (int, np.integer)) or refine < 1:
         raise ValueError("refine must be an integer >= 1")
     if drift_correction not in DRIFT_CORRECTIONS:

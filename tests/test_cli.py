@@ -1,12 +1,17 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from sidiff import RawSeriesTable, load_paths
-from sidiff.cli import main
+from sidiff.cli import _experiment_configs, main
 from sidiff.dataio import save_raw_series
+from sidiff.experiments import case_config, table1_config
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SEED = 20260819
 
 RATES_JSON = {
     "transmission": {"kind": "constant", "params": {"value": 0.4}},
@@ -175,6 +180,48 @@ def test_experiment_config_without_work_is_a_data_error(tmp_path, capsys):
     rc = main(["experiment", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        ({"replicate": 3}, "'replicate'"),
+        ({"rows": [{"transmission": 0.4, "nosie": 0.1}]}, "'nosie'"),
+    ],
+)
+def test_experiment_refuses_unknown_keys(tmp_path, capsys, edit, named):
+    cfg = _write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, **edit})
+    out_dir = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "data error: unknown" in err and named in err
+    assert not out_dir.exists()
+
+
+def test_shipped_configs_build_the_reference_runs():
+    shared = dict(n_paths=50, replicates=100, master_seed=SEED, stride=10)
+
+    def rows(pairs):
+        return [
+            table1_config(lam, s2, simulator="em", em_drift_correction="constant", **shared)
+            for lam, s2 in pairs
+        ]
+
+    desk = [(0.4, 0.05), (0.4, 0.1)]
+    grid = [(lam, s2) for s2 in (0.05, 0.1) for lam in (0.4, 0.6, 0.8, 1.0, 1.2)]
+    expected = {
+        "table1.json": (rows(desk), []),
+        "table1_full.json": (rows(grid), []),
+        "cases.json": ([], [case_config(name, **shared) for name in "abc"]),
+    }
+    for name, (row_configs, case_configs) in expected.items():
+        with open(os.path.join(CONFIG_DIR, name)) as handle:
+            got_rows, got_cases, seed = _experiment_configs(json.load(handle), None)
+        # rate functions compare by identity, so compare field values
+        assert [asdict(c) for c in got_rows] == [asdict(c) for c in row_configs], name
+        assert [asdict(c) for c in got_cases] == [asdict(c) for c in case_configs], name
+        assert seed == SEED
+    assert sorted(os.listdir(CONFIG_DIR)) == sorted(expected)
 
 
 # --------------------------------------------------------------------- analyze

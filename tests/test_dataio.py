@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import json
 import os
 import re
@@ -9,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from sidiff import (
     AnalysisConfig,
+    EstimateResult,
     ExperimentConfig,
+    ExperimentReport,
+    PathSet,
     RatePair,
     RawSeriesTable,
     TimeGrid,
@@ -34,6 +38,7 @@ from sidiff import (
     write_table1,
 )
 from sidiff.dataio import save_raw_series
+from sidiff.estimate import SplineCurve
 
 K = 200.0
 PAIR = RatePair(constant(0.4), constant(0.1), K)
@@ -136,6 +141,94 @@ def test_writers_are_deterministic(tmp_path):
     save_estimate(est, a, capacity=K, seed=1)
     save_estimate(est, b, capacity=K, seed=1)
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def _write_every_file_kind(d):
+    """All writers and sidecars from tiny fixed inputs (no simulation, no fit)."""
+    grid = TimeGrid(0.0, 0.25, 5)
+    ps = PathSet(
+        grid=grid,
+        values=np.array([[20.0, 21.5, 23.25, 24.0, 26.125], [20.0, 19.75, 22.0, 25.5, 30.0]]),
+        space="X",
+        capacity=K,
+        seed={"master_seed": 7, "replicate": 0},
+        meta={"clip_count": 0},
+    )
+    save_paths(ps, str(d / "paths.csv"), rates=PAIR)
+
+    est = EstimateResult(
+        grid=grid,
+        mean_curve=SplineCurve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.5])),
+        cov_curve=SplineCurve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.0625, 0.0625])),
+        mu=np.zeros(5),
+        nu=np.zeros(4),
+        mle=(0.5, 0.125),
+        diagnostics={"clip_count": 0, "floored": 2},
+    )
+    save_estimate(est, str(d / "estimate.csv"), capacity=K, seed=7)
+
+    write_table1(
+        [
+            {"case": "row", "method": "MLE", "lambda_true": 0.4, "sigma2_true": 0.1,
+             "mre_lambda": 0.1 / 3.0, "mre_sigma2": 0.2},
+            {"case": "row", "method": "GMM", "lambda_true": 0.4, "sigma2_true": 0.1,
+             "mre_lambda": 0.05, "mre_sigma2": 2.0 / 7.0},
+        ],
+        str(d / "table1.csv"),
+        payload={"rows": 1},
+        seed=7,
+    )
+
+    steps = np.arange(5.0)
+    spread = np.arange(10.0)[:, None]
+    row_cfg = ExperimentConfig(
+        label="row", rates=PAIR, x0=20.0, grid=grid, n_paths=2, replicates=10,
+        master_seed=7, methods=("GMM", "MLE"),
+    )
+    scalars = 0.4 + 0.01 * np.array([0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.5, -1.5, 30.0])
+    row = ExperimentReport(
+        config=row_cfg, times=grid.times,
+        lambda_curves=0.4 + 0.01 * spread + 0.001 * steps,
+        sigma2_curves=0.1 - 0.002 * spread + 0.003 * steps,
+        scalar_lambda=scalars, scalar_sigma2=scalars / 4.0,
+        mle_lambda=scalars[::-1].copy(), mle_sigma2=scalars / 3.0,
+    )
+    write_bands(row, str(d / "bands.csv"))
+    write_bands(row, str(d / "bands_unbiased.csv"), unbiased=True)
+    write_boxplot([row], str(d / "boxplot.csv"), seed=7)
+    write_kde([row], str(d / "kde.csv"), seed=7)
+
+    table = RawSeriesTable(
+        times=np.array([0.0, 1.0, 2.0, 3.0]),
+        counts={"east": np.array([1.0, 0.0, 2.5, 4.0]), "west": np.array([3.0, 3.0, 1.0, 0.1])},
+        populations={"east": 1000.0, "west": 2500.5},
+    )
+    save_raw_series(table, str(d / "counts.csv"), str(d / "populations.csv"))
+
+
+# sha256 of every file written above: any change to a writer's bytes,
+# sidecars included, shows here, not only a change between two reruns
+PINNED_SHA256 = {
+    "bands.csv": "3f4c289095db6b4fdb1d7e5a4c5df09b8df705be2fc499a7581deb6cf96b405d",
+    "bands_unbiased.csv": "6b43ede098dd716dd930a484c187845cfaf6ae7886af7d7647271c4e4d3906c2",
+    "boxplot.csv": "d0c42bb291be69ce3761e27577ddb7de763a22a117201b776e71718eced58d6b",
+    "counts.csv": "d8f3d8656a703bc62f402e18fad50a371913471cfaada38142d5d5992ca5c35c",
+    "estimate.csv": "8117c55255b8e4f186a70d3001489865f4a3837d8cacbd3bfebf9f5cb9cad925",
+    "estimate.csv.meta.json": "98e722ab5f8e077304f4a84f9bcc804f6a81aab14fec41295a5e3c724bdc3e5c",
+    "kde.csv": "4f9e7306d2e006eb2d629e9be29e19f748b8860610005ec427c6ab19e51f252e",
+    "paths.csv": "25d6f2f80393288b55279d032cccdc62254e3dc70eea24f5264c5233e7e2631d",
+    "paths.csv.meta.json": "126e871df3a69623477d16ed04584459bc62ea913d3d829cec40bc42c33cab35",
+    "populations.csv": "f7e423aabb59d965dfdf78290c4ff15745abafc60baebb493a0ebe83a659cf42",
+    "table1.csv": "4470a0500591730947863f86498c45eda8e599fd0b00496327531860d0fa77ce",
+}
+
+
+def test_writer_bytes_are_pinned(tmp_path):
+    _write_every_file_kind(tmp_path)
+    got = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())
+    }
+    assert got == PINNED_SHA256
 
 
 def test_no_partial_files_left_behind(tmp_path):
@@ -394,6 +487,19 @@ def test_restrict_window():
         restrict_window(table, 10.0, 20.0)
 
 
+def test_windowed_paths_keep_the_earlier_prevalence():
+    counts = np.arange(2.0, 12.0)  # 2, 3, 4, 5, ... at times 0, 1, 2, ...
+    table = _table(times=np.arange(10.0), counts=counts)
+    sub = restrict_window(table, 3.0, 5.0)
+    assert np.array_equal(sub.counts["loc01"], [14.0, 6.0, 7.0])
+    assert np.array_equal(table.counts["loc01"], counts)  # the input is left as it was
+    windowed = cumulate_normalize(sub, 1.0)
+    assert windowed.values[0, 0] == pytest.approx(0.14, rel=1e-15)
+    # the windowed path is the slice of the whole path, bit for bit
+    whole = cumulate_normalize(table, 1.0)
+    assert np.array_equal(windowed.values, whole.values[:, 3:6])
+
+
 def test_suggest_capacity():
     assert suggest_K(np.array([0.1, 0.238])) == pytest.approx(0.238 * 1.05, rel=1e-12)
     ps = cumulate_normalize(_table(), 0.25)
@@ -429,8 +535,13 @@ def test_analyze_series_end_to_end():
     assert paths.values.shape == (3, 40)
     assert est.mle is not None
     assert est.mle[0] > 0.0
-    # location b has no cases at t = 5 and 6
+    # location b has no cases at t = 5 and 6, but 9 before t = 5: its
+    # windowed path starts at that prevalence
+    windowed, _ = analyze_series(table, AnalysisConfig(capacity=0.2, time_window=(5.0, 30.0)))
+    assert windowed.values.shape[1] == 26
+    assert windowed.values[1, 0] == np.sum(table.counts["b"][:6]) / 4000.0 == 9.0 / 4000.0
+    assert np.array_equal(windowed.values, paths.values[:, 5:31])
+    # a location with no cases at all up to the window start is refused
+    table.counts["b"][:6] = 0.0
     with pytest.raises(ValueError, match="'b'"):
         analyze_series(table, AnalysisConfig(capacity=0.2, time_window=(5.0, 30.0)))
-    windowed, _ = analyze_series(table, AnalysisConfig(capacity=0.2, time_window=(7.0, 30.0)))
-    assert windowed.values.shape[1] == 24

@@ -312,10 +312,17 @@ def test_em_failures_name_the_first_failing_replicate(two_replicate_chunks, work
     zero_noise = _em_config(rates=RatePair(constant(0.4), constant(0.0), K))
     with pytest.raises(RuntimeError, match="replicate 0 failed: rate kind"):
         run_experiment(zero_noise, max_workers=workers)
-    # x (K - x) overflows at this capacity and the step turns to inf - inf
+    # x (K - x) would overflow at this capacity
     huge = _em_config(rates=RatePair(constant(0.4), constant(0.1), 1e300), x0=5e299)
-    with pytest.raises(RuntimeError, match=r"replicate 0 failed: Euler-Maruyama path \d+ went NaN"):
+    with pytest.raises(RuntimeError, match=r"replicate 0 failed: capacity 1e\+300 is above"):
         run_experiment(huge, max_workers=workers)
+    # noise this large overflows both the drift and the shock, and the
+    # step turns to inf - inf
+    wild = _em_config(
+        rates=RatePair(constant(0.4), constant(1e308), 1e154), x0=2.5e153, grid=TimeGrid(0.0, 100.0, 101)
+    )
+    with pytest.raises(RuntimeError, match=r"replicate 0 failed: Euler-Maruyama path \d+ went NaN"):
+        run_experiment(wild, max_workers=workers)
 
 
 def test_em_estimate_failure_in_a_later_chunk_is_attributed(two_replicate_chunks, monkeypatch):

@@ -17,7 +17,7 @@ from sidiff import (
     sinusoid,
     x_to_y,
 )
-from sidiff.simulate import DRIFT_CORRECTIONS, EM_NOISE_BLOCK
+from sidiff.simulate import DRIFT_CORRECTIONS, EM_MAX_CAPACITY, EM_NOISE_BLOCK
 
 K = 200.0
 PAIR = RatePair(constant(0.4), constant(0.1), K)
@@ -272,10 +272,24 @@ def test_block_draws_continue_one_stream():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_em_nan_names_the_path_and_the_time():
-    # x (K - x) overflows at this capacity and the step turns to inf - inf
-    huge = RatePair(constant(0.4), constant(0.1), 1e300)
-    with pytest.raises(RuntimeError, match=r"Euler-Maruyama path \d+ went NaN by t=0\.\d+"):
-        simulate_em(huge, 5e299, TimeGrid(0.0, 0.05, 21), 3, 1)
+    # noise this large overflows both the drift and the shock, and the
+    # step turns to inf - inf
+    wild = RatePair(constant(0.4), constant(1e308), 1e154)
+    with pytest.raises(RuntimeError, match=r"Euler-Maruyama path 1 went NaN by t=100\.0;"):
+        simulate_em(wild, 2.5e153, TimeGrid(0.0, 100.0, 5), 3, 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_em_refuses_capacities_whose_drift_overflows():
+    grid = TimeGrid(0.0, 0.05, 21)
+    for capacity in (1e300, 2e154, math.nextafter(EM_MAX_CAPACITY, math.inf)):
+        rates = RatePair(constant(0.4), constant(0.1), capacity)
+        with pytest.raises(ValueError, match='simulator="exact"'):
+            simulate_em(rates, capacity / 2.0, grid, 3, 1)
+        assert np.all(np.isfinite(simulate_exact(rates, capacity / 2.0, grid, 3, 1).values))
+    for capacity in (EM_MAX_CAPACITY, 1e154):
+        rates = RatePair(constant(0.4), constant(0.1), capacity)
+        assert np.all(np.isfinite(simulate_em(rates, capacity / 2.0, grid, 3, 1).values))
 
 
 # --------------------------------------------------------------- reproducibility
