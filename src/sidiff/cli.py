@@ -204,10 +204,17 @@ def _experiment_configs(cfg: dict, seed_override: int | None):
         )
     rows = cfg.get("rows", [])
     cases = cfg.get("cases", [])
+    for key, value in (("rows", rows), ("cases", cases)):
+        if not isinstance(value, list):
+            raise ValueError(f"experiment config key {key!r} must be a list, not {type(value).__name__}")
     if not rows and not cases:
         raise ValueError("experiment config needs a nonempty 'rows' or 'cases' entry")
     for row in rows:
+        if not isinstance(row, dict):
+            raise ValueError(f"each entry of 'rows' must be an object, not {row!r}")
         _refuse_unknown_keys(row, ROW_KEYS, "row")
+        if set(row) != ROW_KEYS:
+            raise ValueError(f"row {row!r} needs both keys {sorted(ROW_KEYS)}")
     row_configs = [
         table1_config(
             float(row["transmission"]),

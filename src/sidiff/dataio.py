@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .estimate import EstimateResult, estimate_pipeline
+from .estimate import CLIP_EPS, EstimateResult, estimate_pipeline
 from .experiments import ExperimentReport, boxplot_stats, kde, pointwise_band, standardize
 from .rates import pair_to_dict
 from .simulate import PathSet, TimeGrid
@@ -453,7 +453,6 @@ def cumulate_normalize(
     table: RawSeriesTable,
     capacity: float,
     *,
-    clip_eps: float = 1e-9,
     time_unit: str = "index",
     global_population: bool = False,
 ) -> PathSet:
@@ -463,18 +462,18 @@ def cumulate_normalize(
     its population (or by the largest population of the table with
     global_population=True).  The resulting nondecreasing fractions are
     treated as d sample paths of one common process on (0, capacity);
-    values outside (clip_eps*K, (1-clip_eps)*K) are clipped inward and
-    counted in meta["clip_count"].  A normalized value at or above
-    capacity means the capacity is set too small; that is an error, not
-    a clip.
+    values above (1-CLIP_EPS)*K are pulled down to it and counted in
+    meta["clip_count"].  A normalized value at or above capacity means
+    the capacity is set too small; that is an error, not a clip.
 
-    A location whose first count is 0 is refused (ValueError naming
-    every such location): each path is measured against its first
-    value, and a zero start, clipped to clip_eps*K, would put a jump of
-    about ln(1/clip_eps) into that path and skew every estimate.  After
-    restrict_window the first count holds every case up to the window
-    start, so only a location with no cases by then is refused.  Drop
-    the location, or start the time window where it has cases.
+    A location whose first normalized value is below CLIP_EPS*K, zero
+    included, is refused (ValueError naming every such location): each
+    path is measured against its first value, and a start clipped up to
+    CLIP_EPS*K would put a jump of up to ln(1/CLIP_EPS) ≈ 20 into that
+    path and skew every estimate.  After restrict_window the first count
+    holds every case up to the window start, so only a location with
+    (almost) no cases by then is refused.  Drop the location, or start
+    the time window where it has cases.
 
     time_unit "index" numbers observations 0, 1, 2, ...; "calendar"
     keeps the table's own time column (which must be uniformly spaced).
@@ -485,27 +484,36 @@ def cumulate_normalize(
         raise ValueError(f"time_unit must be one of {TIME_UNITS}")
     if not capacity > 0.0:
         raise ValueError("capacity must be positive")
-    zero_start = [name for name in table.locations if table.counts[name][0] == 0.0]
-    if zero_start:
-        raise ValueError(
-            f"first count is 0 at location(s) {', '.join(map(repr, zero_start))}; "
-            "a path cannot start at zero prevalence: drop them or start the window later"
-        )
     global_pop = max(table.populations.values())
     values = np.empty((len(table.counts), table.times.size))
     for i, name in enumerate(table.locations):
         divisor = global_pop if global_population else table.populations[name]
         values[i] = np.cumsum(table.counts[name]) / divisor
+    lo, hi = CLIP_EPS * capacity, (1.0 - CLIP_EPS) * capacity
+    start = values[:, 0]
+    refused = {
+        "first count is 0": start == 0.0,
+        f"first normalized value is below {CLIP_EPS:g}*capacity": (start > 0.0) & (start < lo),
+    }
+    message = "".join(
+        f"{what} at location(s) {', '.join(repr(n) for n, hit in zip(table.locations, mask) if hit)}; "
+        for what, mask in refused.items()
+        if mask.any()
+    )
+    if message:
+        raise ValueError(
+            message + "a path cannot start at (near) zero prevalence: drop them or start the window later"
+        )
     worst = float(values.max())
     if worst >= capacity:
         raise ValueError(
             f"normalized value {worst:.6g} reaches capacity {capacity:.6g}; increase capacity"
         )
-    lo, hi = clip_eps * capacity, (1.0 - clip_eps) * capacity
-    clipped = (values < lo) | (values > hi)
+    # paths are nondecreasing and start at or above lo, so only the top edge clips
+    clipped = values > hi
     n_clipped = int(clipped.sum())
     if n_clipped:
-        values = np.clip(values, lo, hi)
+        values = np.minimum(values, hi)
 
     if time_unit == "index":
         grid = TimeGrid(t0=0.0, delta=1.0, n=int(table.times.size))
@@ -547,7 +555,6 @@ class AnalysisConfig:
     """Settings for the raw-series analysis pipeline."""
 
     capacity: float
-    clip_eps: float = 1e-9
     stride: int = 1
     time_unit: str = "index"
     global_population: bool = False
@@ -577,11 +584,8 @@ def analyze_series(table: RawSeriesTable, config: AnalysisConfig):
     paths = cumulate_normalize(
         table,
         config.capacity,
-        clip_eps=config.clip_eps,
         time_unit=config.time_unit,
         global_population=config.global_population,
     )
-    estimate = estimate_pipeline(
-        paths, stride=config.stride, clip_eps=config.clip_eps, with_mle=True
-    )
+    estimate = estimate_pipeline(paths, stride=config.stride, with_mle=True)
     return paths, estimate

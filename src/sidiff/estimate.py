@@ -19,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .model import x_to_y
 from .simulate import PathSet, TimeGrid
 
 __all__ = [
-    "SplineCurve",
     "EstimateResult",
     "transform_paths",
     "sample_mean",
@@ -36,48 +35,22 @@ __all__ = [
     "log_likelihood",
 ]
 
-CLIP_EPS_DEFAULT = 1e-9
+# path values within CLIP_EPS * capacity of 0 or of the capacity are
+# pulled inward before the log-odds transform
+CLIP_EPS = 1e-9
 
 # |estimated curve| below this fraction of its scale near the window
 # edge is flagged as low-confidence rather than trusted
 EDGE_FLAG_FRACTION = 0.5
 
 
-class SplineCurve:
-    """Natural cubic spline through (knots, values), with derivative."""
-
-    def __init__(self, knots: np.ndarray, values: np.ndarray):
-        knots = np.asarray(knots, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if knots.ndim != 1 or knots.shape != values.shape:
-            raise ValueError("knots and values must be 1-d arrays of equal length")
-        if knots.size < 3:
-            raise ValueError("need at least three knots for a cubic spline")
-        if np.any(np.diff(knots) <= 0.0):
-            raise ValueError("knots must be strictly increasing")
-        self.knots = knots
-        self.values = values
-        self._spline = CubicSpline(knots, values, bc_type="natural")
-        self._deriv = self._spline.derivative()
-
-    def __call__(self, t):
-        return self._spline(t)
-
-    def derivative(self, t):
-        return self._deriv(t)
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return float(self.knots[0]), float(self.knots[-1])
-
-
-def transform_paths(paths: PathSet, *, clip_eps: float = CLIP_EPS_DEFAULT) -> PathSet:
+def transform_paths(paths: PathSet) -> PathSet:
     """Map X-space paths to the Gaussian coordinate, path by path.
 
     Each path is referenced to its own first observation, so the first
     column of the result is exactly zero.  Values that touch the
     boundary (possible in preprocessed count data) are pulled inward by
-    clip_eps * capacity before the log; the number of clipped entries
+    CLIP_EPS * capacity before the log; the number of clipped entries
     lands in meta["clip_count"].  The input's own meta["clip_count"]
     (cells clipped on ingest, by `cumulate_normalize`) is carried over
     as meta["ingest_clip_count"].
@@ -88,7 +61,7 @@ def transform_paths(paths: PathSet, *, clip_eps: float = CLIP_EPS_DEFAULT) -> Pa
     x = np.asarray(paths.values, dtype=float)
     if np.any(x < 0.0) or np.any(x > k):
         raise ValueError("path values outside [0, capacity]")
-    lo, hi = clip_eps * k, (1.0 - clip_eps) * k
+    lo, hi = CLIP_EPS * k, (1.0 - CLIP_EPS) * k
     clipped = (x < lo) | (x > hi)
     n_clipped = int(clipped.sum())
     if n_clipped:
@@ -142,8 +115,9 @@ def fit_moment_curves(
     nu: np.ndarray,
     grid: TimeGrid,
     stride: int = 1,
-) -> tuple[SplineCurve, SplineCurve]:
-    """Spline fits of the integrated-transmission and integrated-noise curves.
+) -> tuple[CubicSpline, CubicSpline]:
+    """Natural cubic splines through the integrated-transmission and
+    integrated-noise sequences.
 
     The mean sequence mu_j sits at the grid times.  The lagged
     covariance nu_j (j >= 1) estimates the noise integral at the
@@ -166,8 +140,8 @@ def fit_moment_curves(
     idx_cov = _thin_indices(grid.n - 1, stride)
     if idx.size < 3 or idx_cov.size < 3:
         raise ValueError("fewer than three knots after thinning; lower the stride")
-    mean_curve = SplineCurve(times[idx], mu[idx])
-    cov_curve = SplineCurve(times[:-1][idx_cov], nu[1:][idx_cov])
+    mean_curve = CubicSpline(times[idx], mu[idx], bc_type="natural")
+    cov_curve = CubicSpline(times[:-1][idx_cov], nu[1:][idx_cov], bc_type="natural")
     return mean_curve, cov_curve
 
 
@@ -187,25 +161,32 @@ class EstimateResult:
     the raw derivative can dip negative where the curvature fit
     overshoots.  avg_* are endpoint-difference summaries: the mean
     slope of the integral curve over a window, which for constant rates
-    estimates the rate itself.
+    estimates the rate itself.  The two derivative polynomials are
+    built once, when the result is made.
     """
 
     grid: TimeGrid
-    mean_curve: SplineCurve
-    cov_curve: SplineCurve
+    mean_curve: CubicSpline
+    cov_curve: CubicSpline
     mu: np.ndarray
     nu: np.ndarray
     mle: tuple[float, float] | None = None
     diagnostics: dict = field(default_factory=dict)
+    _mean_slope: PPoly = field(init=False, repr=False)
+    _cov_slope: PPoly = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._mean_slope = self.mean_curve.derivative()
+        self._cov_slope = self.cov_curve.derivative()
 
     def lambda_hat(self, t):
-        return self.mean_curve.derivative(t)
+        return self._mean_slope(t)
 
     def sigma2_hat_raw(self, t):
-        return self.cov_curve.derivative(t)
+        return self._cov_slope(t)
 
     def sigma2_hat_floored(self, t):
-        return np.maximum(self.cov_curve.derivative(t), 0.0)
+        return np.maximum(self._cov_slope(t), 0.0)
 
     def avg_lambda_hat(self, a: float, b: float) -> float:
         if not b > a:
@@ -222,7 +203,6 @@ def estimate_pipeline(
     paths: PathSet,
     *,
     stride: int = 1,
-    clip_eps: float = CLIP_EPS_DEFAULT,
     with_mle: bool = True,
 ) -> EstimateResult:
     """Transform, moment, spline, differentiate: the full curve fit.
@@ -231,42 +211,37 @@ def estimate_pipeline(
     same transformed increments (meaningful when the true rates are
     constant; a time-averaged summary otherwise).
     """
-    ypaths = paths if paths.space == "Y" else transform_paths(paths, clip_eps=clip_eps)
+    ypaths = paths if paths.space == "Y" else transform_paths(paths)
     mu = sample_mean(ypaths)
     nu = sample_lag_cov(ypaths)
     mean_curve, cov_curve = fit_moment_curves(mu, nu, ypaths.grid, stride=stride)
-
-    times = ypaths.grid.times
-    s2_raw = cov_curve.derivative(times)
-    negative_fraction = float(np.mean(s2_raw < 0.0))
-    ingest_clips = int(ypaths.meta.get("ingest_clip_count", 0))
-    transform_clips = int(ypaths.meta.get("clip_count", 0))
-    diagnostics = {
-        "clip_count": ingest_clips + transform_clips,
-        "ingest_clip_count": ingest_clips,
-        "transform_clip_count": transform_clips,
-        "negative_noise_fraction": negative_fraction,
-        "low_confidence_boundary": _edge_flag(mean_curve, times),
-    }
-
-    mle = mle_homogeneous(ypaths) if with_mle else None
-    return EstimateResult(
+    result = EstimateResult(
         grid=ypaths.grid,
         mean_curve=mean_curve,
         cov_curve=cov_curve,
         mu=mu,
         nu=nu,
-        mle=mle,
-        diagnostics=diagnostics,
+        mle=mle_homogeneous(ypaths) if with_mle else None,
     )
 
+    times = ypaths.grid.times
+    ingest_clips = int(ypaths.meta.get("ingest_clip_count", 0))
+    transform_clips = int(ypaths.meta.get("clip_count", 0))
+    result.diagnostics = {
+        "clip_count": ingest_clips + transform_clips,
+        "ingest_clip_count": ingest_clips,
+        "transform_clip_count": transform_clips,
+        "negative_noise_fraction": float(np.mean(result._cov_slope(times) < 0.0)),
+        "low_confidence_boundary": _edge_flag(result._mean_slope(times)),
+    }
+    return result
 
-def _edge_flag(mean_curve: SplineCurve, times: np.ndarray) -> bool:
+
+def _edge_flag(lam: np.ndarray) -> bool:
     # natural boundary conditions force zero curvature at the ends, so
     # the derivative there leans on extrapolated shape; flag when the
     # edge values stray far from the interior level
-    lam = mean_curve.derivative(times)
-    if times.size < 5:
+    if lam.size < 5:
         return True
     interior = lam[1:-1]
     scale = float(np.median(np.abs(interior)))

@@ -82,9 +82,6 @@ class ExperimentConfig:
     em_refine: int = 1
     em_drift_correction: str = "state"
     scalar_window: tuple[float, float] | None = None
-    mre_window: tuple[float, float] | None = None
-    mre_min_truth: float = MRE_MIN_TRUTH_DEFAULT
-    clip_eps: float = 1e-9
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -111,28 +108,18 @@ class ExperimentConfig:
             raise ValueError("stride must be >= 1")
         if not (0.0 < self.x0 < self.rates.capacity):
             raise ValueError("x0 must lie strictly inside (0, capacity)")
-        for name in ("scalar_window", "mre_window"):
-            w = getattr(self, name)
-            if w is None:
-                continue
-            a, b = w
-            object.__setattr__(self, name, (float(a), float(b)))
+        if self.scalar_window is not None:
+            a, b = self.scalar_window
+            object.__setattr__(self, "scalar_window", (float(a), float(b)))
             if not (self.grid.t0 <= a < b <= self.grid.end):
-                raise ValueError(f"{name} must satisfy t0 <= a < b <= grid end")
+                raise ValueError("scalar_window must satisfy t0 <= a < b <= grid end")
 
     def resolved_scalar_window(self) -> tuple[float, float]:
         """Summary window for scalar estimates; one time unit in from
         each end unless configured, to keep spline edge effects out."""
-        return self._resolved(self.scalar_window, margin=1.0)
-
-    def resolved_mre_window(self) -> tuple[float, float]:
-        """Interior window for curve-mode errors (two units in)."""
-        return self._resolved(self.mre_window, margin=2.0)
-
-    def _resolved(self, window, margin: float) -> tuple[float, float]:
-        if window is not None:
-            return window
-        a, b = self.grid.t0 + margin, self.grid.end - margin
+        if self.scalar_window is not None:
+            return self.scalar_window
+        a, b = self.grid.t0 + 1.0, self.grid.end - 1.0
         if b <= a:
             return self.grid.t0, self.grid.end
         return a, b
@@ -188,44 +175,53 @@ def _simulations(config: ExperimentConfig, replicates: range):
     )
 
 
-def _chunk_worker(args: tuple[ExperimentConfig, range]) -> tuple[list[dict], dict]:
+def _chunk_worker(args: tuple[ExperimentConfig, range]) -> tuple[dict, dict]:
+    """Simulate and estimate one chunk of replicates.  Returns one array
+    per replicate quantity (row i for the chunk's i-th replicate; the
+    mle_* arrays only with the MLE method) and the stage timings."""
     config, replicates = args
     times = config.grid.times
     a, b = config.resolved_scalar_window()
     k = config.rates.capacity
+    with_mle = "MLE" in config.methods
+    count = len(replicates)
+    out = {
+        "lambda_curves": np.empty((count, times.size)),
+        "sigma2_curves": np.empty((count, times.size)),
+        "scalar_lambda": np.empty(count),
+        "scalar_sigma2": np.empty(count),
+        "clip_count": np.empty(count, dtype=np.int64),
+        "clamp_count": np.empty(count, dtype=np.int64),
+        "negative_noise_fraction": np.empty(count),
+        "low_confidence_boundary": np.empty(count, dtype=bool),
+        "saturation_fraction": np.empty(count),
+    }
+    if with_mle:
+        out["mle_lambda"] = np.empty(count)
+        out["mle_sigma2"] = np.empty(count)
     timings = dict.fromkeys(STAGES, 0.0)
     simulations = _simulations(config, replicates)
-    rows = []
-    for r in replicates:
+    for i, r in enumerate(replicates):
         try:
             started = time.perf_counter()
             paths = next(simulations)
             simulated = time.perf_counter()
-            result = estimate_pipeline(
-                paths,
-                stride=config.stride,
-                clip_eps=config.clip_eps,
-                with_mle="MLE" in config.methods,
-            )
+            result = estimate_pipeline(paths, stride=config.stride, with_mle=with_mle)
             timings["simulate"] += simulated - started
             timings["estimate"] += time.perf_counter() - simulated
         except Exception as exc:
             raise RuntimeError(f"replicate {r} failed: {exc}") from exc
-        rows.append(
-            {
-                "lambda_curve": np.asarray(result.lambda_hat(times), dtype=float),
-                "sigma2_curve": np.asarray(result.sigma2_hat_raw(times), dtype=float),
-                "scalar_lambda": result.avg_lambda_hat(a, b),
-                "scalar_sigma2": result.avg_sigma2_hat(a, b),
-                "mle": result.mle,
-                "clip_count": result.diagnostics["clip_count"],
-                "negative_noise_fraction": result.diagnostics["negative_noise_fraction"],
-                "low_confidence_boundary": result.diagnostics["low_confidence_boundary"],
-                "clamp_count": paths.meta.get("clamp_count", 0),
-                "saturation_fraction": float(np.mean(paths.values[:, -1] > 0.99 * k)),
-            }
-        )
-    return rows, timings
+        out["lambda_curves"][i] = result.lambda_hat(times)
+        out["sigma2_curves"][i] = result.sigma2_hat_raw(times)
+        out["scalar_lambda"][i] = result.avg_lambda_hat(a, b)
+        out["scalar_sigma2"][i] = result.avg_sigma2_hat(a, b)
+        if with_mle:
+            out["mle_lambda"][i], out["mle_sigma2"][i] = result.mle
+        for name in ("clip_count", "negative_noise_fraction", "low_confidence_boundary"):
+            out[name][i] = result.diagnostics[name]
+        out["clamp_count"][i] = paths.meta.get("clamp_count", 0)
+        out["saturation_fraction"][i] = np.mean(paths.values[:, -1] > 0.99 * k)
+    return out, timings
 
 
 def _chunks(config: ExperimentConfig) -> list[range]:
@@ -254,33 +250,26 @@ def run_experiment(config: ExperimentConfig, max_workers: int = 1) -> Experiment
             results = list(pool.map(_chunk_worker, jobs, chunksize=1))
     else:
         results = [_chunk_worker(job) for job in jobs]
-    rows = [row for chunk_rows, _ in results for row in chunk_rows]
+    chunks = [chunk for chunk, _ in results]
+    per_rep = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
     timings = {stage: sum(chunk_timings[stage] for _, chunk_timings in results) for stage in STAGES}
 
-    n_rep = config.replicates
-    with_mle = "MLE" in config.methods
     report = ExperimentReport(
         config=config,
         times=config.grid.times,
-        lambda_curves=np.stack([row["lambda_curve"] for row in rows]),
-        sigma2_curves=np.stack([row["sigma2_curve"] for row in rows]),
-        scalar_lambda=np.array([row["scalar_lambda"] for row in rows]),
-        scalar_sigma2=np.array([row["scalar_sigma2"] for row in rows]),
-        mle_lambda=np.array([row["mle"][0] for row in rows]) if with_mle else None,
-        mle_sigma2=np.array([row["mle"][1] for row in rows]) if with_mle else None,
+        lambda_curves=per_rep["lambda_curves"],
+        sigma2_curves=per_rep["sigma2_curves"],
+        scalar_lambda=per_rep["scalar_lambda"],
+        scalar_sigma2=per_rep["scalar_sigma2"],
+        mle_lambda=per_rep.get("mle_lambda"),
+        mle_sigma2=per_rep.get("mle_sigma2"),
         diagnostics={
-            "clip_count_total": int(sum(row["clip_count"] for row in rows)),
-            "clamp_count_total": int(sum(row["clamp_count"] for row in rows)),
-            "negative_noise_fraction_mean": float(
-                np.mean([row["negative_noise_fraction"] for row in rows])
-            ),
-            "low_confidence_replicates": int(
-                sum(row["low_confidence_boundary"] for row in rows)
-            ),
-            "saturation_fraction_mean": float(
-                np.mean([row["saturation_fraction"] for row in rows])
-            ),
-            "replicates": n_rep,
+            "clip_count_total": int(per_rep["clip_count"].sum()),
+            "clamp_count_total": int(per_rep["clamp_count"].sum()),
+            "negative_noise_fraction_mean": float(per_rep["negative_noise_fraction"].mean()),
+            "low_confidence_replicates": int(per_rep["low_confidence_boundary"].sum()),
+            "saturation_fraction_mean": float(per_rep["saturation_fraction"].mean()),
+            "replicates": config.replicates,
         },
         elapsed_seconds=time.perf_counter() - started,
         timings=timings,

@@ -232,14 +232,13 @@ def check_window(
     t_end: float,
     n: int,
     *,
-    bound: float | None = None,
     positive: bool = False,
     nonnegative: bool = False,
 ) -> None:
     """Dense-sample validation of a rate over [t0, t_end].
 
-    Samples 10*n points.  Raises ValueError on non-finite values, on
-    |value| > bound when a bound is given, and on sign violations.
+    Samples 10*n points.  Raises ValueError on non-finite values and on
+    sign violations.
     """
     if t_end < t0:
         raise ValueError("t_end must be >= t0")
@@ -247,8 +246,6 @@ def check_window(
     vals = np.asarray(evaluate(f, sample), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"rate kind {f.kind!r} is non-finite on [{t0}, {t_end}]")
-    if bound is not None and np.any(np.abs(vals) > bound):
-        raise ValueError(f"rate kind {f.kind!r} exceeds bound {bound} on [{t0}, {t_end}]")
     if positive and np.any(vals <= 0.0):
         raise ValueError(f"rate kind {f.kind!r} must be strictly positive on [{t0}, {t_end}]")
     if nonnegative and np.any(vals < 0.0):
@@ -282,16 +279,13 @@ class RatePair:
         n: int,
         *,
         allow_zero_noise: bool = False,
-        transmission_bound: float | None = None,
-        noise_bound: float | None = None,
     ) -> None:
-        check_window(self.transmission, t0, t_end, n, bound=transmission_bound)
+        check_window(self.transmission, t0, t_end, n)
         check_window(
             self.noise,
             t0,
             t_end,
             n,
-            bound=noise_bound,
             positive=not allow_zero_noise,
             nonnegative=allow_zero_noise,
         )

@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,12 +59,12 @@ def test_simulate_then_estimate_round_trip(tmp_path, capsys):
     rc = main(["estimate", "--in", paths_csv, "--K", "200", "--stride", "5",
                "--out", est_csv])
     assert rc == 0
-    sidecar = json.loads(open(est_csv + ".meta.json").read())
+    sidecar = json.loads(Path(est_csv + ".meta.json").read_text())
     lam_hat, s2_hat = sidecar["mle"]
     # 30 paths over 5 time units: sd of the rate fit is about 0.026
     assert abs(lam_hat - 0.4) < 0.1
     assert abs(s2_hat - 0.1) < 0.02
-    header = open(est_csv).read().splitlines()[1]
+    header = Path(est_csv).read_text().splitlines()[1]
     assert header == "t,lambda_hat,sigma2_hat_raw,sigma2_hat_floored"
 
 
@@ -77,7 +78,7 @@ def test_simulate_em_variant(tmp_path):
         "--out", out,
     ])
     assert rc == 0
-    sidecar = json.loads(open(out + ".meta.json").read())
+    sidecar = json.loads(Path(out + ".meta.json").read_text())
     assert sidecar["meta"]["refine"] == 5
 
 
@@ -144,10 +145,10 @@ def test_experiment_writes_all_reports(tmp_path, capsys):
     assert rc == 0
     produced = sorted(os.listdir(out_dir))
     assert produced == ["bands_case_a.csv", "boxplot.csv", "kde.csv", "table1.csv"]
-    table1 = open(os.path.join(out_dir, "table1.csv")).read().splitlines()
+    table1 = Path(out_dir, "table1.csv").read_text().splitlines()
     assert table1[1] == "case,method,lambda_true,sigma2_true,mre_lambda,mre_sigma2"
     assert len(table1) == 4  # MLE and GMM rows for the single case
-    bands = open(os.path.join(out_dir, "bands_case_a.csv")).read().splitlines()
+    bands = Path(out_dir, "bands_case_a.csv").read_text().splitlines()
     assert len(bands) == 2 + 101
 
 
@@ -159,7 +160,7 @@ def test_experiment_reruns_and_parallel_runs_are_byte_identical(tmp_path):
         assert main(["experiment", "--config", cfg, "--out-dir", out_dir,
                      "--workers", workers]) == 0
         outs.append({
-            f: open(os.path.join(out_dir, f), "rb").read()
+            f: Path(out_dir, f).read_bytes()
             for f in sorted(os.listdir(out_dir))
         })
     assert outs[0] == outs[1]
@@ -171,7 +172,7 @@ def test_experiment_seed_override_changes_results(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["experiment", "--config", cfg, "--out-dir", a]) == 0
     assert main(["experiment", "--config", cfg, "--out-dir", b, "--seed", "999"]) == 0
-    read = lambda d: open(os.path.join(d, "table1.csv"), "rb").read()
+    read = lambda d: Path(d, "table1.csv").read_bytes()
     assert read(a) != read(b)
 
 
@@ -195,6 +196,24 @@ def test_experiment_refuses_unknown_keys(tmp_path, capsys, edit, named):
     assert main(["experiment", "--config", cfg, "--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
     assert "data error: unknown" in err and named in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        ({"rows": [0.4]}, "'rows'"),
+        ({"rows": {"transmission": 0.4, "noise": 0.1}}, "'rows'"),
+        ({"cases": "ab"}, "'cases'"),
+        ({"rows": [{"transmission": 0.4}]}, "'noise'"),
+    ],
+)
+def test_experiment_refuses_malformed_rows_and_cases(tmp_path, capsys, edit, named):
+    cfg = _write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, **edit})
+    out_dir = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "data error:" in err and named in err
     assert not out_dir.exists()
 
 
@@ -236,7 +255,7 @@ def test_analyze_raw_series(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "# suggested-K=" in stdout
     assert os.path.exists(out)
-    sidecar = json.loads(open(out + ".meta.json").read())
+    sidecar = json.loads(Path(out + ".meta.json").read_text())
     assert sidecar["capacity"] == 0.1
     assert sidecar["mle"] is not None
 
@@ -244,7 +263,7 @@ def test_analyze_raw_series(tmp_path, capsys):
 def test_analyze_reports_ingest_and_transform_clips(tmp_path, capsys):
     table = RawSeriesTable(
         times=np.arange(30.0),
-        counts={"a": np.r_[1e-7, np.full(29, 3.0)], "b": np.full(30, 2.0)},
+        counts={"a": np.r_[np.full(29, 3.0), 313.0 - 1e-7], "b": np.full(30, 2.0)},
         populations={"a": 4000.0, "b": 6000.0},
     )
     cf, pf = str(tmp_path / "counts.csv"), str(tmp_path / "pops.csv")
@@ -252,7 +271,7 @@ def test_analyze_reports_ingest_and_transform_clips(tmp_path, capsys):
     out = str(tmp_path / "est.csv")
     assert main(["analyze", "--in", cf, "--pop", pf, "--K", "0.1", "--out", out]) == 0
     assert "clipped cells: 1 on ingest, 0 in the transform" in capsys.readouterr().out
-    diagnostics = json.loads(open(out + ".meta.json").read())["diagnostics"]
+    diagnostics = json.loads(Path(out + ".meta.json").read_text())["diagnostics"]
     assert diagnostics["clip_count"] == diagnostics["ingest_clip_count"] == 1
 
 
@@ -263,7 +282,7 @@ def test_analyze_with_window(tmp_path):
     rc = main(["analyze", "--in", cf, "--pop", pf, "--K", "0.1",
                "--out", out, "--window", "6", "25"])
     assert rc == 0
-    sidecar = json.loads(open(out + ".meta.json").read())
+    sidecar = json.loads(Path(out + ".meta.json").read_text())
     assert sidecar["n_times"] == 20
 
 

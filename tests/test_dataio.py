@@ -3,10 +3,12 @@ import hashlib
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from sidiff import (
     AnalysisConfig,
@@ -38,7 +40,7 @@ from sidiff import (
     write_table1,
 )
 from sidiff.dataio import save_raw_series
-from sidiff.estimate import SplineCurve
+from sidiff.estimate import CLIP_EPS
 
 K = 200.0
 PAIR = RatePair(constant(0.4), constant(0.1), K)
@@ -98,7 +100,7 @@ def test_path_csv_layout(tmp_path):
     ps = _small_run()
     f = str(tmp_path / "paths.csv")
     save_paths(ps, f)
-    lines = open(f).read().splitlines()
+    lines = Path(f).read_text().splitlines()
     assert META_RE.match(lines[0])
     assert lines[1] == "t," + ",".join(f"path_{i}" for i in range(1, 6))
     assert len(lines) == 2 + ps.grid.n
@@ -112,7 +114,7 @@ def test_save_estimate_layout_and_sidecar(tmp_path):
     est = estimate_pipeline(ps, stride=2)
     f = str(tmp_path / "estimate.csv")
     save_estimate(est, f, capacity=K, seed=7)
-    lines = open(f).read().splitlines()
+    lines = Path(f).read_text().splitlines()
     assert META_RE.match(lines[0])
     assert lines[1] == "t,lambda_hat,sigma2_hat_raw,sigma2_hat_floored"
     assert len(lines) == 2 + ps.grid.n
@@ -137,10 +139,10 @@ def test_writers_are_deterministic(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     save_paths(ps, a)
     save_paths(ps, b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     save_estimate(est, a, capacity=K, seed=1)
     save_estimate(est, b, capacity=K, seed=1)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def _write_every_file_kind(d):
@@ -158,8 +160,8 @@ def _write_every_file_kind(d):
 
     est = EstimateResult(
         grid=grid,
-        mean_curve=SplineCurve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.5])),
-        cov_curve=SplineCurve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.0625, 0.0625])),
+        mean_curve=CubicSpline([0.0, 0.5, 1.0], [0.0, 0.25, 0.5], bc_type="natural"),
+        cov_curve=CubicSpline([0.0, 0.5, 1.0], [0.0, 0.0625, 0.0625], bc_type="natural"),
         mu=np.zeros(5),
         nu=np.zeros(4),
         mle=(0.5, 0.125),
@@ -264,14 +266,14 @@ def test_report_writers_layouts(tmp_path):
     t1 = str(tmp_path / "table1.csv")
     rows = [r for rep in reports for r in homogeneous_error_rows(rep)]
     write_table1(rows, t1, payload={"runs": 2}, seed=5)
-    lines = open(t1).read().splitlines()
+    lines = Path(t1).read_text().splitlines()
     assert META_RE.match(lines[0])
     assert lines[1] == "case,method,lambda_true,sigma2_true,mre_lambda,mre_sigma2"
     assert len(lines) == 2 + 4  # two methods per report
 
     bands = str(tmp_path / "bands.csv")
     write_bands(reports[0], bands)
-    lines = open(bands).read().splitlines()
+    lines = Path(bands).read_text().splitlines()
     assert lines[1] == (
         "t,lambda_mean,lambda_sd,lambda_lower,lambda_upper,"
         "sigma2_mean,sigma2_sd,sigma2_lower,sigma2_upper"
@@ -283,13 +285,13 @@ def test_report_writers_layouts(tmp_path):
 
     box = str(tmp_path / "boxplot.csv")
     write_boxplot(reports, box, seed=5)
-    lines = open(box).read().splitlines()
+    lines = Path(box).read_text().splitlines()
     assert lines[1] == "case,method,param,min,q1,median,q3,max,outliers"
     assert len(lines) > 2
 
     kde_f = str(tmp_path / "kde.csv")
     write_kde(reports, kde_f, seed=5)
-    lines = open(kde_f).read().splitlines()
+    lines = Path(kde_f).read_text().splitlines()
     assert lines[1] == "case,method,param,bandwidth,x,density"
     assert len(lines) > 100
 
@@ -299,10 +301,10 @@ def test_report_writers_deterministic(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_bands(reports[0], a)
     write_bands(reports[0], b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     write_kde(reports, a, seed=5)
     write_kde(reports, b, seed=5)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 # ------------------------------------------------------------------ raw series
@@ -416,9 +418,9 @@ def test_cumulate_normalize_frozen_values():
 def test_cumulate_normalize_capacity_error_and_clip():
     with pytest.raises(ValueError, match="increase capacity"):
         cumulate_normalize(_table(), 0.05)
-    ps = cumulate_normalize(_table(counts=(1e-9, 3.0, 5.0)), 0.25)
-    assert ps.meta["clip_count"] == 1  # tiny leading value pulled inside the interval
-    assert ps.values[0, 0] > 0.0
+    ps = cumulate_normalize(_table(counts=(2.0, 3.0, 20.0 - 1e-8)), 0.25)
+    assert ps.meta["clip_count"] == 1  # last value, within CLIP_EPS*K of K, pulled inside
+    assert ps.values[0, -1] == (1.0 - CLIP_EPS) * 0.25
 
 
 def test_cumulate_normalize_refuses_zero_first_counts():
@@ -432,6 +434,30 @@ def test_cumulate_normalize_refuses_zero_first_counts():
     counts["loc2"][0] = 0.0
     with pytest.raises(ValueError, match=r"first count is 0 at location\(s\) 'loc2';"):
         cumulate_normalize(table, 0.5)
+
+
+def test_cumulate_normalize_refuses_tiny_first_values():
+    # clipped up to CLIP_EPS*K and taken as the path's reference, a first
+    # value below CLIP_EPS*K would give the same jump of about 20 as a zero
+    rng = np.random.default_rng(2)
+    counts = {f"loc{i}": rng.poisson(3.0, 60).astype(float) + 1.0 for i in range(5)}
+    counts["loc1"][0] = 0.0
+    counts["loc2"][0] = 1e-7
+    counts["loc4"][0] = 1e-8
+    table = RawSeriesTable(np.arange(60.0), counts, {name: 1000.0 for name in counts})
+    with pytest.raises(
+        ValueError,
+        match=r"first count is 0 at location\(s\) 'loc1'; "
+        r"first normalized value is below 1e-09\*capacity at location\(s\) 'loc2', 'loc4';",
+    ):
+        cumulate_normalize(table, 0.25)
+    # a start exactly at CLIP_EPS*K is kept as it is; the next float down is refused
+    lo = CLIP_EPS * 10.0
+    ps = cumulate_normalize(_table(counts=(lo, 3.0, 5.0), pop=1.0), 10.0)
+    assert ps.values[0, 0] == lo
+    assert ps.meta["clip_count"] == 0
+    with pytest.raises(ValueError, match=r"below 1e-09\*capacity at location\(s\) 'loc01';"):
+        cumulate_normalize(_table(counts=(np.nextafter(lo, 0.0), 3.0, 5.0), pop=1.0), 10.0)
 
 
 @settings(max_examples=60, deadline=None)

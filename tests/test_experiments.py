@@ -137,7 +137,6 @@ def test_resolved_windows():
     cfg = ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0,
                            grid=TimeGrid(0.0, 0.1, 501))
     assert cfg.resolved_scalar_window() == (1.0, 49.0)
-    assert cfg.resolved_mre_window() == (2.0, 48.0)
     pinned = ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0,
                               grid=TimeGrid(0.0, 0.1, 501), scalar_window=(5.0, 45.0))
     assert pinned.resolved_scalar_window() == (5.0, 45.0)

@@ -277,9 +277,6 @@ def test_validate_window_noise_sign():
 def test_check_window_bounds():
     f = sinusoid(0.0, 1.0, 1.0)
     check_window(f, 0.0, 10.0, 100)
-    check_window(f, 0.0, 10.0, 100, bound=1.0)
-    with pytest.raises(ValueError, match="bound"):
-        check_window(f, 0.0, 10.0, 100, bound=0.5)
     with pytest.raises(ValueError, match="positive"):
         check_window(f, 0.0, 10.0, 100, positive=True)
     with pytest.raises(ValueError, match="nonnegative"):
