@@ -15,6 +15,7 @@ import sys
 
 from ._version import __version__
 from .dataio import (
+    SUGGEST_K_FACTOR,
     AnalysisConfig,
     analyze_series,
     load_csv,
@@ -40,9 +41,8 @@ from .simulate import TimeGrid, simulate_em, simulate_exact
 __all__ = ["main", "build_parser"]
 
 OUT_DIR_ENV = "SIDIFF_OUT_DIR"
-EXPERIMENT_KEYS = frozenset(
-    "rows cases n_paths replicates master_seed stride t0 T delta row_simulator row_drift_correction".split()
-)
+COUNT_DEFAULTS = {"n_paths": 50, "replicates": 100, "master_seed": 0, "stride": 10}
+EXPERIMENT_KEYS = frozenset({*COUNT_DEFAULTS, *"rows cases t0 T delta row_simulator row_drift_correction".split()})
 ROW_KEYS = frozenset({"transmission", "noise"})
 
 
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument(
         "--suggest-K",
         action="store_true",
-        help="also print a heuristic capacity suggestion (1.05 x max observation)",
+        help=f"also print a heuristic capacity suggestion ({SUGGEST_K_FACTOR:g} x max observation)",
     )
     p_ana.set_defaults(func=_cmd_analyze)
     return parser
@@ -187,21 +187,22 @@ def _refuse_unknown_keys(entry: dict, known: frozenset, where: str) -> None:
         raise ValueError(f"unknown {where} key(s) {unknown}; known keys are {sorted(known)}")
 
 
+def _number(value, key: str, kind: type):
+    # JSON true/false are ints to Python, and int() would truncate 2.7
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ValueError(f"config key {key!r} must be {'an integer' if kind is int else 'a number'}, not {value!r}")
+    return kind(value)
+
+
 def _experiment_configs(cfg: dict, seed_override: int | None):
     _refuse_unknown_keys(cfg, EXPERIMENT_KEYS, "experiment config")
-    shared = {
-        "n_paths": int(cfg.get("n_paths", 50)),
-        "replicates": int(cfg.get("replicates", 100)),
-        "master_seed": int(seed_override if seed_override is not None else cfg.get("master_seed", 0)),
-        "stride": int(cfg.get("stride", 10)),
-    }
+    counts = cfg if seed_override is None else {**cfg, "master_seed": seed_override}
+    shared = {key: _number(counts.get(key, default), key, int) for key, default in COUNT_DEFAULTS.items()}
     if any(key in cfg for key in ("t0", "T", "delta")):
         for key in ("T", "delta"):
             if key not in cfg:
                 raise ValueError(f"experiment config grid override needs {key!r}")
-        shared["grid"] = TimeGrid.from_span(
-            float(cfg.get("t0", 0.0)), float(cfg["T"]), float(cfg["delta"])
-        )
+        shared["grid"] = TimeGrid.from_span(*(_number(cfg.get(key, 0.0), key, float) for key in ("t0", "T", "delta")))
     rows = cfg.get("rows", [])
     cases = cfg.get("cases", [])
     for key, value in (("rows", rows), ("cases", cases)):
@@ -217,8 +218,8 @@ def _experiment_configs(cfg: dict, seed_override: int | None):
             raise ValueError(f"row {row!r} needs both keys {sorted(ROW_KEYS)}")
     row_configs = [
         table1_config(
-            float(row["transmission"]),
-            float(row["noise"]),
+            _number(row["transmission"], "transmission", float),
+            _number(row["noise"], "noise", float),
             simulator=cfg.get("row_simulator", "em"),
             em_drift_correction=cfg.get("row_drift_correction", "constant"),
             **shared,
@@ -241,7 +242,7 @@ def _cmd_experiment(args) -> int:
         report = run_experiment(config, max_workers=args.workers)
         reports.append(report)
         table_rows.extend(homogeneous_error_rows(report))
-        print(f"{config.label}: {config.replicates} replicates done")
+        _print_done(report)
     if table_rows:
         write_table1(
             table_rows,
@@ -255,9 +256,17 @@ def _cmd_experiment(args) -> int:
     for config in case_configs:
         report = run_experiment(config, max_workers=args.workers)
         write_bands(report, os.path.join(out_dir, f"bands_{config.label}.csv"))
-        print(f"{config.label}: {config.replicates} replicates done")
+        _print_done(report)
     print(f"reports written to {out_dir}")
     return 0
+
+
+def _print_done(report) -> None:
+    d = report.diagnostics
+    print(
+        f"{report.config.label}: {d['replicates']} replicates done (clipped cells: {d['clip_count_total']}, "
+        f"EM clamps: {d['clamp_count_total']}, paths above 0.99K at the end: {d['saturation_fraction_mean']:.3g})"
+    )
 
 
 def _cmd_analyze(args) -> int:
@@ -271,7 +280,7 @@ def _cmd_analyze(args) -> int:
     )
     paths, result = analyze_series(table, config)
     if args.suggest_K:
-        print(f"# suggested-K={suggest_K(paths):.6g} (heuristic: 1.05 x max observation)")
+        print(f"# suggested-K={suggest_K(paths):.6g} (heuristic: {SUGGEST_K_FACTOR:g} x max observation)")
     out = _resolve_out(args.out)
     save_estimate(result, out, capacity=args.K, seed=0)
     diag = result.diagnostics

@@ -50,6 +50,7 @@ __all__ = [
 
 GRID_UNIFORM_RTOL = 1e-8
 TIME_UNITS = ("index", "calendar")
+SUGGEST_K_FACTOR = 1.05  # suggest_K's inflation of the largest observation
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -536,8 +537,8 @@ def cumulate_normalize(
     return ps
 
 
-def suggest_K(paths, factor: float = 1.05) -> float:
-    """Heuristic capacity suggestion: largest observed value, inflated.
+def suggest_K(paths) -> float:
+    """Heuristic capacity suggestion: largest observed value times SUGGEST_K_FACTOR.
 
     Advisory only; the capacity used for analysis remains a user
     decision.
@@ -545,9 +546,7 @@ def suggest_K(paths, factor: float = 1.05) -> float:
     values = paths.values if isinstance(paths, PathSet) else np.asarray(paths, dtype=float)
     if values.size == 0:
         raise ValueError("need at least one observation")
-    if not factor > 1.0:
-        raise ValueError("inflation factor must exceed 1")
-    return float(values.max()) * factor
+    return float(values.max()) * SUGGEST_K_FACTOR
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,7 @@ def _edge_flag(lam: np.ndarray) -> bool:
     return bool(edge_dev > EDGE_FLAG_FRACTION * scale)
 
 
-def mle_homogeneous(ypaths: PathSet, delta: float | None = None) -> tuple[float, float]:
+def mle_homogeneous(ypaths: PathSet) -> tuple[float, float]:
     """Maximum likelihood fit assuming both intensities are constant.
 
     Increments of the transformed coordinate are iid Gaussian with mean
@@ -260,8 +260,7 @@ def mle_homogeneous(ypaths: PathSet, delta: float | None = None) -> tuple[float,
     """
     if ypaths.space != "Y":
         raise ValueError("expected Y-space paths")
-    if delta is None:
-        delta = ypaths.grid.delta
+    delta = ypaths.grid.delta
     inc = np.diff(ypaths.values, axis=1)
     m = inc.size
     if m < 1:
@@ -275,15 +274,13 @@ def log_likelihood(
     ypaths: PathSet,
     transmission: float,
     noise: float,
-    delta: float | None = None,
 ) -> float:
     """Exact Gaussian log-likelihood of the increments under constant rates."""
     if ypaths.space != "Y":
         raise ValueError("expected Y-space paths")
     if not noise > 0.0:
         raise ValueError("noise must be positive")
-    if delta is None:
-        delta = ypaths.grid.delta
+    delta = ypaths.grid.delta
     inc = np.diff(ypaths.values, axis=1)
     m = inc.size
     rss = float(((inc - transmission * delta) ** 2).sum())

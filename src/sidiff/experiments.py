@@ -10,13 +10,13 @@ derived from the master seed), so they may execute in parallel; the
 aggregation is a deterministic fold in replicate order and the output
 is identical however the work was scheduled.
 
-Work is split into chunks of replicates, the unit handed to a worker.
-An Euler-Maruyama chunk is simulated as one batch, one vector step for
-all its paths, and holds as many replicates as fit EM_CHUNK_BYTES of
-path values (three 50 x 5001 replicates in 6 MiB).  Exact-sampler chunks are
-single replicates: a cumulative sum has no step loop to share.
-Estimation and aggregation stay per replicate, so every output is
-the same as simulating and estimating each replicate on its own.
+Work is split into chunks of replicates, the unit handed to a worker,
+each holding as many replicates as fit CHUNK_BYTES of path values
+(three 50 x 5001 replicates in 6 MiB).  An Euler-Maruyama chunk steps
+as one batch; an exact chunk builds its increment tables once, and its
+replicates stay in the Gaussian coordinate from draw to estimate.
+Estimation and aggregation stay per replicate, so every output is the
+same as simulating and estimating each replicate on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import numpy as np
 
 from .estimate import estimate_pipeline
 from .rates import RatePair, constant, exp_saturating, sinusoid
-from .simulate import DRIFT_CORRECTIONS, TimeGrid, _em_replicates, simulate_exact
+from .model import y_to_x
+from .simulate import DRIFT_CORRECTIONS, TimeGrid, _em_replicates, _exact_replicates
 
 __all__ = [
     "ExperimentConfig",
@@ -54,9 +55,9 @@ MRE_MIN_TRUTH_DEFAULT = 0.05
 KDE_GRID_POINTS = 4096
 KDE_CHUNK = 512
 
-# path values of one Euler-Maruyama chunk: three 50 x 5001 replicates;
-# larger chunks step faster but raise the peak memory of a run
-EM_CHUNK_BYTES = 6 * 2**20
+# path values of one chunk: three 50 x 5001 replicates; larger
+# Euler-Maruyama chunks step faster but raise the peak memory of a run
+CHUNK_BYTES = 6 * 2**20
 STAGES = ("simulate", "estimate")
 
 # standard synthetic setup shared by the error-table and band runs
@@ -156,23 +157,11 @@ class ExperimentReport:
 
 
 def _simulations(config: ExperimentConfig, replicates: range):
-    """Lazy per-replicate PathSets: exact draws one replicate per `next`,
-    Euler-Maruyama integrates the whole chunk on the first `next`."""
+    """Lazy per-replicate PathSets: exact draws one in Y per `next`, EM the whole chunk in X."""
+    args = (config.rates, config.x0, config.grid, config.n_paths, config.master_seed, replicates)
     if config.simulator == "exact":
-        return (
-            simulate_exact(config.rates, config.x0, config.grid, config.n_paths, config.master_seed, replicate=r)
-            for r in replicates
-        )
-    return _em_replicates(
-        config.rates,
-        config.x0,
-        config.grid,
-        config.n_paths,
-        config.master_seed,
-        replicates,
-        refine=config.em_refine,
-        drift_correction=config.em_drift_correction,
-    )
+        return _exact_replicates(*args)
+    return _em_replicates(*args, refine=config.em_refine, drift_correction=config.em_drift_correction)
 
 
 def _chunk_worker(args: tuple[ExperimentConfig, range]) -> tuple[dict, dict]:
@@ -220,17 +209,14 @@ def _chunk_worker(args: tuple[ExperimentConfig, range]) -> tuple[dict, dict]:
         for name in ("clip_count", "negative_noise_fraction", "low_confidence_boundary"):
             out[name][i] = result.diagnostics[name]
         out["clamp_count"][i] = paths.meta.get("clamp_count", 0)
-        out["saturation_fraction"][i] = np.mean(paths.values[:, -1] > 0.99 * k)
+        last = paths.values[:, -1] if paths.space == "X" else y_to_x(paths.values[:, -1], config.x0, k)
+        out["saturation_fraction"][i] = np.mean(last > 0.99 * k)
     return out, timings
 
 
 def _chunks(config: ExperimentConfig) -> list[range]:
-    """Replicate index ranges, one per worker task.  Euler-Maruyama
-    chunks fill EM_CHUNK_BYTES of path values; exact runs go one
-    replicate at a time, having no step loop to share."""
-    size = 1
-    if config.simulator == "em":
-        size = max(1, EM_CHUNK_BYTES // (8 * config.n_paths * config.grid.n))
+    """Replicate index ranges, one per worker task, each filling CHUNK_BYTES of path values."""
+    size = max(1, CHUNK_BYTES // (8 * config.n_paths * config.grid.n))
     return [range(lo, min(lo + size, config.replicates)) for lo in range(0, config.replicates, size)]
 
 
@@ -361,13 +347,13 @@ def standardize(values) -> np.ndarray:
     return (values - values.mean()) / sd
 
 
-def kde(values, n_grid: int = KDE_GRID_POINTS) -> tuple[np.ndarray, np.ndarray, float]:
+def kde(values) -> tuple[np.ndarray, np.ndarray, float]:
     """Gaussian kernel density with the Silverman bandwidth.
 
     bandwidth = 0.9 * min(sd, IQR / 1.34) * N^(-1/5); the evaluation
-    grid spans the data range extended by 5 bandwidths, wide enough
-    that the density integrates to 1 within 1e-6.  Returns
-    (grid, density, bandwidth).
+    grid of KDE_GRID_POINTS points spans the data range extended by 5
+    bandwidths, wide enough that the density integrates to 1 within
+    1e-6.  Returns (grid, density, bandwidth).
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -378,8 +364,8 @@ def kde(values, n_grid: int = KDE_GRID_POINTS) -> tuple[np.ndarray, np.ndarray, 
     bw = 0.9 * min(sd, iqr / 1.34) * n ** (-0.2)
     if not bw > 0.0:
         raise ValueError("kernel density needs spread-out input (zero variance or zero IQR)")
-    grid = np.linspace(values.min() - 5.0 * bw, values.max() + 5.0 * bw, n_grid)
-    density = np.zeros(n_grid)
+    grid = np.linspace(values.min() - 5.0 * bw, values.max() + 5.0 * bw, KDE_GRID_POINTS)
+    density = np.zeros(KDE_GRID_POINTS)
     for start in range(0, n, KDE_CHUNK):
         chunk = values[start : start + KDE_CHUNK]
         z = (grid[:, None] - chunk[None, :]) / bw

@@ -151,6 +151,27 @@ def simulate_exact(
     and maps back.  Set allow_zero_noise to permit degenerate steps
     with zero variance, e.g. for deterministic-limit checks.
     """
+    batch = _exact_replicates(rates, x0, grid, n_paths, master_seed, [replicate], allow_zero_noise=allow_zero_noise)
+    ypaths = next(batch)
+    ps = PathSet(grid, y_to_x(ypaths.values, x0, rates.capacity), "X", rates.capacity, seed=ypaths.seed)
+    _fix_boundary_rounding(ps)
+    return ps
+
+
+def _exact_replicates(
+    rates: RatePair,
+    x0: float,
+    grid: TimeGrid,
+    n_paths: int,
+    master_seed: int,
+    replicates,
+    *,
+    allow_zero_noise: bool = False,
+):
+    """Yield each replicate's exact paths as a Y-space PathSet, one per `next`.
+
+    The checks and increment tables run once, on the first `next`; path
+    i of replicate r draws from its own stream into row i."""
     k = rates.capacity
     if not (0.0 < x0 < k):
         raise ValueError(f"x0 must lie strictly inside (0, {k})")
@@ -165,24 +186,13 @@ def simulate_exact(
         raise ValueError("noise integral must be positive on every step")
     sd_inc = np.sqrt(var_inc)
 
-    values = np.empty((n_paths, grid.n))
-    for i in range(n_paths):
-        rng = np.random.default_rng(derive_path_seed(master_seed, replicate, i))
-        z = rng.standard_normal(grid.n - 1)
-        y = np.empty(grid.n)
-        y[0] = 0.0
-        np.cumsum(mean_inc + sd_inc * z, out=y[1:])
-        values[i] = y_to_x(y, x0, k)
-
-    ps = PathSet(
-        grid=grid,
-        values=values,
-        space="X",
-        capacity=k,
-        seed={"master_seed": int(master_seed), "replicate": int(replicate)},
-    )
-    _fix_boundary_rounding(ps)
-    return ps
+    for r in replicates:
+        z = np.empty((n_paths, grid.n - 1))
+        for i in range(n_paths):
+            np.random.default_rng(derive_path_seed(master_seed, r, i)).standard_normal(out=z[i])
+        values = np.zeros((n_paths, grid.n))
+        np.cumsum(mean_inc + sd_inc * z, axis=1, out=values[:, 1:])
+        yield PathSet(grid, values, "Y", k, seed={"master_seed": int(master_seed), "replicate": int(r)})
 
 
 def _fix_boundary_rounding(ps: PathSet) -> None:

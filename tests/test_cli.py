@@ -9,7 +9,7 @@ import pytest
 from sidiff import RawSeriesTable, load_paths
 from sidiff.cli import _experiment_configs, main
 from sidiff.dataio import save_raw_series
-from sidiff.experiments import case_config, table1_config
+from sidiff.experiments import case_config, run_experiment, table1_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SEED = 20260819
@@ -215,6 +215,47 @@ def test_experiment_refuses_malformed_rows_and_cases(tmp_path, capsys, edit, nam
     err = capsys.readouterr().err
     assert "data error:" in err and named in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        ({"replicates": [1]}, "'replicates'"),
+        ({"replicates": True}, "'replicates'"),
+        ({"n_paths": 2.7}, "'n_paths'"),
+        ({"stride": "4"}, "'stride'"),
+        ({"master_seed": 1.5}, "'master_seed'"),
+        ({"T": "5"}, "'T'"),
+        ({"delta": None}, "'delta'"),
+        ({"t0": [0.0]}, "'t0'"),
+        ({"rows": [{"transmission": True, "noise": 0.1}]}, "'transmission'"),
+        ({"rows": [{"transmission": 0.4, "noise": "0.1"}]}, "'noise'"),
+    ],
+)
+def test_experiment_refuses_malformed_scalar_values(tmp_path, capsys, edit, named):
+    cfg = _write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, **edit})
+    out_dir = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "data error:" in err and named in err
+    assert not out_dir.exists()
+
+
+def test_experiment_prints_clip_clamp_and_saturation_totals(tmp_path, capsys):
+    # a fast-growing Euler-Maruyama row hits the clamp and saturates by
+    # T = 5; exact case a draws in the Gaussian coordinate and clips nothing
+    payload = {**EXPERIMENT_CFG, "rows": [{"transmission": 6.0, "noise": 0.1}], "replicates": 10}
+    cfg = _write_json(tmp_path / "exp.json", payload)
+    assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+    done = [line for line in capsys.readouterr().out.splitlines() if "replicates done" in line]
+    assert done == [
+        "table1_lam6_s20.1: 10 replicates done (clipped cells: 0, EM clamps: 2829, paths above 0.99K at the end: 1)",
+        "case_a: 10 replicates done (clipped cells: 0, EM clamps: 0, paths above 0.99K at the end: 0)",
+    ]
+    row_configs, case_configs, _ = _experiment_configs(payload, None)
+    row, case = (run_experiment(c).diagnostics for c in row_configs + case_configs)
+    assert row["clamp_count_total"] == 2829 and row["saturation_fraction_mean"] == 1.0
+    assert case["clip_count_total"] == case["clamp_count_total"] == 0
 
 
 def test_shipped_configs_build_the_reference_runs():

@@ -530,8 +530,6 @@ def test_suggest_capacity():
     assert suggest_K(np.array([0.1, 0.238])) == pytest.approx(0.238 * 1.05, rel=1e-12)
     ps = cumulate_normalize(_table(), 0.25)
     assert suggest_K(ps) == pytest.approx(0.10 * 1.05, rel=1e-12)
-    with pytest.raises(ValueError):
-        suggest_K(np.array([0.1]), factor=1.0)
 
 
 def test_analysis_config_validation():

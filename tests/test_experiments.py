@@ -13,6 +13,7 @@ from sidiff import (
     case_rates,
     constant,
     estimate_pipeline,
+    evaluate,
     homogeneous_error_rows,
     kde,
     mre,
@@ -24,7 +25,9 @@ from sidiff import (
     sinusoid,
     standardize,
     table1_config,
+    x_to_y,
 )
+from sidiff.simulate import _exact_replicates
 
 K = 200.0
 HOMOGENEOUS = RatePair(constant(0.4), constant(0.1), K)
@@ -174,12 +177,41 @@ def test_single_replicate_matches_manual_composition():
         label="one", rates=HOMOGENEOUS, x0=20.0, grid=TimeGrid(0.0, 0.1, 51),
         n_paths=8, replicates=1, master_seed=31, stride=2)
     report = run_experiment(cfg)
-    ps = simulate_exact(cfg.rates, 20.0, cfg.grid, 8, 31, replicate=0)
+    ps = next(_exact_replicates(cfg.rates, 20.0, cfg.grid, 8, 31, [0]))
+    assert ps.space == "Y"
     est = estimate_pipeline(ps, stride=2, with_mle=False)
     assert np.array_equal(report.lambda_curves[0], est.lambda_hat(cfg.grid.times))
     assert np.array_equal(report.sigma2_curves[0], est.sigma2_hat_raw(cfg.grid.times))
     a, b = cfg.resolved_scalar_window()
     assert report.scalar_lambda[0] == est.avg_lambda_hat(a, b)
+    assert report.scalar_sigma2[0] == est.avg_sigma2_hat(a, b)
+
+
+def test_exact_experiment_paths_are_the_transform_of_simulate_exact():
+    # the Y rows an exact run estimates agree with the transform of the X
+    # paths simulate_exact returns, wherever X is not saturated near K
+    cfg = case_config("a", n_paths=10, replicates=3)
+    for r, ypaths in enumerate(_exact_replicates(cfg.rates, cfg.x0, cfg.grid, 10, cfg.master_seed, range(3))):
+        x = simulate_exact(cfg.rates, cfg.x0, cfg.grid, 10, cfg.master_seed, replicate=r).values
+        inside = x < 0.99 * K
+        assert inside.sum() > 10_000
+        assert np.max(np.abs(ypaths.values[inside] - x_to_y(x[inside], cfg.x0, K))) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_exact_cases_are_unbiased_where_x_saturates(case):
+    # by t = 40 most paths of cases a and b sit within 1e-9 K of K; the
+    # Gaussian coordinate carries no such limit, so the late band stays
+    # on the truth and nothing is clipped
+    report = run_experiment(case_config(case, replicates=20))
+    rates = report.config.rates
+    late = (report.times >= 40.0) & (report.times <= 48.0)
+    times = report.times[late]
+    lam_bias = np.mean(report.band("lambda")[0][late] - evaluate(rates.transmission, times))
+    s2_bias = np.mean(report.band("sigma2")[0][late] - evaluate(rates.noise, times))
+    assert abs(lam_bias) < 0.01
+    assert abs(s2_bias) < 0.05
+    assert report.diagnostics["clip_count_total"] == 0
 
 
 def test_parallel_schedule_does_not_change_the_report():
@@ -270,7 +302,19 @@ def _em_config(**changes):
 @pytest.fixture
 def two_replicate_chunks(monkeypatch):
     # the standard 6 MiB chunk would hold every replicate of these small runs
-    monkeypatch.setattr(experiments, "EM_CHUNK_BYTES", 2 * 8 * 6 * 101)
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 2 * 8 * 6 * 101)
+
+
+def test_exact_chunks_fill_the_same_budget(two_replicate_chunks):
+    exact = _em_config(simulator="exact")
+    assert [list(c) for c in experiments._chunks(exact)] == [[0, 1], [2, 3], [4]]
+    report = run_experiment(exact)
+    for r in range(exact.replicates):
+        ps = next(_exact_replicates(exact.rates, exact.x0, exact.grid, exact.n_paths, exact.master_seed, [r]))
+        est = estimate_pipeline(ps, stride=4, with_mle=False)
+        assert np.array_equal(report.lambda_curves[r], est.lambda_hat(exact.grid.times))
+        assert np.array_equal(report.sigma2_curves[r], est.sigma2_hat_raw(exact.grid.times))
+    assert report.diagnostics == run_experiment(exact, max_workers=2).diagnostics
 
 
 @pytest.mark.parametrize("drift_correction", ["state", "constant"])

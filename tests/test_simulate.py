@@ -12,10 +12,12 @@ from sidiff import (
     derive_path_seed,
     deterministic_solution,
     evaluate,
+    increment_table,
     simulate_em,
     simulate_exact,
     sinusoid,
     x_to_y,
+    y_to_x,
 )
 from sidiff.simulate import DRIFT_CORRECTIONS, EM_MAX_CAPACITY, EM_NOISE_BLOCK
 
@@ -150,6 +152,25 @@ def test_exact_zero_noise_reproduces_the_logistic_curve():
                         allow_zero_noise=True)
     det = deterministic_solution(K, 20.0, 0.4, 0.0, ps.grid.times)
     assert np.max(np.abs(ps.values - det) / det) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "rates, grid",
+    [
+        (RatePair(sinusoid(0.4, 1.0, 1.0), constant(0.1), K), TimeGrid(0.0, 0.05, 1001)),
+        (RatePair(constant(5.0), constant(0.1), K), TimeGrid(0.0, 0.5, 21)),  # rounds onto K
+    ],
+)
+def test_exact_paths_match_the_per_path_reference(rates, grid):
+    # one path at a time, mapped to X on its own: the sampler's reference
+    ps = simulate_exact(rates, 20.0, grid, 30, 1234, replicate=2)
+    mean_inc = increment_table(rates.transmission, grid)
+    sd_inc = np.sqrt(increment_table(rates.noise, grid))
+    for i in range(30):
+        z = np.random.default_rng(derive_path_seed(1234, 2, i)).standard_normal(grid.n - 1)
+        y = np.concatenate([[0.0], np.cumsum(mean_inc + sd_inc * z)])
+        x = np.clip(y_to_x(y, 20.0, K), np.nextafter(0.0, K), np.nextafter(K, 0.0))
+        assert np.array_equal(ps.values[i], x)
 
 
 def test_exact_boundary_rounding_is_fixed_and_counted():
