@@ -8,152 +8,13 @@ maximum likelihood baseline, and a replicated-experiment harness with
 CSV reporting.
 """
 
+from . import rates, model, simulate, estimate, experiments, dataio
 from ._version import __version__
-from .rates import (
-    RateFunction,
-    RatePair,
-    check_window,
-    constant,
-    sinusoid,
-    exp_saturating,
-    tabulated,
-    evaluate,
-    integrate,
-    increment_table,
-    cumulative,
-    rate_to_dict,
-    rate_from_dict,
-    pair_to_dict,
-    pair_from_dict,
-)
-from .model import (
-    DegenerateTimeError,
-    TransitionLaw,
-    deterministic_solution,
-    threshold_time,
-    x_to_y,
-    y_to_x,
-    infinitesimal_moments,
-    transition_pdf,
-    transition_cdf,
-    conditional_median,
-    conditional_moment,
-)
-from .simulate import TimeGrid, PathSet, derive_path_seed, simulate_exact, simulate_em
-from .estimate import (
-    EstimateResult,
-    transform_paths,
-    sample_mean,
-    sample_lag_cov,
-    fit_moment_curves,
-    estimate_pipeline,
-    mle_homogeneous,
-    log_likelihood,
-)
-from .experiments import (
-    ExperimentConfig,
-    ExperimentReport,
-    run_experiment,
-    mre,
-    mre_curves,
-    pointwise_band,
-    boxplot_stats,
-    standardize,
-    kde,
-    case_rates,
-    case_config,
-    table1_config,
-    homogeneous_error_rows,
-)
-from .dataio import (
-    RawSeriesTable,
-    AnalysisConfig,
-    config_hash,
-    metadata_line,
-    save_paths,
-    load_paths,
-    save_estimate,
-    write_table1,
-    write_bands,
-    write_boxplot,
-    write_kde,
-    load_csv,
-    save_raw_series,
-    restrict_window,
-    cumulate_normalize,
-    suggest_K,
-    analyze_series,
-)
 
-__all__ = [
-    "__version__",
-    "RateFunction",
-    "RatePair",
-    "check_window",
-    "constant",
-    "sinusoid",
-    "exp_saturating",
-    "tabulated",
-    "evaluate",
-    "integrate",
-    "increment_table",
-    "cumulative",
-    "rate_to_dict",
-    "rate_from_dict",
-    "pair_to_dict",
-    "pair_from_dict",
-    "DegenerateTimeError",
-    "TransitionLaw",
-    "deterministic_solution",
-    "threshold_time",
-    "x_to_y",
-    "y_to_x",
-    "infinitesimal_moments",
-    "transition_pdf",
-    "transition_cdf",
-    "conditional_median",
-    "conditional_moment",
-    "TimeGrid",
-    "PathSet",
-    "derive_path_seed",
-    "simulate_exact",
-    "simulate_em",
-    "EstimateResult",
-    "transform_paths",
-    "sample_mean",
-    "sample_lag_cov",
-    "fit_moment_curves",
-    "estimate_pipeline",
-    "mle_homogeneous",
-    "log_likelihood",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "run_experiment",
-    "mre",
-    "mre_curves",
-    "pointwise_band",
-    "boxplot_stats",
-    "standardize",
-    "kde",
-    "case_rates",
-    "case_config",
-    "table1_config",
-    "homogeneous_error_rows",
-    "RawSeriesTable",
-    "AnalysisConfig",
-    "save_paths",
-    "load_paths",
-    "save_estimate",
-    "write_table1",
-    "write_bands",
-    "write_boxplot",
-    "write_kde",
-    "load_csv",
-    "save_raw_series",
-    "config_hash",
-    "metadata_line",
-    "restrict_window",
-    "cumulate_normalize",
-    "suggest_K",
-    "analyze_series",
-]
+# every public name of the six library modules, re-exported under the
+# one list each module keeps in its own __all__
+__all__ = ["__version__"]
+for _module in (rates, model, simulate, estimate, experiments, dataio):
+    __all__ += _module.__all__
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+del _module

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._version import __version__
 from .estimate import CLIP_EPS, EstimateResult, estimate_pipeline
-from .experiments import ExperimentReport, boxplot_stats, kde, pointwise_band, standardize
+from .experiments import EM_REFINE, ExperimentReport, boxplot_stats, kde, pointwise_band, standardize
 from .rates import pair_to_dict
 from .simulate import PathSet, TimeGrid
 
@@ -229,7 +229,7 @@ def _report_payload(report: ExperimentReport) -> dict:
         "methods": list(config.methods),
         "stride": config.stride,
         "simulator": config.simulator,
-        "em_refine": config.em_refine,
+        "em_refine": EM_REFINE,
         "em_drift_correction": config.em_drift_correction,
     }
 
@@ -322,8 +322,8 @@ class RawSeriesTable:
 
     counts maps location name to the incident (per-interval, not
     cumulative) series; populations maps location name to its
-    population size.  Times must be strictly increasing, counts
-    nonnegative, populations positive.
+    population size.  Times must be finite and strictly increasing,
+    counts nonnegative, populations positive.
     """
 
     times: np.ndarray
@@ -333,6 +333,8 @@ class RawSeriesTable:
     def validate(self) -> None:
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("need at least two observation times")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("observation times must be finite")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("observation times must be strictly increasing")
         if not self.counts:
@@ -358,8 +360,8 @@ def load_csv(counts_path: str, populations_path: str) -> RawSeriesTable:
 
     Counts file header: time,<loc1>,...,<locL>; populations file
     header: location,population.  Malformed cells are rejected with
-    file and line number; duplicate or backward times, negative counts
-    and missing populations are errors.
+    file and line number; non-finite, duplicate or backward times,
+    negative counts and missing populations are errors.
     """
     rows = _read_csv_rows(counts_path)
     if len(rows) < 2:
@@ -383,6 +385,8 @@ def load_csv(counts_path: str, populations_path: str) -> RawSeriesTable:
         except ValueError:
             raise ValueError(f"{counts_path}:{row.lineno}: non-numeric cell") from None
         t = cells[0]
+        if not math.isfinite(t):
+            raise ValueError(f"{counts_path}:{row.lineno}: time {t!r} is not finite")
         if times and t <= times[-1]:
             kind = "duplicate" if t == times[-1] else "backward"
             raise ValueError(f"{counts_path}:{row.lineno}: {kind} time {t!r}")

@@ -168,8 +168,6 @@ class EstimateResult:
     grid: TimeGrid
     mean_curve: CubicSpline
     cov_curve: CubicSpline
-    mu: np.ndarray
-    nu: np.ndarray
     mle: tuple[float, float] | None = None
     diagnostics: dict = field(default_factory=dict)
     _mean_slope: PPoly = field(init=False, repr=False)
@@ -219,8 +217,6 @@ def estimate_pipeline(
         grid=ypaths.grid,
         mean_curve=mean_curve,
         cov_curve=cov_curve,
-        mu=mu,
-        nu=nu,
         mle=mle_homogeneous(ypaths) if with_mle else None,
     )
 

@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 SIMULATORS = ("exact", "em")
-METHODS = ("GMM", "MLE")
+# Euler-Maruyama internal steps per observation step in a run
+EM_REFINE = 1
 
 MRE_MIN_TRUTH_DEFAULT = 0.05
 KDE_GRID_POINTS = 4096
@@ -68,7 +69,13 @@ STANDARD_GRID = TimeGrid(t0=0.0, delta=0.01, n=5001)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to rerun one experiment bit-for-bit."""
+    """Everything needed to rerun one experiment bit-for-bit.
+
+    `methods` is not set but derived from the true rates: the
+    homogeneous MLE runs next to GMM exactly when both rates are
+    constant, the only case where it targets them.  Euler-Maruyama runs
+    step at the observation step (EM_REFINE).
+    """
 
     label: str
     rates: RatePair
@@ -77,24 +84,11 @@ class ExperimentConfig:
     n_paths: int = 50
     replicates: int = 100
     master_seed: int = 0
-    methods: tuple[str, ...] = ("GMM",)
     stride: int = 1
     simulator: str = "exact"
-    em_refine: int = 1
     em_drift_correction: str = "state"
-    scalar_window: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "methods", tuple(self.methods))
-        if not self.methods:
-            raise ValueError("methods must be nonempty")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}, expected subset of {METHODS}")
-        if "MLE" in self.methods and (
-            self.rates.transmission.kind != "constant" or self.rates.noise.kind != "constant"
-        ):
-            raise ValueError("MLE assumes constant rates; drop it for time-varying truth")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.n_paths < 2:
@@ -103,23 +97,21 @@ class ExperimentConfig:
             raise ValueError(f"simulator must be one of {SIMULATORS}")
         if self.em_drift_correction not in DRIFT_CORRECTIONS:
             raise ValueError(f"em_drift_correction must be one of {DRIFT_CORRECTIONS}")
-        if self.em_refine < 1:
-            raise ValueError("em_refine must be >= 1")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
         if not (0.0 < self.x0 < self.rates.capacity):
             raise ValueError("x0 must lie strictly inside (0, capacity)")
-        if self.scalar_window is not None:
-            a, b = self.scalar_window
-            object.__setattr__(self, "scalar_window", (float(a), float(b)))
-            if not (self.grid.t0 <= a < b <= self.grid.end):
-                raise ValueError("scalar_window must satisfy t0 <= a < b <= grid end")
+
+    @property
+    def methods(self) -> tuple[str, ...]:
+        """("GMM", "MLE") when both true rates are constant, else ("GMM",)."""
+        if self.rates.transmission.kind == "constant" and self.rates.noise.kind == "constant":
+            return ("GMM", "MLE")
+        return ("GMM",)
 
     def resolved_scalar_window(self) -> tuple[float, float]:
-        """Summary window for scalar estimates; one time unit in from
-        each end unless configured, to keep spline edge effects out."""
-        if self.scalar_window is not None:
-            return self.scalar_window
+        """Summary window for scalar estimates: one time unit in from
+        each end, to keep spline edge effects out."""
         a, b = self.grid.t0 + 1.0, self.grid.end - 1.0
         if b <= a:
             return self.grid.t0, self.grid.end
@@ -133,10 +125,10 @@ class ExperimentReport:
     Curves are raw spline derivatives sampled on the observation grid,
     one row per replicate.  Scalar columns come from endpoint
     differences of the integral fits over the scalar window; mle_*
-    exist only when the MLE method is enabled.  elapsed_seconds and
-    timings (seconds spent per stage, "simulate" and "estimate", summed
-    over replicates and workers) are informational and never written
-    to data files.
+    exist only when both true rates are constant (`config.methods`).
+    elapsed_seconds and timings (seconds spent per stage, "simulate"
+    and "estimate", summed over replicates and workers) are
+    informational and never written to data files.
     """
 
     config: ExperimentConfig
@@ -161,7 +153,7 @@ def _simulations(config: ExperimentConfig, replicates: range):
     args = (config.rates, config.x0, config.grid, config.n_paths, config.master_seed, replicates)
     if config.simulator == "exact":
         return _exact_replicates(*args)
-    return _em_replicates(*args, refine=config.em_refine, drift_correction=config.em_drift_correction)
+    return _em_replicates(*args, refine=EM_REFINE, drift_correction=config.em_drift_correction)
 
 
 def _chunk_worker(args: tuple[ExperimentConfig, range]) -> tuple[dict, dict]:
@@ -414,7 +406,6 @@ def case_config(
         n_paths=n_paths,
         replicates=replicates,
         master_seed=master_seed,
-        methods=("GMM",),
         stride=stride,
     )
 
@@ -445,7 +436,6 @@ def table1_config(
         n_paths=n_paths,
         replicates=replicates,
         master_seed=master_seed,
-        methods=("GMM", "MLE"),
         stride=stride,
         simulator=simulator,
         em_drift_correction=em_drift_correction,

@@ -233,7 +233,6 @@ def check_window(
     n: int,
     *,
     positive: bool = False,
-    nonnegative: bool = False,
 ) -> None:
     """Dense-sample validation of a rate over [t0, t_end].
 
@@ -248,8 +247,6 @@ def check_window(
         raise ValueError(f"rate kind {f.kind!r} is non-finite on [{t0}, {t_end}]")
     if positive and np.any(vals <= 0.0):
         raise ValueError(f"rate kind {f.kind!r} must be strictly positive on [{t0}, {t_end}]")
-    if nonnegative and np.any(vals < 0.0):
-        raise ValueError(f"rate kind {f.kind!r} must be nonnegative on [{t0}, {t_end}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,23 +269,9 @@ class RatePair:
             raise ValueError("capacity must be positive")
         object.__setattr__(self, "capacity", float(self.capacity))
 
-    def validate_window(
-        self,
-        t0: float,
-        t_end: float,
-        n: int,
-        *,
-        allow_zero_noise: bool = False,
-    ) -> None:
+    def validate_window(self, t0: float, t_end: float, n: int) -> None:
         check_window(self.transmission, t0, t_end, n)
-        check_window(
-            self.noise,
-            t0,
-            t_end,
-            n,
-            positive=not allow_zero_noise,
-            nonnegative=allow_zero_noise,
-        )
+        check_window(self.noise, t0, t_end, n, positive=True)
 
 
 def rate_to_dict(f: RateFunction) -> dict:
@@ -306,6 +289,8 @@ def rate_from_dict(d: dict) -> RateFunction:
     kind = d["kind"]
     if kind not in KINDS:
         raise ValueError(f"unknown rate kind {kind!r}, expected one of {KINDS}")
+    if not isinstance(d["params"], dict):
+        raise ValueError(f"rate descriptor 'params' must be an object, not {d['params']!r}")
     params = dict(d["params"])
     if kind == "sinusoid":
         params.setdefault("phase", 0.0)
@@ -313,8 +298,20 @@ def rate_from_dict(d: dict) -> RateFunction:
     if missing:
         raise ValueError(f"rate kind {kind!r} descriptor missing params {missing}")
     if kind == "tabulated":
-        return tabulated(params["times"], params["values"])
-    return RateFunction(kind, {k: float(params[k]) for k in _PARAM_KEYS[kind]})
+        knots = {}
+        for key in ("times", "values"):
+            if not isinstance(params[key], list):
+                raise ValueError(f"param {key!r} of 'tabulated' must be a list of numbers, not {params[key]!r}")
+            knots[key] = [_param_number(v, key) for v in params[key]]
+        return tabulated(knots["times"], knots["values"])
+    return RateFunction(kind, {k: _param_number(params[k], k) for k in _PARAM_KEYS[kind]})
+
+
+def _param_number(value, key: str) -> float:
+    # JSON true/false are ints to Python; a string is not a number here
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"param {key!r} must be a number, not {value!r}")
+    return float(value)
 
 
 def pair_to_dict(pair: RatePair) -> dict:

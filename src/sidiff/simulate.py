@@ -78,6 +78,10 @@ class TimeGrid:
     @classmethod
     def from_span(cls, t0: float, t_end: float, delta: float) -> "TimeGrid":
         """Grid covering [t0, t_end]; t_end must be a whole number of steps away."""
+        if not (math.isfinite(t0) and math.isfinite(t_end)):
+            raise ValueError("grid start and end must be finite")
+        if not (math.isfinite(delta) and delta > 0.0):
+            raise ValueError(f"grid step must be positive and finite, got {delta!r}")
         n_steps = (t_end - t0) / delta
         n_round = round(n_steps)
         if abs(n_steps - n_round) > 1e-8 * max(1.0, abs(n_steps)):
@@ -142,16 +146,14 @@ def simulate_exact(
     master_seed: int,
     *,
     replicate: int = 0,
-    allow_zero_noise: bool = False,
 ) -> PathSet:
     """Exact sample paths of the state process on the observation grid.
 
     Draws Gaussian increments of the transformed coordinate (mean: the
     transmission integral over the step, variance: the noise integral)
-    and maps back.  Set allow_zero_noise to permit degenerate steps
-    with zero variance, e.g. for deterministic-limit checks.
+    and maps back.  The noise must be positive on the whole window.
     """
-    batch = _exact_replicates(rates, x0, grid, n_paths, master_seed, [replicate], allow_zero_noise=allow_zero_noise)
+    batch = _exact_replicates(rates, x0, grid, n_paths, master_seed, [replicate])
     ypaths = next(batch)
     ps = PathSet(grid, y_to_x(ypaths.values, x0, rates.capacity), "X", rates.capacity, seed=ypaths.seed)
     _fix_boundary_rounding(ps)
@@ -165,8 +167,6 @@ def _exact_replicates(
     n_paths: int,
     master_seed: int,
     replicates,
-    *,
-    allow_zero_noise: bool = False,
 ):
     """Yield each replicate's exact paths as a Y-space PathSet, one per `next`.
 
@@ -177,12 +177,10 @@ def _exact_replicates(
         raise ValueError(f"x0 must lie strictly inside (0, {k})")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    rates.validate_window(grid.t0, grid.end, grid.n, allow_zero_noise=allow_zero_noise)
+    rates.validate_window(grid.t0, grid.end, grid.n)
     mean_inc = increment_table(rates.transmission, grid)
     var_inc = increment_table(rates.noise, grid)
-    if np.any(var_inc < 0.0):
-        raise ValueError("noise integral is negative on some step")
-    if not allow_zero_noise and np.any(var_inc <= 0.0):
+    if np.any(var_inc <= 0.0):
         raise ValueError("noise integral must be positive on every step")
     sd_inc = np.sqrt(var_inc)
 
@@ -220,7 +218,6 @@ def simulate_em(
     refine: int = 1,
     replicate: int = 0,
     drift_correction: str = "state",
-    allow_zero_noise: bool = False,
 ) -> PathSet:
     """Euler-Maruyama paths of the state equation, observed on `grid`.
 
@@ -244,15 +241,7 @@ def simulate_em(
                   option for replicating results produced that way.
     """
     batch = _em_replicates(
-        rates,
-        x0,
-        grid,
-        n_paths,
-        master_seed,
-        [replicate],
-        refine=refine,
-        drift_correction=drift_correction,
-        allow_zero_noise=allow_zero_noise,
+        rates, x0, grid, n_paths, master_seed, [replicate], refine=refine, drift_correction=drift_correction
     )
     return next(batch)
 
@@ -267,7 +256,6 @@ def _em_replicates(
     *,
     refine: int,
     drift_correction: str,
-    allow_zero_noise: bool = False,
 ):
     """Yield the `simulate_em` PathSet of each replicate, in order.
 
@@ -281,15 +269,7 @@ def _em_replicates(
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     seeds = [derive_path_seed(master_seed, r, i) for r in replicates for i in range(n_paths)]
-    values, clamps = _em_batch(
-        rates,
-        x0,
-        grid,
-        seeds,
-        refine=refine,
-        drift_correction=drift_correction,
-        allow_zero_noise=allow_zero_noise,
-    )
+    values, clamps = _em_batch(rates, x0, grid, seeds, refine=refine, drift_correction=drift_correction)
     for j, r in enumerate(replicates):
         rows = slice(j * n_paths, (j + 1) * n_paths)
         nan_paths = np.flatnonzero(np.isnan(values[rows, -1]))
@@ -322,7 +302,6 @@ def _em_batch(
     *,
     refine: int,
     drift_correction: str,
-    allow_zero_noise: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler-Maruyama kernel: one vector step per internal step for all paths.
 
@@ -347,7 +326,7 @@ def _em_batch(
         raise ValueError("refine must be an integer >= 1")
     if drift_correction not in DRIFT_CORRECTIONS:
         raise ValueError(f"drift_correction must be one of {DRIFT_CORRECTIONS}")
-    rates.validate_window(grid.t0, grid.end, grid.n, allow_zero_noise=allow_zero_noise)
+    rates.validate_window(grid.t0, grid.end, grid.n)
 
     h = grid.delta / refine
     total_steps = (grid.n - 1) * refine

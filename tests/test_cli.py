@@ -123,6 +123,42 @@ def test_unknown_rate_kind_is_a_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "descriptor, named",
+    [
+        ({"kind": "constant", "params": [0.4]}, "'params'"),
+        ({"kind": "constant", "params": {"value": [0.4]}}, "'value'"),
+        ({"kind": "constant", "params": {"value": True}}, "'value'"),
+        ({"kind": "sinusoid", "params": {"offset": 0.4, "amplitude": "1", "omega": 1.0}}, "'amplitude'"),
+        ({"kind": "tabulated", "params": {"times": 5, "values": [0.1]}}, "'times'"),
+        ({"kind": "tabulated", "params": {"times": [0.0, 1.0], "values": [0.1, None]}}, "'values'"),
+        ({"kind": "tabulated", "params": {"times": [0.0, False], "values": [0.1, 0.2]}}, "'times'"),
+    ],
+)
+def test_malformed_rate_params_are_data_errors_naming_the_key(tmp_path, capsys, descriptor, named):
+    cfg = _write_json(tmp_path / "rates.json", {**RATES_JSON, "transmission": descriptor})
+    rc = main(["simulate", "--config", cfg, "--x0", "20", "--K", "200",
+               "--T", "1", "--delta", "0.1", "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "data error:" in err and named in err
+
+
+def test_degenerate_grid_spans_are_data_errors(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "rates.json", RATES_JSON)
+    simulate = ["simulate", "--config", cfg, "--x0", "20", "--K", "200", "--out", str(tmp_path / "o.csv")]
+    for span in (["--T", "1", "--delta", "0"], ["--T", "inf", "--delta", "0.1"],
+                 ["--T", "1", "--delta", "-0.1"], ["--T", "1", "--delta", "nan"],
+                 ["--t0=-inf", "--T", "1", "--delta", "0.1"]):
+        assert main(simulate + span) == 1, span
+        assert "data error: grid" in capsys.readouterr().err
+    exp = _write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, "delta": 0})
+    out_dir = tmp_path / "exp"
+    assert main(["experiment", "--config", exp, "--out-dir", str(out_dir)]) == 1
+    assert "data error: grid step" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # ------------------------------------------------------------------ experiment
 
 

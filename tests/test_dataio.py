@@ -162,8 +162,6 @@ def _write_every_file_kind(d):
         grid=grid,
         mean_curve=CubicSpline([0.0, 0.5, 1.0], [0.0, 0.25, 0.5], bc_type="natural"),
         cov_curve=CubicSpline([0.0, 0.5, 1.0], [0.0, 0.0625, 0.0625], bc_type="natural"),
-        mu=np.zeros(5),
-        nu=np.zeros(4),
         mle=(0.5, 0.125),
         diagnostics={"clip_count": 0, "floored": 2},
     )
@@ -185,7 +183,7 @@ def _write_every_file_kind(d):
     spread = np.arange(10.0)[:, None]
     row_cfg = ExperimentConfig(
         label="row", rates=PAIR, x0=20.0, grid=grid, n_paths=2, replicates=10,
-        master_seed=7, methods=("GMM", "MLE"),
+        master_seed=7,
     )
     scalars = 0.4 + 0.01 * np.array([0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.5, -1.5, 30.0])
     row = ExperimentReport(
@@ -254,8 +252,7 @@ def _tiny_reports():
     configs = [
         ExperimentConfig(
             label=label, rates=PAIR, x0=20.0, grid=TimeGrid(0.0, 0.1, 51),
-            n_paths=4, replicates=12, master_seed=5, stride=4,
-            methods=("GMM", "MLE"))
+            n_paths=4, replicates=12, master_seed=5, stride=4)
         for label in ("row1", "row2")
     ]
     return [run_experiment(c) for c in configs]
@@ -361,6 +358,22 @@ def test_load_csv_error_positions(tmp_path):
     ragged.write_text("time,a\n0,1\n1\n")
     with pytest.raises(ValueError, match=r"c6\.csv:3: expected 2 fields"):
         load_csv(str(ragged), str(pf))
+
+
+def test_non_finite_times_are_refused(tmp_path):
+    # a nan time passes every ordering test; a window would then drop its row
+    pf = tmp_path / "pops.csv"
+    pf.write_text("location,population\na,100\n")
+    for i, (rows, lineno, cell) in enumerate(
+        [("0,1\nnan,2\n2,3\n", 3, "nan"), ("-inf,1\n0,2\n", 2, "-inf"), ("0,1\n1,2\ninf,3\n", 4, "inf")]
+    ):
+        cf = tmp_path / f"t{i}.csv"
+        cf.write_text("time,a\n" + rows)
+        with pytest.raises(ValueError, match=rf"t{i}\.csv:{lineno}: time {cell} is not finite"):
+            load_csv(str(cf), str(pf))
+    table = RawSeriesTable(np.array([0.0, np.nan, 2.0]), {"a": np.ones(3)}, {"a": 100.0})
+    with pytest.raises(ValueError, match="observation times must be finite"):
+        table.validate()
 
 
 def test_load_csv_population_errors(tmp_path):

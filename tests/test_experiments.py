@@ -116,22 +116,11 @@ def test_kde_validation():
 
 def test_config_validation():
     grid = TimeGrid(0.0, 0.1, 51)
-    with pytest.raises(ValueError, match="MLE"):
-        ExperimentConfig(label="x", rates=case_rates("a"), x0=20.0, grid=grid,
-                         methods=("GMM", "MLE"))
-    with pytest.raises(ValueError, match="methods"):
-        ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0, grid=grid, methods=())
-    with pytest.raises(ValueError, match="unknown methods"):
-        ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0, grid=grid,
-                         methods=("bayes",))
     with pytest.raises(ValueError, match="simulator"):
         ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0, grid=grid,
                          simulator="milstein")
     with pytest.raises(ValueError, match="n_paths"):
         ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0, grid=grid, n_paths=1)
-    with pytest.raises(ValueError, match="scalar_window"):
-        ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0, grid=grid,
-                         scalar_window=(3.0, 99.0))
     with pytest.raises(ValueError, match="x0"):
         ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=-1.0, grid=grid)
 
@@ -140,9 +129,15 @@ def test_resolved_windows():
     cfg = ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0,
                            grid=TimeGrid(0.0, 0.1, 501))
     assert cfg.resolved_scalar_window() == (1.0, 49.0)
-    pinned = ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0,
-                              grid=TimeGrid(0.0, 0.1, 501), scalar_window=(5.0, 45.0))
-    assert pinned.resolved_scalar_window() == (5.0, 45.0)
+
+
+def test_methods_follow_the_rate_kinds():
+    grid = TimeGrid(0.0, 0.1, 51)
+    for name in "abc":  # time-varying transmission, noise or both
+        assert ExperimentConfig(label="x", rates=case_rates(name), x0=20.0, grid=grid).methods == ("GMM",)
+    assert ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0, grid=grid).methods == ("GMM", "MLE")
+    with pytest.raises(TypeError):
+        ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0, grid=grid, methods=("GMM",))
 
 
 def test_case_rates_shapes():
@@ -243,8 +238,7 @@ def test_mle_error_shrinks_with_more_paths():
     for d in (10, 50, 200):
         cfg = ExperimentConfig(
             label=f"d{d}", rates=HOMOGENEOUS, x0=20.0, grid=TimeGrid(0.0, 0.01, 501),
-            n_paths=d, replicates=10, master_seed=5151, stride=5,
-            methods=("GMM", "MLE"))
+            n_paths=d, replicates=10, master_seed=5151, stride=5)
         report = run_experiment(cfg)
         errs.append(mre(report.mle_lambda, 0.4))
     assert errs[0] > errs[1] > errs[2]
@@ -253,7 +247,7 @@ def test_mle_error_shrinks_with_more_paths():
 def test_error_rows_structure():
     cfg = ExperimentConfig(
         label="row", rates=HOMOGENEOUS, x0=20.0, grid=TimeGrid(0.0, 0.05, 101),
-        n_paths=6, replicates=4, master_seed=77, stride=4, methods=("GMM", "MLE"))
+        n_paths=6, replicates=4, master_seed=77, stride=4)
     rows = homogeneous_error_rows(run_experiment(cfg))
     assert [r["method"] for r in rows] == ["MLE", "GMM"]
     for r in rows:
@@ -294,7 +288,7 @@ def _em_config(**changes):
     fields = dict(
         label="em", rates=RatePair(sinusoid(0.4, 0.5, 1.0), constant(3.0), K), x0=60.0,
         grid=TimeGrid(0.0, 0.05, 101), n_paths=6, replicates=5, master_seed=8, stride=4,
-        simulator="em", em_refine=2)
+        simulator="em")
     fields.update(changes)
     return ExperimentConfig(**fields)
 
@@ -320,15 +314,14 @@ def test_exact_chunks_fill_the_same_budget(two_replicate_chunks):
 @pytest.mark.parametrize("drift_correction", ["state", "constant"])
 def test_em_chunks_match_per_replicate_composition(two_replicate_chunks, drift_correction):
     cfg = _em_config(
-        rates=RatePair(constant(0.4), constant(3.0), K), methods=("GMM", "MLE"),
-        em_drift_correction=drift_correction)
+        rates=RatePair(constant(0.4), constant(3.0), K), em_drift_correction=drift_correction)
     assert [list(c) for c in experiments._chunks(cfg)] == [[0, 1], [2, 3], [4]]
     report = run_experiment(cfg)
     a, b = cfg.resolved_scalar_window()
     clamps = 0
     for r in range(cfg.replicates):
         ps = simulate_em(cfg.rates, cfg.x0, cfg.grid, cfg.n_paths, cfg.master_seed, replicate=r,
-                         refine=2, drift_correction=drift_correction)
+                         drift_correction=drift_correction)
         est = estimate_pipeline(ps, stride=4)
         clamps += ps.meta["clamp_count"]
         assert np.array_equal(report.lambda_curves[r], est.lambda_hat(cfg.grid.times))

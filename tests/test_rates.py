@@ -267,7 +267,6 @@ def test_validate_window_noise_sign():
     zero = RatePair(constant(0.4), constant(0.0), 200.0)
     with pytest.raises(ValueError, match="positive"):
         zero.validate_window(0.0, 1.0, 10)
-    zero.validate_window(0.0, 1.0, 10, allow_zero_noise=True)
 
     dips = RatePair(constant(0.4), sinusoid(0.05, 0.1, 1.0), 200.0)
     with pytest.raises(ValueError):
@@ -279,8 +278,6 @@ def test_check_window_bounds():
     check_window(f, 0.0, 10.0, 100)
     with pytest.raises(ValueError, match="positive"):
         check_window(f, 0.0, 10.0, 100, positive=True)
-    with pytest.raises(ValueError, match="nonnegative"):
-        check_window(f, 0.0, 10.0, 100, nonnegative=True)
     with pytest.raises(ValueError):
         check_window(f, 1.0, 0.0, 10)
 
