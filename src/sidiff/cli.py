@@ -35,7 +35,7 @@ from .experiments import (
     run_experiment,
     table1_config,
 )
-from .rates import RatePair, rate_from_dict
+from .rates import pair_from_dict
 from .simulate import TimeGrid, simulate_em, simulate_exact
 
 __all__ = ["main", "build_parser"]
@@ -43,7 +43,7 @@ __all__ = ["main", "build_parser"]
 OUT_DIR_ENV = "SIDIFF_OUT_DIR"
 COUNT_DEFAULTS = {"n_paths": 50, "replicates": 100, "master_seed": 0, "stride": 10}
 EXPERIMENT_KEYS = frozenset({*COUNT_DEFAULTS, *"rows cases t0 T delta row_simulator row_drift_correction".split()})
-ROW_KEYS = frozenset({"transmission", "noise"})
+RATE_KEYS = frozenset({"transmission", "noise"})  # of an experiment row and of a simulate rates file
 
 
 def _resolve_out(path: str) -> str:
@@ -143,14 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
-    for key in ("transmission", "noise"):
-        if key not in cfg:
-            raise ValueError(f"{args.config}: missing {key!r} rate descriptor")
-    rates = RatePair(
-        transmission=rate_from_dict(cfg["transmission"]),
-        noise=rate_from_dict(cfg["noise"]),
-        capacity=args.K,
-    )
+    _refuse_unknown_keys(cfg, RATE_KEYS, "rates file")
+    rates = pair_from_dict({**cfg, "capacity": args.K})
     grid = TimeGrid.from_span(args.t0, args.T, args.delta)
     if args.simulator == "exact":
         paths = simulate_exact(rates, args.x0, grid, args.paths, args.seed)
@@ -213,9 +207,9 @@ def _experiment_configs(cfg: dict, seed_override: int | None):
     for row in rows:
         if not isinstance(row, dict):
             raise ValueError(f"each entry of 'rows' must be an object, not {row!r}")
-        _refuse_unknown_keys(row, ROW_KEYS, "row")
-        if set(row) != ROW_KEYS:
-            raise ValueError(f"row {row!r} needs both keys {sorted(ROW_KEYS)}")
+        _refuse_unknown_keys(row, RATE_KEYS, "row")
+        if set(row) != RATE_KEYS:
+            raise ValueError(f"row {row!r} needs both keys {sorted(RATE_KEYS)}")
     row_configs = [
         table1_config(
             _number(row["transmission"], "transmission", float),

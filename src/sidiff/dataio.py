@@ -18,7 +18,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,6 +112,40 @@ def _grid_from_times(times: np.ndarray) -> TimeGrid:
     return TimeGrid(t0=float(times[0]), delta=delta, n=int(times.size))
 
 
+def _read_rows(path: str) -> list[tuple[int, list[str]]]:
+    """(1-based line number, fields) pairs; comments and blank lines skipped."""
+    rows = []
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                rows.append((lineno, [f.strip() for f in stripped.split(",")]))
+    return rows
+
+
+def _read_table(path: str, first_column: str) -> tuple[list[str], list[int], np.ndarray]:
+    """Header, data line numbers and (rows, columns) float cells of a CSV.
+
+    Refuses, naming path:line, a header not starting with first_column
+    or of one field, a row of another width and a non-numeric cell.
+    """
+    rows = _read_rows(path)
+    if len(rows) < 2:
+        raise ValueError(f"{path}: expected a header and at least one data row")
+    (header_line, header), data = rows[0], rows[1:]
+    if header[0] != first_column or len(header) < 2:
+        raise ValueError(f"{path}:{header_line}: expected header {first_column},<column>,...")
+    cells = np.empty((len(data), len(header)))
+    for j, (lineno, fields) in enumerate(data):
+        if len(fields) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+        try:
+            cells[j] = [float(v) for v in fields]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
+    return header, [lineno for lineno, _ in data], cells
+
+
 # ---------------------------------------------------------------------------
 # path bundles
 
@@ -139,37 +173,25 @@ def save_paths(paths: PathSet, path: str, *, rates=None) -> None:
 
 
 def load_paths(path: str, capacity: float | None = None) -> PathSet:
-    """Inverse of save_paths.  `capacity` overrides the sidecar value."""
-    rows = _read_csv_rows(path)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    header, data = rows[0], rows[1:]
-    if header.fields[0] != "t" or len(header.fields) < 2:
-        raise ValueError(f"{path}:{header.lineno}: expected header t,path_1,...")
-    n_paths = len(header.fields) - 1
-    times = np.empty(len(data))
-    values = np.empty((n_paths, len(data)))
-    for j, row in enumerate(data):
-        if len(row.fields) != n_paths + 1:
-            raise ValueError(f"{path}:{row.lineno}: expected {n_paths + 1} fields")
-        try:
-            times[j] = float(row.fields[0])
-            values[:, j] = [float(v) for v in row.fields[1:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{row.lineno}: non-numeric cell ({exc})") from None
+    """Inverse of save_paths.  `capacity` overrides the sidecar value.
 
-    sidecar_path = path + ".meta.json"
-    sidecar = {}
-    if os.path.exists(sidecar_path):
-        with open(sidecar_path) as handle:
-            sidecar = json.load(handle)
+    A wrong header, a row of the wrong width or a non-numeric cell is a
+    ValueError naming path:line; the times must be uniformly spaced.
+    The sidecar <path>.meta.json may be absent.  If present it must be a
+    JSON object whose seed is an object or null, whose meta is an
+    object and whose capacity is a number or null, or the ValueError
+    names the sidecar.
+    """
+    _, _, cells = _read_table(path, "t")
+    columns = cells.T.copy()
+    sidecar = _read_sidecar(path + ".meta.json")
     if capacity is None:
         capacity = sidecar.get("capacity")
         if capacity is None:
             raise ValueError(f"{path}: no sidecar capacity; pass capacity explicitly")
     ps = PathSet(
-        grid=_grid_from_times(times),
-        values=values,
+        grid=_grid_from_times(columns[0]),
+        values=columns[1:],
         space=sidecar.get("space", "X"),
         capacity=float(capacity),
         seed=sidecar.get("seed"),
@@ -177,6 +199,25 @@ def load_paths(path: str, capacity: float | None = None) -> PathSet:
     )
     ps.validate()
     return ps
+
+
+def _read_sidecar(path: str) -> dict:
+    """A bundle's JSON sidecar, {} if there is none; malformed ones are refused."""
+    if not os.path.exists(path):
+        return {}
+    with open(path) as handle:
+        sidecar = json.load(handle)
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{path}: sidecar must be a JSON object, not {sidecar!r}")
+    capacity = sidecar.get("capacity")
+    for key, ok, what in (
+        ("seed", isinstance(sidecar.get("seed"), (dict, type(None))), "an object or null"),
+        ("meta", isinstance(sidecar.get("meta", {}), dict), "an object"),
+        ("capacity", capacity is None or type(capacity) in (int, float), "a number or null"),
+    ):
+        if not ok:
+            raise ValueError(f"{path}: {key!r} must be {what}, not {sidecar[key]!r}")
+    return sidecar
 
 
 # ---------------------------------------------------------------------------
@@ -299,24 +340,6 @@ def write_kde(reports: list[ExperimentReport], path: str, *, seed: int) -> None:
 
 
 @dataclass
-class _Row:
-    lineno: int
-    fields: list[str]
-
-
-def _read_csv_rows(path: str) -> list[_Row]:
-    """Raw rows with 1-based line numbers; comments and blanks skipped."""
-    rows = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            rows.append(_Row(lineno, [f.strip() for f in stripped.split(",")]))
-    return rows
-
-
-@dataclass
 class RawSeriesTable:
     """Incident counts per location on a common time column.
 
@@ -348,7 +371,7 @@ class RawSeriesTable:
             if pop is None:
                 raise ValueError(f"location {name!r}: no population entry")
             if not (math.isfinite(pop) and pop > 0.0):
-                raise ValueError(f"location {name!r}: population must be positive")
+                raise ValueError(f"location {name!r}: population must be positive and finite")
 
     @property
     def locations(self) -> tuple[str, ...]:
@@ -359,67 +382,62 @@ def load_csv(counts_path: str, populations_path: str) -> RawSeriesTable:
     """Parse the incident-count table and its population list.
 
     Counts file header: time,<loc1>,...,<locL>; populations file
-    header: location,population.  Malformed cells are rejected with
-    file and line number; non-finite, duplicate or backward times,
-    negative counts and missing populations are errors.
+    header: location,population.  Each of these is refused with a
+    ValueError naming file:line: a row with the wrong field count, a
+    non-numeric cell, a non-finite time, a duplicate or backward time,
+    a negative or non-finite count, a duplicate location and a
+    population that is not positive and finite.  Duplicate or empty
+    location names and missing populations are refused naming the file.
     """
-    rows = _read_csv_rows(counts_path)
-    if len(rows) < 2:
-        raise ValueError(f"{counts_path}: expected a header and at least one data row")
-    header = rows[0]
-    if header.fields[0] != "time" or len(header.fields) < 2:
-        raise ValueError(f"{counts_path}:{header.lineno}: expected header time,<loc>,...")
-    names = header.fields[1:]
+    header, lines, cells = _read_table(counts_path, "time")
+    names = header[1:]
     if len(set(names)) != len(names) or any(not n for n in names):
-        raise ValueError(f"{counts_path}:{header.lineno}: location names must be unique and nonempty")
+        raise ValueError(f"{counts_path}: location names must be unique and nonempty")
+    columns = cells.T.copy()
+    times, counts = columns[0], columns[1:]
 
-    times = []
-    columns = {name: [] for name in names}
-    for row in rows[1:]:
-        if len(row.fields) != len(names) + 1:
-            raise ValueError(
-                f"{counts_path}:{row.lineno}: expected {len(names) + 1} fields, got {len(row.fields)}"
-            )
-        try:
-            cells = [float(v) for v in row.fields]
-        except ValueError:
-            raise ValueError(f"{counts_path}:{row.lineno}: non-numeric cell") from None
-        t = cells[0]
-        if not math.isfinite(t):
-            raise ValueError(f"{counts_path}:{row.lineno}: time {t!r} is not finite")
-        if times and t <= times[-1]:
-            kind = "duplicate" if t == times[-1] else "backward"
-            raise ValueError(f"{counts_path}:{row.lineno}: {kind} time {t!r}")
-        for name, cell in zip(names, cells[1:]):
-            if cell < 0.0:
-                raise ValueError(f"{counts_path}:{row.lineno}: negative count for {name!r}")
-            columns[name].append(cell)
-        times.append(t)
+    bad = ~np.isfinite(times)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{counts_path}:{lines[row]}: time {float(times[row])!r} is not finite")
+    bad = np.diff(times) <= 0.0
+    if bad.any():
+        row = int(np.argmax(bad)) + 1
+        kind = "duplicate" if times[row] == times[row - 1] else "backward"
+        raise ValueError(f"{counts_path}:{lines[row]}: {kind} time {float(times[row])!r}")
+    # row-major, so the first bad cell is the one the file shows first
+    bad = ~(cells[:, 1:] >= 0.0) | np.isinf(cells[:, 1:])
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), len(names))
+        count = float(cells[row, col + 1])
+        problem = "negative count" if count < 0.0 else f"non-finite count {count!r}"
+        raise ValueError(f"{counts_path}:{lines[row]}: {problem} for {names[col]!r}")
 
-    pop_rows = _read_csv_rows(populations_path)
-    if not pop_rows or pop_rows[0].fields != ["location", "population"]:
-        raise ValueError(f"{populations_path}: expected header location,population")
     populations: dict[str, float] = {}
-    for row in pop_rows[1:]:
-        if len(row.fields) != 2:
-            raise ValueError(f"{populations_path}:{row.lineno}: expected 2 fields")
-        name = row.fields[0]
+    pop_rows = _read_rows(populations_path)
+    if not pop_rows or pop_rows[0][1] != ["location", "population"]:
+        raise ValueError(f"{populations_path}: expected header location,population")
+    for lineno, fields in pop_rows[1:]:
+        where = f"{populations_path}:{lineno}"
+        if len(fields) != 2:
+            raise ValueError(f"{where}: expected 2 fields")
+        name = fields[0]
         try:
-            pop = float(row.fields[1])
+            pop = float(fields[1])
         except ValueError:
-            raise ValueError(f"{populations_path}:{row.lineno}: non-numeric population") from None
+            raise ValueError(f"{where}: non-numeric population") from None
         if name in populations:
-            raise ValueError(f"{populations_path}:{row.lineno}: duplicate location {name!r}")
-        if not pop > 0.0:
-            raise ValueError(f"{populations_path}:{row.lineno}: population must be positive")
+            raise ValueError(f"{where}: duplicate location {name!r}")
+        if not (math.isfinite(pop) and pop > 0.0):
+            raise ValueError(f"{where}: population must be positive and finite, not {pop!r}")
         populations[name] = pop
 
     missing = [n for n in names if n not in populations]
     if missing:
         raise ValueError(f"{populations_path}: missing population for locations {missing}")
     table = RawSeriesTable(
-        times=np.asarray(times, dtype=float),
-        counts={name: np.asarray(columns[name], dtype=float) for name in names},
+        times=times,
+        counts=dict(zip(names, counts)),
         populations={name: populations[name] for name in names},
     )
     table.validate()

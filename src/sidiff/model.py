@@ -75,8 +75,7 @@ def deterministic_solution(capacity: float, x0: float, transmission, t0: float, 
     if np.any(t_arr < t0):
         raise ValueError("t must be >= t0")
     ends = cumulative(lam, np.append(float(t0), t_arr.ravel()))
-    growth = ends[1:] - ends[0]
-    out = capacity * x0 / (x0 + (capacity - x0) * np.exp(-growth))
+    out = y_to_x(ends[1:] - ends[0], x0, capacity)
     if np.ndim(t) == 0:
         return float(out[0])
     return out.reshape(t_arr.shape)
@@ -105,7 +104,7 @@ def threshold_time(
     if not (x0 < level < capacity):
         raise ValueError(f"level must lie in (x0, capacity) = ({x0}, {capacity})")
     lam = _as_rate(transmission)
-    target = math.log(level * (capacity - x0) / (x0 * (capacity - level)))
+    target = x_to_y(level, x0, capacity)
     end = t_max if lam.window is None else min(t_max, lam.window[1])
     if lam.kind == "constant":
         value = lam.params["value"]
@@ -222,9 +221,8 @@ def transition_pdf(law: TransitionLaw, x, t: float):
     """Transition density at state x and time t.  Vectorized over x."""
     lam_int, var_int = law.accumulated(t)
     k = law.rates.capacity
-    _check_state(x, k, "x")
+    y = x_to_y(x, law.x0, k)
     x_arr = np.asarray(x, dtype=float)
-    y = np.log(x_arr * (k - law.x0) / (law.x0 * (k - x_arr)))
     log_pdf = (
         math.log(k)
         - np.log(x_arr)
@@ -241,10 +239,7 @@ def transition_pdf(law: TransitionLaw, x, t: float):
 def transition_cdf(law: TransitionLaw, x, t: float):
     """Transition distribution function at state x and time t."""
     lam_int, var_int = law.accumulated(t)
-    k = law.rates.capacity
-    _check_state(x, k, "x")
-    x_arr = np.asarray(x, dtype=float)
-    y = np.log(x_arr * (k - law.x0) / (law.x0 * (k - x_arr)))
+    y = x_to_y(x, law.x0, law.rates.capacity)
     out = 0.5 * (1.0 + erf((y - lam_int) / math.sqrt(2.0 * var_int)))
     if np.ndim(x) == 0:
         return float(out)
@@ -255,9 +250,7 @@ def conditional_median(law: TransitionLaw, t: float) -> float:
     """Median of X(t) given X(t0) = x0: the noise-free solution."""
     if t < law.t0:
         raise ValueError("t must be >= t0")
-    lam_int = integrate(law.rates.transmission, law.t0, t)
-    k = law.rates.capacity
-    return float(k * law.x0 / (law.x0 + (k - law.x0) * math.exp(-lam_int)))
+    return y_to_x(integrate(law.rates.transmission, law.t0, t), law.x0, law.rates.capacity)
 
 
 def conditional_moment(law: TransitionLaw, m: int, t: float) -> float:

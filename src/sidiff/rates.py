@@ -17,7 +17,9 @@ quadrature enters anywhere.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -55,7 +57,16 @@ _PARAM_KEYS = {
 
 @dataclass(frozen=True, eq=False)
 class RateFunction:
-    """One scalar rate curve.  Treated as immutable after construction."""
+    """One scalar rate curve.  Treated as immutable after construction.
+
+    The only validator of rate descriptors: the kind must be known and
+    the param keys must be exactly the kind's.  Analytic params must be
+    finite numbers (numpy scalars too; bools and strings are refused)
+    and are stored as floats.  Tabulated times and values must be
+    lists, tuples or 1-d arrays of such numbers, of one length of at
+    least 2, with strictly increasing times; they are stored as tuples
+    of floats.
+    """
 
     kind: str
     params: dict[str, Any]
@@ -63,23 +74,30 @@ class RateFunction:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown rate kind {self.kind!r}, expected one of {KINDS}")
-        missing = [k for k in _PARAM_KEYS[self.kind] if k not in self.params]
+        if not isinstance(self.params, dict):
+            raise ValueError(f"rate 'params' must be an object, not {self.params!r}")
+        expected = _PARAM_KEYS[self.kind]
+        missing = [k for k in expected if k not in self.params]
         if missing:
             raise ValueError(f"rate kind {self.kind!r} missing params {missing}")
-        if self.kind == "tabulated":
-            knots = np.asarray(self.params["times"], dtype=float)
-            vals = np.asarray(self.params["values"], dtype=float)
-            if knots.ndim != 1 or knots.size < 2 or vals.shape != knots.shape:
-                raise ValueError("tabulated rate needs matching 1-d times/values with >= 2 knots")
-            if not np.all(np.isfinite(knots)) or not np.all(np.isfinite(vals)):
-                raise ValueError("tabulated knots must be finite")
-            if np.any(np.diff(knots) <= 0):
-                raise ValueError("tabulated knot times must be strictly increasing")
-        else:
-            for key in _PARAM_KEYS[self.kind]:
-                v = self.params[key]
-                if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-                    raise ValueError(f"param {key!r} of {self.kind!r} must be a finite number")
+        unknown = sorted(set(self.params) - set(expected))
+        if unknown:
+            raise ValueError(f"rate kind {self.kind!r} has unknown params {unknown}; expected {list(expected)}")
+        if self.kind != "tabulated":
+            params = {k: _finite_number(self.params[k], f"param {k!r} of {self.kind!r}") for k in expected}
+            object.__setattr__(self, "params", params)
+            return
+        knots = {}
+        for key in expected:
+            seq = self.params[key]
+            if not isinstance(seq, (list, tuple, np.ndarray)):
+                raise ValueError(f"param {key!r} of 'tabulated' must be a list of numbers, not {seq!r}")
+            knots[key] = tuple(_finite_number(v, f"param {key!r} of 'tabulated'") for v in seq)
+        if len(knots["times"]) < 2 or len(knots["values"]) != len(knots["times"]):
+            raise ValueError("tabulated rate needs matching times/values with >= 2 knots")
+        if any(b <= a for a, b in zip(knots["times"], knots["times"][1:])):
+            raise ValueError("tabulated knot times must be strictly increasing")
+        object.__setattr__(self, "params", knots)
 
     @cached_property
     def _spline(self) -> CubicSpline:
@@ -107,30 +125,31 @@ class RateFunction:
         return evaluate(self, t)
 
 
+def _finite_number(value, what: str) -> float:
+    # JSON true/false are ints to Python and a string is not a number here;
+    # float() overflows on an int beyond the float range, which JSON allows
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
+    return number
+
+
 def constant(value: float) -> RateFunction:
     """f(t) = value."""
-    return RateFunction("constant", {"value": float(value)})
+    return RateFunction("constant", {"value": value})
 
 
 def sinusoid(offset: float, amplitude: float, omega: float, phase: float = 0.0) -> RateFunction:
     """f(t) = offset + amplitude * sin(omega * t + phase)."""
-    return RateFunction(
-        "sinusoid",
-        {
-            "offset": float(offset),
-            "amplitude": float(amplitude),
-            "omega": float(omega),
-            "phase": float(phase),
-        },
-    )
+    return RateFunction("sinusoid", {"offset": offset, "amplitude": amplitude, "omega": omega, "phase": phase})
 
 
 def exp_saturating(offset: float, scale: float, rate: float) -> RateFunction:
     """f(t) = offset + scale * (1 - exp(-rate * t)) ** 2, saturating at offset + scale."""
-    return RateFunction(
-        "exp_saturating",
-        {"offset": float(offset), "scale": float(scale), "rate": float(rate)},
-    )
+    return RateFunction("exp_saturating", {"offset": offset, "scale": scale, "rate": rate})
 
 
 def tabulated(times, values) -> RateFunction:
@@ -139,13 +158,7 @@ def tabulated(times, values) -> RateFunction:
     Evaluation outside the knot span is an error; we refuse to
     extrapolate rate curves silently.
     """
-    return RateFunction(
-        "tabulated",
-        {
-            "times": tuple(float(v) for v in np.asarray(times, dtype=float)),
-            "values": tuple(float(v) for v in np.asarray(values, dtype=float)),
-        },
-    )
+    return RateFunction("tabulated", {"times": times, "values": values})
 
 
 def evaluate(f: RateFunction, t):
@@ -263,11 +276,9 @@ class RatePair:
     capacity: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.capacity, (int, float)) and math.isfinite(self.capacity)):
-            raise ValueError("capacity must be a finite number")
+        object.__setattr__(self, "capacity", _finite_number(self.capacity, "capacity"))
         if self.capacity <= 0.0:
             raise ValueError("capacity must be positive")
-        object.__setattr__(self, "capacity", float(self.capacity))
 
     def validate_window(self, t0: float, t_end: float, n: int) -> None:
         check_window(self.transmission, t0, t_end, n)
@@ -283,35 +294,13 @@ def rate_to_dict(f: RateFunction) -> dict:
 
 
 def rate_from_dict(d: dict) -> RateFunction:
-    """Inverse of rate_to_dict, with validation."""
-    if not isinstance(d, dict) or "kind" not in d or "params" not in d:
-        raise ValueError("rate descriptor must be {'kind': ..., 'params': {...}}")
-    kind = d["kind"]
-    if kind not in KINDS:
-        raise ValueError(f"unknown rate kind {kind!r}, expected one of {KINDS}")
-    if not isinstance(d["params"], dict):
-        raise ValueError(f"rate descriptor 'params' must be an object, not {d['params']!r}")
-    params = dict(d["params"])
-    if kind == "sinusoid":
-        params.setdefault("phase", 0.0)
-    missing = [k for k in _PARAM_KEYS[kind] if k not in params]
-    if missing:
-        raise ValueError(f"rate kind {kind!r} descriptor missing params {missing}")
-    if kind == "tabulated":
-        knots = {}
-        for key in ("times", "values"):
-            if not isinstance(params[key], list):
-                raise ValueError(f"param {key!r} of 'tabulated' must be a list of numbers, not {params[key]!r}")
-            knots[key] = [_param_number(v, key) for v in params[key]]
-        return tabulated(knots["times"], knots["values"])
-    return RateFunction(kind, {k: _param_number(params[k], k) for k in _PARAM_KEYS[kind]})
-
-
-def _param_number(value, key: str) -> float:
-    # JSON true/false are ints to Python; a string is not a number here
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"param {key!r} must be a number, not {value!r}")
-    return float(value)
+    """Inverse of rate_to_dict; a sinusoid's phase defaults to 0."""
+    if not isinstance(d, dict) or set(d) != {"kind", "params"}:
+        raise ValueError(f"rate descriptor must be exactly {{'kind': ..., 'params': {{...}}}}, not {d!r}")
+    params = d["params"]
+    if d["kind"] == "sinusoid" and isinstance(params, dict):
+        params = {"phase": 0.0, **params}
+    return RateFunction(d["kind"], params)
 
 
 def pair_to_dict(pair: RatePair) -> dict:
@@ -329,5 +318,5 @@ def pair_from_dict(d: dict) -> RatePair:
     return RatePair(
         transmission=rate_from_dict(d["transmission"]),
         noise=rate_from_dict(d["noise"]),
-        capacity=float(d["capacity"]),
+        capacity=d["capacity"],
     )

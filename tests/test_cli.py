@@ -144,6 +144,54 @@ def test_malformed_rate_params_are_data_errors_naming_the_key(tmp_path, capsys, 
     assert "data error:" in err and named in err
 
 
+@pytest.mark.parametrize(
+    "rates, named",
+    [
+        (
+            {**RATES_JSON, "transmission": {"kind": "sinusoid",
+                                            "params": {"offset": 0.4, "amplitude": 1.0, "omega": 1.0, "phse": 1.5}}},
+            "'phse'",
+        ),
+        ({**RATES_JSON, "noise": {**RATES_JSON["noise"], "label": "sigma"}}, "descriptor"),
+        ({**RATES_JSON, "capacity": 500.0}, "'capacity'"),
+    ],
+    ids=["misspelled-param", "extra-descriptor-key", "capacity-key"],
+)
+def test_simulate_refuses_unknown_rate_keys(tmp_path, capsys, rates, named):
+    cfg = _write_json(tmp_path / "rates.json", rates)
+    out = tmp_path / "o.csv"
+    rc = main(["simulate", "--config", cfg, "--x0", "20", "--K", "200",
+               "--T", "1", "--delta", "0.1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "data error:" in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sidecar, named",
+    [
+        ([], "JSON object"),
+        ({"capacity": 200.0, "seed": 5}, "'seed'"),
+        ({"capacity": 200.0, "meta": [1]}, "'meta'"),
+        ({"capacity": True}, "'capacity'"),
+        ({"capacity": "200"}, "'capacity'"),
+    ],
+    ids=["list", "int-seed", "list-meta", "bool-capacity", "string-capacity"],
+)
+def test_estimate_refuses_malformed_sidecars(tmp_path, capsys, sidecar, named):
+    cfg = _write_json(tmp_path / "rates.json", RATES_JSON)
+    paths_csv = str(tmp_path / "paths.csv")
+    assert main(["simulate", "--config", cfg, "--x0", "20", "--K", "200",
+                 "--T", "1", "--delta", "0.1", "--paths", "4", "--out", paths_csv]) == 0
+    _write_json(tmp_path / "paths.csv.meta.json", sidecar)
+    capsys.readouterr()
+    rc = main(["estimate", "--in", paths_csv, "--K", "200", "--out", str(tmp_path / "e.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "data error:" in err and "paths.csv.meta.json" in err and named in err
+
+
 def test_degenerate_grid_spans_are_data_errors(tmp_path, capsys):
     cfg = _write_json(tmp_path / "rates.json", RATES_JSON)
     simulate = ["simulate", "--config", cfg, "--x0", "20", "--K", "200", "--out", str(tmp_path / "o.csv")]

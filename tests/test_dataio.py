@@ -406,6 +406,25 @@ def test_load_csv_population_errors(tmp_path):
     assert load_csv(str(cf), str(extra)).locations == ("a",)
 
 
+def test_load_csv_names_the_line_of_non_finite_counts_and_populations(tmp_path):
+    pf = tmp_path / "pops.csv"
+    pf.write_text("location,population\na,100\nb,100\n")
+    for i, (cell, lineno) in enumerate([("nan", 3), ("inf", 4), ("-inf", 2)]):
+        rows = ["0,1,1", "1,2,2", "2,3,3"]
+        rows[lineno - 2] = rows[lineno - 2][:-1] + cell
+        cf = tmp_path / f"c{i}.csv"
+        cf.write_text("time,a,b\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=rf"c{i}\.csv:{lineno}: .*count.* for 'b'"):
+            load_csv(str(cf), str(pf))
+    cf = tmp_path / "counts.csv"
+    cf.write_text("time,a\n0,1\n1,2\n")
+    for name, pop in (("inf", "inf"), ("nan", "nan")):
+        bad = tmp_path / f"p_{name}.csv"
+        bad.write_text(f"location,population\na,{pop}\n")
+        with pytest.raises(ValueError, match=rf"p_{name}\.csv:2: population must be positive and finite"):
+            load_csv(str(cf), str(bad))
+
+
 def test_load_csv_skips_comments_and_blanks(tmp_path):
     cf = tmp_path / "counts.csv"
     cf.write_text("# provenance comment\n\ntime,a\n0,1\n\n1,2\n")

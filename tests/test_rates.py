@@ -15,6 +15,8 @@ from sidiff import (
     exp_saturating,
     increment_table,
     integrate,
+    pair_from_dict,
+    pair_to_dict,
     rate_from_dict,
     rate_to_dict,
     sinusoid,
@@ -229,6 +231,53 @@ def test_rate_from_dict_defaults_and_errors():
         rate_from_dict({"kind": "sinusoid", "params": {"offset": 0.4, "amplitude": 1.0}})
     with pytest.raises(ValueError, match="descriptor"):
         rate_from_dict({"offset": 1.0})
+
+
+def test_unknown_param_and_descriptor_keys_are_refused():
+    with pytest.raises(ValueError, match="unknown params.*'phse'"):
+        rate_from_dict(
+            {"kind": "sinusoid", "params": {"offset": 0.4, "amplitude": 1.0, "omega": 1.0, "phse": 1.5}}
+        )
+    with pytest.raises(ValueError, match="unknown params.*'scale'"):
+        RateFunction("constant", {"value": 0.4, "scale": 2.0})
+    with pytest.raises(ValueError, match="descriptor"):
+        rate_from_dict({"kind": "constant", "params": {"value": 0.4}, "label": "beta"})
+
+
+def test_rate_numbers_refuse_bools_strings_and_huge_ints():
+    for make in (
+        lambda: RateFunction("constant", {"value": True}),
+        lambda: RateFunction("constant", {"value": "0.4"}),
+        lambda: constant(True),
+        lambda: constant("0.4"),
+        lambda: sinusoid(0.4, 1.0, 1.0, phase="0"),
+        lambda: tabulated(["0", "1"], [0.1, 0.2]),
+        lambda: tabulated([0.0, 1.0], [0.1, False]),
+        lambda: tabulated("01", [0.1, 0.2]),
+        # JSON reads an integer literal beyond the float range as an int
+        lambda: rate_from_dict(json.loads('{"kind": "constant", "params": {"value": 1%s}}' % ("0" * 400))),
+        lambda: RatePair(constant(0.4), constant(0.1), True),
+    ):
+        with pytest.raises(ValueError, match="must be"):
+            make()
+    # numpy scalars and arrays are numbers, stored as plain floats
+    f = constant(np.float32(0.5))
+    assert type(f.params["value"]) is float and f.params["value"] == 0.5
+    g = tabulated(np.arange(3), np.array([0.1, 0.2, 0.3]))
+    assert g.params["times"] == (0.0, 1.0, 2.0)
+    assert all(type(v) is float for v in g.params["values"])
+    with pytest.raises(ValueError, match="'times'"):
+        tabulated(np.zeros((2, 2)), [0.1, 0.2])
+
+
+def test_pair_from_dict_round_trip_and_capacity_rule():
+    pair = RatePair(sinusoid(0.4, 1.0, 1.0, 0.3), constant(0.1), 200)
+    back = pair_from_dict(json.loads(json.dumps(pair_to_dict(pair))))
+    assert pair_to_dict(back) == pair_to_dict(pair)
+    assert type(back.capacity) is float
+    for capacity in (True, "200", math.inf, -1.0):
+        with pytest.raises(ValueError, match="capacity"):
+            pair_from_dict({**pair_to_dict(pair), "capacity": capacity})
 
 
 def test_increment_table_sums_to_window_integral():
