@@ -35,7 +35,7 @@ from .experiments import (
     run_experiment,
     table1_config,
 )
-from .rates import pair_from_dict
+from .rates import _finite_number, pair_from_dict
 from .simulate import TimeGrid, simulate_em, simulate_exact
 
 __all__ = ["main", "build_parser"]
@@ -182,10 +182,12 @@ def _refuse_unknown_keys(entry: dict, known: frozenset, where: str) -> None:
 
 
 def _number(value, key: str, kind: type):
+    if kind is not int:
+        return _finite_number(value, f"config key {key!r}")
     # JSON true/false are ints to Python, and int() would truncate 2.7
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise ValueError(f"config key {key!r} must be {'an integer' if kind is int else 'a number'}, not {value!r}")
-    return kind(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config key {key!r} must be an integer, not {value!r}")
+    return value
 
 
 def _experiment_configs(cfg: dict, seed_override: int | None):
@@ -277,11 +279,9 @@ def _cmd_analyze(args) -> int:
         print(f"# suggested-K={suggest_K(paths):.6g} (heuristic: {SUGGEST_K_FACTOR:g} x max observation)")
     out = _resolve_out(args.out)
     save_estimate(result, out, capacity=args.K, seed=0)
-    diag = result.diagnostics
     print(
         f"wrote estimate for {paths.n_paths} locations to {out} "
-        f"(clipped cells: {diag['ingest_clip_count']} on ingest, "
-        f"{diag['transform_clip_count']} in the transform)"
+        f"(clipped cells: {result.diagnostics['clip_count']})"
     )
     return 0
 

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .estimate import CLIP_EPS, EstimateResult, estimate_pipeline
+from .estimate import EstimateResult, estimate_pipeline
 from .experiments import EM_REFINE, ExperimentReport, boxplot_stats, kde, pointwise_band, standardize
-from .rates import pair_to_dict
+from .model import CLIP_EPS
+from .rates import _finite_number, pair_to_dict
 from .simulate import PathSet, TimeGrid
 
 __all__ = [
@@ -178,9 +179,10 @@ def load_paths(path: str, capacity: float | None = None) -> PathSet:
     A wrong header, a row of the wrong width or a non-numeric cell is a
     ValueError naming path:line; the times must be uniformly spaced.
     The sidecar <path>.meta.json may be absent.  If present it must be a
-    JSON object whose seed is an object or null, whose meta is an
-    object and whose capacity is a number or null, or the ValueError
-    names the sidecar.
+    JSON object whose seed is an object or null (its master_seed, when
+    given, a nonnegative integer), whose meta is an object and whose
+    capacity is a finite number or null, or the ValueError names the
+    sidecar.  The capacity used must be positive.
     """
     _, _, cells = _read_table(path, "t")
     columns = cells.T.copy()
@@ -209,14 +211,17 @@ def _read_sidecar(path: str) -> dict:
         sidecar = json.load(handle)
     if not isinstance(sidecar, dict):
         raise ValueError(f"{path}: sidecar must be a JSON object, not {sidecar!r}")
-    capacity = sidecar.get("capacity")
-    for key, ok, what in (
-        ("seed", isinstance(sidecar.get("seed"), (dict, type(None))), "an object or null"),
-        ("meta", isinstance(sidecar.get("meta", {}), dict), "an object"),
-        ("capacity", capacity is None or type(capacity) in (int, float), "a number or null"),
-    ):
-        if not ok:
-            raise ValueError(f"{path}: {key!r} must be {what}, not {sidecar[key]!r}")
+    seed = sidecar.get("seed")
+    if not isinstance(seed, (dict, type(None))):
+        raise ValueError(f"{path}: 'seed' must be an object or null, not {seed!r}")
+    master_seed = (seed or {}).get("master_seed", 0)
+    # JSON true/false are ints to Python; the seed goes into metadata lines via int()
+    if type(master_seed) is not int or master_seed < 0:
+        raise ValueError(f"{path}: seed 'master_seed' must be a nonnegative integer, not {master_seed!r}")
+    if not isinstance(sidecar.get("meta", {}), dict):
+        raise ValueError(f"{path}: 'meta' must be an object, not {sidecar['meta']!r}")
+    if sidecar.get("capacity") is not None:
+        sidecar["capacity"] = _finite_number(sidecar["capacity"], f"{path}: 'capacity'")
     return sidecar
 
 
@@ -484,10 +489,11 @@ def cumulate_normalize(
     Each location's incident counts are summed over time and divided by
     its population (or by the largest population of the table with
     global_population=True).  The resulting nondecreasing fractions are
-    treated as d sample paths of one common process on (0, capacity);
-    values above (1-CLIP_EPS)*K are pulled down to it and counted in
-    meta["clip_count"].  A normalized value at or above capacity means
-    the capacity is set too small; that is an error, not a clip.
+    treated as d sample paths of one common process on (0, capacity).
+    Nothing is clipped here: a value within CLIP_EPS*K of K is returned
+    as it is, and estimate.transform_paths clips and counts it.  A
+    normalized value at or above capacity means the capacity is set too
+    small; that is an error, not a clip.
 
     A location whose first normalized value is below CLIP_EPS*K, zero
     included, is refused (ValueError naming every such location): each
@@ -512,7 +518,7 @@ def cumulate_normalize(
     for i, name in enumerate(table.locations):
         divisor = global_pop if global_population else table.populations[name]
         values[i] = np.cumsum(table.counts[name]) / divisor
-    lo, hi = CLIP_EPS * capacity, (1.0 - CLIP_EPS) * capacity
+    lo = CLIP_EPS * capacity
     start = values[:, 0]
     refused = {
         "first count is 0": start == 0.0,
@@ -532,11 +538,6 @@ def cumulate_normalize(
         raise ValueError(
             f"normalized value {worst:.6g} reaches capacity {capacity:.6g}; increase capacity"
         )
-    # paths are nondecreasing and start at or above lo, so only the top edge clips
-    clipped = values > hi
-    n_clipped = int(clipped.sum())
-    if n_clipped:
-        values = np.minimum(values, hi)
 
     if time_unit == "index":
         grid = TimeGrid(t0=0.0, delta=1.0, n=int(table.times.size))
@@ -549,7 +550,6 @@ def cumulate_normalize(
         capacity=float(capacity),
         seed=None,
         meta={
-            "clip_count": n_clipped,
             "locations": list(table.locations),
             "time_unit": time_unit,
             "normalization": "global_max" if global_population else "per_location",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 
-from .model import x_to_y
+from .model import CLIP_EPS, x_to_y
 from .simulate import PathSet, TimeGrid
 
 __all__ = [
@@ -35,10 +35,6 @@ __all__ = [
     "log_likelihood",
 ]
 
-# path values within CLIP_EPS * capacity of 0 or of the capacity are
-# pulled inward before the log-odds transform
-CLIP_EPS = 1e-9
-
 # |estimated curve| below this fraction of its scale near the window
 # edge is flagged as low-confidence rather than trusted
 EDGE_FLAG_FRACTION = 0.5
@@ -48,12 +44,11 @@ def transform_paths(paths: PathSet) -> PathSet:
     """Map X-space paths to the Gaussian coordinate, path by path.
 
     Each path is referenced to its own first observation, so the first
-    column of the result is exactly zero.  Values that touch the
-    boundary (possible in preprocessed count data) are pulled inward by
-    CLIP_EPS * capacity before the log; the number of clipped entries
-    lands in meta["clip_count"].  The input's own meta["clip_count"]
-    (cells clipped on ingest, by `cumulate_normalize`) is carried over
-    as meta["ingest_clip_count"].
+    column of the result is exactly zero.  This is the one place where
+    X values are clipped: values within CLIP_EPS * capacity of 0 or of
+    the capacity (count data near K, loaded bundles) are pulled inward
+    to those edges before the log, and the number of clipped entries
+    replaces meta["clip_count"].
     """
     if paths.space != "X":
         raise ValueError("transform_paths expects X-space paths")
@@ -68,16 +63,13 @@ def transform_paths(paths: PathSet) -> PathSet:
         x = np.clip(x, lo, hi)
     x0 = x[:, :1]  # per-path reference point
     y = x_to_y(x, x0, k)
-    meta = dict(paths.meta)
-    meta["ingest_clip_count"] = int(paths.meta.get("clip_count", 0))
-    meta["clip_count"] = n_clipped
     return PathSet(
         grid=paths.grid,
         values=y,
         space="Y",
         capacity=k,
         seed=paths.seed,
-        meta=meta,
+        meta={**paths.meta, "clip_count": n_clipped},
     )
 
 
@@ -221,12 +213,8 @@ def estimate_pipeline(
     )
 
     times = ypaths.grid.times
-    ingest_clips = int(ypaths.meta.get("ingest_clip_count", 0))
-    transform_clips = int(ypaths.meta.get("clip_count", 0))
     result.diagnostics = {
-        "clip_count": ingest_clips + transform_clips,
-        "ingest_clip_count": ingest_clips,
-        "transform_clip_count": transform_clips,
+        "clip_count": int(ypaths.meta.get("clip_count", 0)),
         "negative_noise_fraction": float(np.mean(result._cov_slope(times) < 0.0)),
         "low_confidence_boundary": _edge_flag(result._mean_slope(times)),
     }

@@ -45,6 +45,9 @@ __all__ = [
 BISECT_TIME_TOL = 1e-10
 MOMENT_HALF_WIDTH = 40.0  # standard deviations; the Gaussian mass beyond is below 1e-340
 MOMENT_RTOL = 1e-12
+# relative width of the boundary band: X values within CLIP_EPS * K of 0 or
+# K are clipped by estimate.transform_paths and clamped by the EM integrator
+CLIP_EPS = 1e-9
 
 
 class DegenerateTimeError(ValueError):

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import y_to_x
+from .model import CLIP_EPS, y_to_x
 from .rates import RatePair, evaluate, increment_table
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "simulate_em",
 ]
 
-EM_CLAMP_EPS = 1e-9  # relative clamp width for Euler-Maruyama iterates
 EM_NOISE_BLOCK = 512  # internal steps of noise drawn per path at a time
 # largest capacity whose Euler-Maruyama drift term (K - x) x stays finite
 EM_MAX_CAPACITY = math.sqrt(np.finfo(float).max)
@@ -110,6 +109,8 @@ class PathSet:
         return self.values.shape[0]
 
     def validate(self) -> None:
+        if not (math.isfinite(self.capacity) and self.capacity > 0.0):
+            raise ValueError(f"capacity must be positive and finite, got {self.capacity!r}")
         if self.space not in ("X", "Y"):
             raise ValueError(f"space must be 'X' or 'Y', got {self.space!r}")
         if self.values.ndim != 2 or self.values.shape[1] != self.grid.n:
@@ -223,9 +224,11 @@ def simulate_em(
 
     The integrator runs at internal step delta/refine and records every
     refine-th iterate.  Iterates are clamped into
-    [eps K, (1 - eps) K] with eps = 1e-9; clamp hits are counted in
-    meta["clamp_count"].  A path that goes NaN raises RuntimeError
-    naming the path and the first observation time at which it is NaN.
+    [CLIP_EPS K, (1 - CLIP_EPS) K], the edges to which
+    estimate.transform_paths clips (CLIP_EPS = 1e-9, from sidiff.model);
+    clamp hits are counted in meta["clamp_count"].  A path that goes
+    NaN raises RuntimeError naming the path and the first observation
+    time at which it is NaN.
     A capacity above EM_MAX_CAPACITY (about 1.34e154), where the drift
     term (K - x) x overflows, is refused; simulate_exact has no limit.
 
@@ -341,7 +344,7 @@ def _em_batch(
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     n_paths = len(rngs)
-    lo, hi = EM_CLAMP_EPS * k, (1.0 - EM_CLAMP_EPS) * k
+    lo, hi = CLIP_EPS * k, (1.0 - CLIP_EPS) * k
     two_k = 2.0 * k
     sqrt_h = math.sqrt(h)
     x = np.full(n_paths, float(x0))

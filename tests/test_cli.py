@@ -192,6 +192,33 @@ def test_estimate_refuses_malformed_sidecars(tmp_path, capsys, sidecar, named):
     assert "data error:" in err and "paths.csv.meta.json" in err and named in err
 
 
+@pytest.mark.parametrize("master_seed", [2.7, -3, True, "7"])
+def test_estimate_refuses_a_sidecar_master_seed_that_is_not_a_nonnegative_integer(
+    tmp_path, capsys, master_seed
+):
+    cfg = _write_json(tmp_path / "rates.json", RATES_JSON)
+    paths_csv = str(tmp_path / "paths.csv")
+    assert main(["simulate", "--config", cfg, "--x0", "20", "--K", "200",
+                 "--T", "1", "--delta", "0.1", "--paths", "4", "--out", paths_csv]) == 0
+    _write_json(tmp_path / "paths.csv.meta.json", {"capacity": 200.0, "seed": {"master_seed": master_seed}})
+    capsys.readouterr()
+    out = tmp_path / "e.csv"
+    assert main(["estimate", "--in", paths_csv, "--K", "200", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "data error:" in err and "paths.csv.meta.json" in err and "'master_seed'" in err
+    assert not out.exists()
+
+
+def test_estimate_refuses_a_nan_capacity(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "rates.json", RATES_JSON)
+    paths_csv = str(tmp_path / "paths.csv")
+    assert main(["simulate", "--config", cfg, "--x0", "20", "--K", "200",
+                 "--T", "1", "--delta", "0.1", "--paths", "4", "--out", paths_csv]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--in", paths_csv, "--K", "nan", "--out", str(tmp_path / "e.csv")]) == 1
+    assert "data error: capacity must be positive and finite, got nan" in capsys.readouterr().err
+
+
 def test_degenerate_grid_spans_are_data_errors(tmp_path, capsys):
     cfg = _write_json(tmp_path / "rates.json", RATES_JSON)
     simulate = ["simulate", "--config", cfg, "--x0", "20", "--K", "200", "--out", str(tmp_path / "o.csv")]
@@ -325,6 +352,23 @@ def test_experiment_refuses_malformed_scalar_values(tmp_path, capsys, edit, name
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        ({"rows": [{"transmission": 10**400, "noise": 0.1}]}, "'transmission'"),
+        ({"T": 10**400}, "'T'"),
+    ],
+    ids=["row-rate", "grid-end"],
+)
+def test_experiment_refuses_integers_beyond_the_float_range(tmp_path, capsys, edit, named):
+    cfg = _write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, **edit})
+    out_dir = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"data error: config key {named} must be a finite number" in err
+    assert not out_dir.exists()
+
+
 def test_experiment_prints_clip_clamp_and_saturation_totals(tmp_path, capsys):
     # a fast-growing Euler-Maruyama row hits the clamp and saturates by
     # T = 5; exact case a draws in the Gaussian coordinate and clips nothing
@@ -385,7 +429,9 @@ def test_analyze_raw_series(tmp_path, capsys):
     assert sidecar["mle"] is not None
 
 
-def test_analyze_reports_ingest_and_transform_clips(tmp_path, capsys):
+def test_analyze_reports_clipped_cells(tmp_path, capsys):
+    # the last cumulative value of location a lies within CLIP_EPS*K of K;
+    # ingest leaves it as it is and the transform clips and counts it
     table = RawSeriesTable(
         times=np.arange(30.0),
         counts={"a": np.r_[np.full(29, 3.0), 313.0 - 1e-7], "b": np.full(30, 2.0)},
@@ -395,9 +441,10 @@ def test_analyze_reports_ingest_and_transform_clips(tmp_path, capsys):
     save_raw_series(table, cf, pf)
     out = str(tmp_path / "est.csv")
     assert main(["analyze", "--in", cf, "--pop", pf, "--K", "0.1", "--out", out]) == 0
-    assert "clipped cells: 1 on ingest, 0 in the transform" in capsys.readouterr().out
+    assert "(clipped cells: 1)" in capsys.readouterr().out
     diagnostics = json.loads(Path(out + ".meta.json").read_text())["diagnostics"]
-    assert diagnostics["clip_count"] == diagnostics["ingest_clip_count"] == 1
+    assert diagnostics["clip_count"] == 1
+    assert not {"ingest_clip_count", "transform_clip_count"} & set(diagnostics)
 
 
 def test_analyze_with_window(tmp_path):

@@ -89,6 +89,29 @@ def test_load_paths_capacity_override_and_missing_sidecar(tmp_path):
     assert back.capacity == 250.0
 
 
+def test_load_paths_refuses_a_sidecar_capacity_beyond_the_float_range(tmp_path):
+    f = str(tmp_path / "paths.csv")
+    save_paths(_small_run(), f)
+    Path(f + ".meta.json").write_text(json.dumps({"capacity": 10**400}))
+    with pytest.raises(ValueError, match=r"paths\.csv\.meta\.json: 'capacity' must be a finite number"):
+        load_paths(f)
+
+
+def test_load_paths_refuses_a_nan_sidecar_capacity(tmp_path):
+    f = str(tmp_path / "paths.csv")
+    save_paths(_small_run(), f)
+    Path(f + ".meta.json").write_text('{"capacity": NaN}')
+    with pytest.raises(ValueError, match=r"paths\.csv\.meta\.json: 'capacity' must be a finite number, not nan"):
+        load_paths(f)
+
+
+@pytest.mark.parametrize("capacity", [0.0, -K, float("inf"), float("nan")])
+def test_path_set_refuses_a_capacity_that_is_not_positive_and_finite(capacity):
+    ps = PathSet(TimeGrid(0.0, 1.0, 2), np.array([[0.0, 1.0]]), "Y", capacity)
+    with pytest.raises(ValueError, match="capacity must be positive and finite"):
+        ps.validate()
+
+
 def test_load_paths_reports_line_numbers(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("t,path_1\n0.0,20.0\n0.1,oops\n")
@@ -442,17 +465,18 @@ def test_cumulate_normalize_frozen_values():
     assert np.allclose(ps.values[0], [0.02, 0.05, 0.10])
     assert ps.space == "X"
     assert ps.grid.t0 == 0.0 and ps.grid.delta == 1.0 and ps.grid.n == 3
-    assert ps.meta["clip_count"] == 0
     assert ps.meta["normalization"] == "per_location"
     assert np.all(np.diff(ps.values[0]) >= 0)
 
 
-def test_cumulate_normalize_capacity_error_and_clip():
+def test_cumulate_normalize_capacity_error_and_no_clip():
     with pytest.raises(ValueError, match="increase capacity"):
         cumulate_normalize(_table(), 0.05)
     ps = cumulate_normalize(_table(counts=(2.0, 3.0, 20.0 - 1e-8)), 0.25)
-    assert ps.meta["clip_count"] == 1  # last value, within CLIP_EPS*K of K, pulled inside
-    assert ps.values[0, -1] == (1.0 - CLIP_EPS) * 0.25
+    # the last value lies within CLIP_EPS*K of K; only the transform clips it
+    assert ps.values[0, -1] == np.cumsum([2.0, 3.0, 20.0 - 1e-8])[-1] / 100.0
+    assert ps.values[0, -1] > (1.0 - CLIP_EPS) * 0.25
+    assert "clip_count" not in ps.meta
 
 
 def test_cumulate_normalize_refuses_zero_first_counts():
@@ -487,7 +511,6 @@ def test_cumulate_normalize_refuses_tiny_first_values():
     lo = CLIP_EPS * 10.0
     ps = cumulate_normalize(_table(counts=(lo, 3.0, 5.0), pop=1.0), 10.0)
     assert ps.values[0, 0] == lo
-    assert ps.meta["clip_count"] == 0
     with pytest.raises(ValueError, match=r"below 1e-09\*capacity at location\(s\) 'loc01';"):
         cumulate_normalize(_table(counts=(np.nextafter(lo, 0.0), 3.0, 5.0), pop=1.0), 10.0)
 

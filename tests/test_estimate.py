@@ -19,6 +19,7 @@ from sidiff import (
     simulate_exact,
     transform_paths,
 )
+from sidiff.estimate import CLIP_EPS
 
 K = 200.0
 PAIR = RatePair(constant(0.4), constant(0.1), K)
@@ -53,9 +54,10 @@ def test_transform_clips_boundary_values_and_counts():
     assert np.all(np.isfinite(y.values))
 
 
-def test_ingest_clip_count_survives_the_transform():
-    # a last value within CLIP_EPS*K of K is clipped on ingest; the transform
-    # sees the clipped value, inside its own clip band, and clips nothing more
+def test_transform_clips_what_ingest_leaves_near_capacity():
+    # a last value within CLIP_EPS*K of K passes ingest as it is; the
+    # transform clips and counts it, and the fit equals the fit of a copy
+    # clipped beforehand
     rng = np.random.default_rng(5)
     counts = {"a": rng.poisson(3.0, 12).astype(float), "b": rng.poisson(3.0, 12).astype(float)}
     counts["a"][0] = 2.0
@@ -63,22 +65,25 @@ def test_ingest_clip_count_survives_the_transform():
     counts["b"][0] = 4.0
     table = RawSeriesTable(np.arange(12.0), counts, {"a": 1000.0, "b": 1000.0})
     paths = cumulate_normalize(table, 0.25)
-    assert paths.meta["clip_count"] == 1
-    ypaths = transform_paths(paths)
-    assert ypaths.meta["ingest_clip_count"] == 1
-    assert ypaths.meta["clip_count"] == 0
-    diag = estimate_pipeline(paths).diagnostics
-    assert diag["ingest_clip_count"] == 1
-    assert diag["transform_clip_count"] == 0
-    assert diag["clip_count"] == 1
+    assert paths.values[0, -1] == np.cumsum(counts["a"])[-1] / 1000.0
+    assert paths.values[0, -1] > (1.0 - CLIP_EPS) * 0.25
+    assert "clip_count" not in paths.meta
+    clipped = PathSet(paths.grid, np.minimum(paths.values, (1.0 - CLIP_EPS) * 0.25), "X", 0.25)
+    est, est_clipped = estimate_pipeline(paths), estimate_pipeline(clipped)
+    assert est.diagnostics["clip_count"] == 1
+    assert est_clipped.diagnostics["clip_count"] == 0
+    times = paths.grid.times
+    assert np.array_equal(est.lambda_hat(times), est_clipped.lambda_hat(times))
+    assert np.array_equal(est.sigma2_hat_raw(times), est_clipped.sigma2_hat_raw(times))
+    assert est.mle == est_clipped.mle
 
 
-def test_transform_clip_count_adds_to_the_ingest_count():
+def test_transform_clip_count_replaces_the_input_count():
     grid = TimeGrid(0.0, 1.0, 4)
     values = np.array([[20.0, 100.0, K, 150.0], [30.0, 60.0, 90.0, 120.0]])
     ps = PathSet(grid, values, "X", K, meta={"clip_count": 2})
-    diag = estimate_pipeline(ps, with_mle=False).diagnostics
-    assert (diag["ingest_clip_count"], diag["transform_clip_count"], diag["clip_count"]) == (2, 1, 3)
+    assert transform_paths(ps).meta["clip_count"] == 1
+    assert estimate_pipeline(ps, with_mle=False).diagnostics["clip_count"] == 1
 
 
 def test_transform_rejects_values_outside_interval():
@@ -187,14 +192,8 @@ def test_pipeline_diagnostics_shape():
     ps = simulate_exact(PAIR, 20.0, TimeGrid(0.0, 0.1, 101), 30, 11)
     est = estimate_pipeline(ps, stride=5)
     diag = est.diagnostics
-    assert set(diag) == {
-        "clip_count",
-        "ingest_clip_count",
-        "transform_clip_count",
-        "negative_noise_fraction",
-        "low_confidence_boundary",
-    }
-    assert diag["clip_count"] == diag["ingest_clip_count"] + diag["transform_clip_count"] == 0
+    assert set(diag) == {"clip_count", "negative_noise_fraction", "low_confidence_boundary"}
+    assert diag["clip_count"] == 0
     assert 0.0 <= diag["negative_noise_fraction"] <= 1.0
     assert isinstance(diag["low_confidence_boundary"], bool)
     assert est.sigma2_hat_floored(5.0) >= 0.0
