@@ -16,6 +16,7 @@ import sys
 from ._version import __version__
 from .dataio import (
     SUGGEST_K_FACTOR,
+    TIME_UNITS,
     AnalysisConfig,
     analyze_series,
     load_csv,
@@ -30,13 +31,16 @@ from .dataio import (
 )
 from .estimate import estimate_pipeline
 from .experiments import (
+    BAND_MIN_REPLICATES,
+    KDE_MIN_VALUES,
+    SIMULATORS,
     case_config,
     homogeneous_error_rows,
     run_experiment,
     table1_config,
 )
 from .rates import _finite_number, pair_from_dict
-from .simulate import TimeGrid, simulate_em, simulate_exact
+from .simulate import DRIFT_CORRECTIONS, TimeGrid, simulate_em, simulate_exact
 
 __all__ = ["main", "build_parser"]
 
@@ -81,14 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.add_argument(
         "--simulator",
-        choices=("exact", "em"),
+        choices=SIMULATORS,
         default="exact",
         help="exact transition sampling or Euler-Maruyama (default exact)",
     )
     p_sim.add_argument("--refine", type=int, default=1, help="Euler-Maruyama substeps per observation step")
     p_sim.add_argument(
         "--drift-correction",
-        choices=("state", "constant"),
+        choices=DRIFT_CORRECTIONS,
         default="state",
         help="Ito correction used by the Euler-Maruyama drift",
     )
@@ -116,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--stride", type=int, default=1, help="moment-knot thinning (default 1)")
     p_ana.add_argument(
         "--time-unit",
-        choices=("index", "calendar"),
+        choices=TIME_UNITS,
         default="index",
         help="report rates per observation interval (index) or per time-column unit",
     )
@@ -130,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         nargs=2,
         metavar=("T_LO", "T_HI"),
-        help="restrict to observation times inside [T_LO, T_HI]",
+        help="keep the cumulated paths at observation times inside [T_LO, T_HI]",
     )
     p_ana.add_argument(
         "--suggest-K",
@@ -201,9 +205,12 @@ def _experiment_configs(cfg: dict, seed_override: int | None):
         shared["grid"] = TimeGrid.from_span(*(_number(cfg.get(key, 0.0), key, float) for key in ("t0", "T", "delta")))
     rows = cfg.get("rows", [])
     cases = cfg.get("cases", [])
-    for key, value in (("rows", rows), ("cases", cases)):
+    # too few replicates is refused before any run: rows end in kernel densities, cases in bands
+    for key, value, least in (("rows", rows, KDE_MIN_VALUES), ("cases", cases, BAND_MIN_REPLICATES)):
         if not isinstance(value, list):
             raise ValueError(f"experiment config key {key!r} must be a list, not {type(value).__name__}")
+        if value and shared["replicates"] < least:
+            raise ValueError(f"config key 'replicates' must be at least {least} for {key}")
     if not rows and not cases:
         raise ValueError("experiment config needs a nonempty 'rows' or 'cases' entry")
     for row in rows:

@@ -43,7 +43,6 @@ __all__ = [
     "write_kde",
     "load_csv",
     "save_raw_series",
-    "restrict_window",
     "cumulate_normalize",
     "suggest_K",
     "analyze_series",
@@ -346,17 +345,19 @@ def write_kde(reports: list[ExperimentReport], path: str, *, seed: int) -> None:
 
 @dataclass
 class RawSeriesTable:
-    """Incident counts per location on a common time column.
+    """Incident counts of several locations on a common time column.
 
-    counts maps location name to the incident (per-interval, not
-    cumulative) series; populations maps location name to its
-    population size.  Times must be finite and strictly increasing,
-    counts nonnegative, populations positive.
+    times: (times,) finite, strictly increasing observation times.
+    locations: the location names, unique and nonempty.
+    counts: (locations, times) incident (per-interval, not cumulative)
+    counts, finite and >= 0; row i belongs to locations[i].
+    populations: (locations,) population sizes, positive and finite.
     """
 
     times: np.ndarray
-    counts: dict[str, np.ndarray]
-    populations: dict[str, float]
+    locations: tuple[str, ...]
+    counts: np.ndarray
+    populations: np.ndarray
 
     def validate(self) -> None:
         if self.times.ndim != 1 or self.times.size < 2:
@@ -365,22 +366,24 @@ class RawSeriesTable:
             raise ValueError("observation times must be finite")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("observation times must be strictly increasing")
-        if not self.counts:
+        if not self.locations:
             raise ValueError("need at least one location")
-        for name, series in self.counts.items():
-            if series.shape != self.times.shape:
-                raise ValueError(f"location {name!r}: column length mismatch")
-            if np.any(series < 0.0) or not np.all(np.isfinite(series)):
-                raise ValueError(f"location {name!r}: counts must be finite and >= 0")
-            pop = self.populations.get(name)
-            if pop is None:
-                raise ValueError(f"location {name!r}: no population entry")
-            if not (math.isfinite(pop) and pop > 0.0):
-                raise ValueError(f"location {name!r}: population must be positive and finite")
-
-    @property
-    def locations(self) -> tuple[str, ...]:
-        return tuple(self.counts.keys())
+        if len(set(self.locations)) != len(self.locations) or not all(self.locations):
+            raise ValueError("location names must be unique and nonempty")
+        shape = (len(self.locations), self.times.size)
+        if self.counts.shape != shape or self.populations.shape != shape[:1]:
+            raise ValueError(
+                f"counts must be {shape} and populations {shape[:1]} (locations x times), "
+                f"not {self.counts.shape} and {self.populations.shape}"
+            )
+        counts_ok = (np.isfinite(self.counts) & (self.counts >= 0.0)).all(axis=1)
+        populations_ok = np.isfinite(self.populations) & (self.populations > 0.0)
+        for ok, problem in (
+            (counts_ok, "counts must be finite and >= 0"),
+            (populations_ok, "population must be positive and finite"),
+        ):
+            if not ok.all():
+                raise ValueError(f"location {self.locations[int(np.argmin(ok))]!r}: {problem}")
 
 
 def load_csv(counts_path: str, populations_path: str) -> RawSeriesTable:
@@ -395,8 +398,8 @@ def load_csv(counts_path: str, populations_path: str) -> RawSeriesTable:
     location names and missing populations are refused naming the file.
     """
     header, lines, cells = _read_table(counts_path, "time")
-    names = header[1:]
-    if len(set(names)) != len(names) or any(not n for n in names):
+    names = tuple(header[1:])
+    if len(set(names)) != len(names) or not all(names):
         raise ValueError(f"{counts_path}: location names must be unique and nonempty")
     columns = cells.T.copy()
     times, counts = columns[0], columns[1:]
@@ -440,11 +443,7 @@ def load_csv(counts_path: str, populations_path: str) -> RawSeriesTable:
     missing = [n for n in names if n not in populations]
     if missing:
         raise ValueError(f"{populations_path}: missing population for locations {missing}")
-    table = RawSeriesTable(
-        times=times,
-        counts=dict(zip(names, counts)),
-        populations={name: populations[name] for name in names},
-    )
+    table = RawSeriesTable(times, names, counts, np.array([populations[n] for n in names]))
     table.validate()
     return table
 
@@ -452,29 +451,8 @@ def load_csv(counts_path: str, populations_path: str) -> RawSeriesTable:
 def save_raw_series(table: RawSeriesTable, counts_path: str, populations_path: str) -> None:
     """Write a raw series table in the two-file format load_csv reads."""
     table.validate()
-    names = list(table.locations)
-    _write_csv(counts_path, ["time", *names], [table.times, *(table.counts[name] for name in names)])
-    populations = np.array([table.populations[name] for name in names])
-    _write_csv(populations_path, ["location", "population"], [names, populations])
-
-
-def restrict_window(table: RawSeriesTable, t_lo: float, t_hi: float) -> RawSeriesTable:
-    """Sub-table with observation times inside [t_lo, t_hi].
-
-    The counts before t_lo are added to the first kept row, so the
-    cumulated paths start at the prevalence reached by the window start,
-    not at zero.  They are summed in cumsum's order, so a windowed path
-    is the slice of the whole path bit for bit.
-    """
-    mask = (table.times >= t_lo) & (table.times <= t_hi)
-    if int(mask.sum()) < 2:
-        raise ValueError("time window keeps fewer than two observations")
-    first = int(np.argmax(mask))
-    counts = {}
-    for name, series in table.counts.items():
-        counts[name] = series[mask]
-        counts[name][0] = np.cumsum(series[: first + 1])[-1]
-    return RawSeriesTable(times=table.times[mask], counts=counts, populations=dict(table.populations))
+    _write_csv(counts_path, ["time", *table.locations], [table.times, *table.counts])
+    _write_csv(populations_path, ["location", "population"], [list(table.locations), table.populations])
 
 
 def cumulate_normalize(
@@ -483,6 +461,7 @@ def cumulate_normalize(
     *,
     time_unit: str = "index",
     global_population: bool = False,
+    window: tuple[float, float] | None = None,
 ) -> PathSet:
     """Cumulative normalized prevalence paths, one per location.
 
@@ -490,22 +469,23 @@ def cumulate_normalize(
     its population (or by the largest population of the table with
     global_population=True).  The resulting nondecreasing fractions are
     treated as d sample paths of one common process on (0, capacity).
-    Nothing is clipped here: a value within CLIP_EPS*K of K is returned
-    as it is, and estimate.transform_paths clips and counts it.  A
-    normalized value at or above capacity means the capacity is set too
-    small; that is an error, not a clip.
+    window=(t_lo, t_hi) keeps the columns at times inside [t_lo, t_hi],
+    a slice of the whole paths.  Nothing is clipped here: a value within
+    CLIP_EPS*K of K is returned as it is, and estimate.transform_paths
+    clips and counts it.  A kept value at or above capacity means the
+    capacity is set too small; that is an error, not a clip.
 
-    A location whose first normalized value is below CLIP_EPS*K, zero
+    A location whose first kept value is below CLIP_EPS*K, zero
     included, is refused (ValueError naming every such location): each
     path is measured against its first value, and a start clipped up to
     CLIP_EPS*K would put a jump of up to ln(1/CLIP_EPS) ≈ 20 into that
-    path and skew every estimate.  After restrict_window the first count
+    path and skew every estimate.  With a window the first kept value
     holds every case up to the window start, so only a location with
     (almost) no cases by then is refused.  Drop the location, or start
     the time window where it has cases.
 
-    time_unit "index" numbers observations 0, 1, 2, ...; "calendar"
-    keeps the table's own time column (which must be uniformly spaced).
+    time_unit "index" numbers the kept columns 0, 1, 2, ...; "calendar"
+    keeps the table's own times (which must be uniformly spaced).
     Rates are in units of one over the chosen time unit.
     """
     table.validate()
@@ -513,11 +493,16 @@ def cumulate_normalize(
         raise ValueError(f"time_unit must be one of {TIME_UNITS}")
     if not capacity > 0.0:
         raise ValueError("capacity must be positive")
-    global_pop = max(table.populations.values())
-    values = np.empty((len(table.counts), table.times.size))
-    for i, name in enumerate(table.locations):
-        divisor = global_pop if global_population else table.populations[name]
-        values[i] = np.cumsum(table.counts[name]) / divisor
+    divisor = table.populations.max() if global_population else table.populations[:, None]
+    times, values = table.times, np.cumsum(table.counts, axis=1) / divisor
+    if window is not None:
+        keep = (times >= window[0]) & (times <= window[1])
+        if np.count_nonzero(keep) < 2:
+            raise ValueError("time window keeps fewer than two observations")
+        # a boolean column index returns Fortran order, in which numpy sums
+        # the moments in another order; C order keeps a windowed estimate
+        # bit for bit that of the whole path's slice
+        times, values = times[keep], np.ascontiguousarray(values[:, keep])
     lo = CLIP_EPS * capacity
     start = values[:, 0]
     refused = {
@@ -525,7 +510,7 @@ def cumulate_normalize(
         f"first normalized value is below {CLIP_EPS:g}*capacity": (start > 0.0) & (start < lo),
     }
     message = "".join(
-        f"{what} at location(s) {', '.join(repr(n) for n, hit in zip(table.locations, mask) if hit)}; "
+        f"{what} at location(s) {', '.join(repr(table.locations[i]) for i in np.flatnonzero(mask))}; "
         for what, mask in refused.items()
         if mask.any()
     )
@@ -539,12 +524,8 @@ def cumulate_normalize(
             f"normalized value {worst:.6g} reaches capacity {capacity:.6g}; increase capacity"
         )
 
-    if time_unit == "index":
-        grid = TimeGrid(t0=0.0, delta=1.0, n=int(table.times.size))
-    else:
-        grid = _grid_from_times(table.times)
     ps = PathSet(
-        grid=grid,
+        grid=TimeGrid(0.0, 1.0, int(times.size)) if time_unit == "index" else _grid_from_times(times),
         values=values,
         space="X",
         capacity=float(capacity),
@@ -600,13 +581,12 @@ def analyze_series(table: RawSeriesTable, config: AnalysisConfig):
     Returns (paths, estimate): the normalized prevalence paths and the
     intensity fit, including the homogeneous baseline.
     """
-    if config.time_window is not None:
-        table = restrict_window(table, *config.time_window)
     paths = cumulate_normalize(
         table,
         config.capacity,
         time_unit=config.time_unit,
         global_population=config.global_population,
+        window=config.time_window,
     )
     estimate = estimate_pipeline(paths, stride=config.stride, with_mle=True)
     return paths, estimate

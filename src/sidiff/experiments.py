@@ -54,6 +54,8 @@ EM_REFINE = 1
 
 MRE_MIN_TRUTH_DEFAULT = 0.05
 KDE_GRID_POINTS = 4096
+KDE_MIN_VALUES = 10  # kde's minimum; boxplot_stats needs only 5
+BAND_MIN_REPLICATES = 2  # pointwise_band's minimum
 KDE_CHUNK = 512
 
 # path values of one chunk: three 50 x 5001 replicates; larger
@@ -296,8 +298,8 @@ def pointwise_band(curves: np.ndarray, unbiased: bool = False):
     switches to N-1.
     """
     curves = np.asarray(curves, dtype=float)
-    if curves.ndim != 2 or curves.shape[0] < 2:
-        raise ValueError("need a (replicates, grid) array with at least 2 replicates")
+    if curves.ndim != 2 or curves.shape[0] < BAND_MIN_REPLICATES:
+        raise ValueError(f"need a (replicates, grid) array with at least {BAND_MIN_REPLICATES} replicates")
     mean = curves.mean(axis=0)
     sd = curves.std(axis=0, ddof=1 if unbiased else 0)
     return mean, sd, mean - sd, mean + sd
@@ -349,8 +351,8 @@ def kde(values) -> tuple[np.ndarray, np.ndarray, float]:
     """
     values = np.asarray(values, dtype=float)
     n = values.size
-    if n < 10:
-        raise ValueError("kernel density needs at least 10 values")
+    if n < KDE_MIN_VALUES:
+        raise ValueError(f"kernel density needs at least {KDE_MIN_VALUES} values")
     sd = values.std(ddof=1)
     iqr = float(np.subtract(*np.percentile(values, [75.0, 25.0])))
     bw = 0.9 * min(sd, iqr / 1.34) * n ** (-0.2)

@@ -251,9 +251,7 @@ def transition_cdf(law: TransitionLaw, x, t: float):
 
 def conditional_median(law: TransitionLaw, t: float) -> float:
     """Median of X(t) given X(t0) = x0: the noise-free solution."""
-    if t < law.t0:
-        raise ValueError("t must be >= t0")
-    return y_to_x(integrate(law.rates.transmission, law.t0, t), law.x0, law.rates.capacity)
+    return deterministic_solution(law.rates.capacity, law.x0, law.rates.transmission, law.t0, t)
 
 
 def conditional_moment(law: TransitionLaw, m: int, t: float) -> float:

@@ -52,21 +52,14 @@ def measles_like_table(
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(999,)))
     populations = rng.integers(50_000, 500_000, size=n_locations)
 
-    counts: dict[str, np.ndarray] = {}
-    pops: dict[str, float] = {}
-    for i in range(n_locations):
-        name = f"loc{i + 1:02d}"
-        # incident cases: rounded person-count increments; the diffusion
-        # can dip locally but a count series cannot, so negatives floor
-        # at zero the way surveillance data would record them
-        inc = np.round(np.diff(paths.values[i]) * populations[i])
-        first = np.round(paths.values[i, 0] * populations[i])
-        counts[name] = np.concatenate([[first], np.maximum(inc, 0.0)])
-        pops[name] = float(populations[i])
-    table = RawSeriesTable(
+    # incident cases: rounded person-count increments (the first one is
+    # the start); the diffusion can dip locally but a count series
+    # cannot, so negatives floor at zero the way surveillance data would
+    # record them
+    cases = np.round(np.diff(paths.values, axis=1, prepend=0.0) * populations[:, None])
+    return RawSeriesTable(
         times=grid.times.copy(),
-        counts=counts,
-        populations=pops,
+        locations=tuple(f"loc{i + 1:02d}" for i in range(n_locations)),
+        counts=np.maximum(cases, 0.0),
+        populations=populations.astype(float),
     )
-    table.validate()
-    return table

@@ -9,7 +9,7 @@ import pytest
 from sidiff import RawSeriesTable, load_paths
 from sidiff.cli import _experiment_configs, main
 from sidiff.dataio import save_raw_series
-from sidiff.experiments import case_config, run_experiment, table1_config
+from sidiff.experiments import BAND_MIN_REPLICATES, KDE_MIN_VALUES, case_config, run_experiment, table1_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SEED = 20260819
@@ -29,11 +29,9 @@ def _raw_series_files(tmp_path):
     rng = np.random.default_rng(21)
     table = RawSeriesTable(
         times=np.arange(30.0),
-        counts={
-            "a": rng.poisson(3.0, 30).astype(float),
-            "b": rng.poisson(2.0, 30).astype(float),
-        },
-        populations={"a": 4000.0, "b": 6000.0},
+        locations=("a", "b"),
+        counts=np.array([rng.poisson(3.0, 30), rng.poisson(2.0, 30)], dtype=float),
+        populations=np.array([4000.0, 6000.0]),
     )
     cf, pf = str(tmp_path / "counts.csv"), str(tmp_path / "pops.csv")
     save_raw_series(table, cf, pf)
@@ -369,6 +367,21 @@ def test_experiment_refuses_integers_beyond_the_float_range(tmp_path, capsys, ed
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("kind, least", [("rows", KDE_MIN_VALUES), ("cases", BAND_MIN_REPLICATES)])
+def test_experiment_refuses_too_few_replicates_before_any_run(tmp_path, capsys, kind, least):
+    # rows end in kernel densities and cases in pointwise bands; too few
+    # replicates must be refused before the runs, not by those at the end
+    other = "cases" if kind == "rows" else "rows"
+    payload = {key: value for key, value in EXPERIMENT_CFG.items() if key != other}
+    cfg = _write_json(tmp_path / "exp.json", {**payload, "replicates": least - 1})
+    out_dir = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"data error: config key 'replicates' must be at least {least} for {kind}" in err
+    assert not out_dir.exists()
+    _experiment_configs({**payload, "replicates": least}, None)  # the minimum itself is accepted
+
+
 def test_experiment_prints_clip_clamp_and_saturation_totals(tmp_path, capsys):
     # a fast-growing Euler-Maruyama row hits the clamp and saturates by
     # T = 5; exact case a draws in the Gaussian coordinate and clips nothing
@@ -434,8 +447,9 @@ def test_analyze_reports_clipped_cells(tmp_path, capsys):
     # ingest leaves it as it is and the transform clips and counts it
     table = RawSeriesTable(
         times=np.arange(30.0),
-        counts={"a": np.r_[np.full(29, 3.0), 313.0 - 1e-7], "b": np.full(30, 2.0)},
-        populations={"a": 4000.0, "b": 6000.0},
+        locations=("a", "b"),
+        counts=np.array([np.r_[np.full(29, 3.0), 313.0 - 1e-7], np.full(30, 2.0)]),
+        populations=np.array([4000.0, 6000.0]),
     )
     cf, pf = str(tmp_path / "counts.csv"), str(tmp_path / "pops.csv")
     save_raw_series(table, cf, pf)
@@ -460,9 +474,9 @@ def test_analyze_with_window(tmp_path):
 
 def test_analyze_refuses_zero_first_counts(tmp_path, capsys):
     rng = np.random.default_rng(3)
-    counts = {f"loc{i}": rng.poisson(3.0, 60).astype(float) for i in range(5)}
-    counts["loc1"][0] = counts["loc3"][0] = 0.0
-    table = RawSeriesTable(np.arange(60.0), counts, {name: 1000.0 for name in counts})
+    counts = np.array([rng.poisson(3.0, 60) for _ in range(5)], dtype=float)
+    counts[1, 0] = counts[3, 0] = 0.0
+    table = RawSeriesTable(np.arange(60.0), tuple(f"loc{i}" for i in range(5)), counts, np.full(5, 1000.0))
     cf, pf = str(tmp_path / "counts.csv"), str(tmp_path / "pops.csv")
     save_raw_series(table, cf, pf)
     out = tmp_path / "est.csv"

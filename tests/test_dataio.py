@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import hashlib
 import json
@@ -28,7 +29,6 @@ from sidiff import (
     load_csv,
     load_paths,
     metadata_line,
-    restrict_window,
     run_experiment,
     save_estimate,
     save_paths,
@@ -53,11 +53,17 @@ def _small_run(seed=7):
 
 
 def _table(times=(0.0, 1.0, 2.0), counts=(2.0, 3.0, 5.0), pop=100.0):
-    arr = np.asarray(counts, dtype=float)
+    return _table_of(times, {"loc01": counts}, {"loc01": pop})
+
+
+def _table_of(times, counts, populations):
+    """A count table from {location: counts} and {location: population}."""
+    names = tuple(counts)
     return RawSeriesTable(
         times=np.asarray(times, dtype=float),
-        counts={"loc01": arr},
-        populations={"loc01": pop},
+        locations=names,
+        counts=np.array([counts[name] for name in names], dtype=float),
+        populations=np.array([populations[name] for name in names], dtype=float),
     )
 
 
@@ -221,7 +227,7 @@ def _write_every_file_kind(d):
     write_boxplot([row], str(d / "boxplot.csv"), seed=7)
     write_kde([row], str(d / "kde.csv"), seed=7)
 
-    table = RawSeriesTable(
+    table = _table_of(
         times=np.array([0.0, 1.0, 2.0, 3.0]),
         counts={"east": np.array([1.0, 0.0, 2.5, 4.0]), "west": np.array([3.0, 3.0, 1.0, 0.1])},
         populations={"east": 1000.0, "west": 2500.5},
@@ -331,7 +337,7 @@ def test_report_writers_deterministic(tmp_path):
 
 
 def test_load_csv_round_trip(tmp_path):
-    table = RawSeriesTable(
+    table = _table_of(
         times=np.array([0.0, 1.0, 2.0, 3.0]),
         counts={
             "east": np.array([1.0, 0.0, 2.0, 4.0]),
@@ -344,8 +350,8 @@ def test_load_csv_round_trip(tmp_path):
     back = load_csv(cf, pf)
     assert back.locations == ("east", "west")
     assert np.array_equal(back.times, table.times)
-    assert np.array_equal(back.counts["west"], table.counts["west"])
-    assert back.populations == table.populations
+    assert np.array_equal(back.counts[1], table.counts[1])
+    assert np.array_equal(back.populations, table.populations)
 
 
 def test_load_csv_error_positions(tmp_path):
@@ -394,7 +400,7 @@ def test_non_finite_times_are_refused(tmp_path):
         cf.write_text("time,a\n" + rows)
         with pytest.raises(ValueError, match=rf"t{i}\.csv:{lineno}: time {cell} is not finite"):
             load_csv(str(cf), str(pf))
-    table = RawSeriesTable(np.array([0.0, np.nan, 2.0]), {"a": np.ones(3)}, {"a": 100.0})
+    table = _table_of(np.array([0.0, np.nan, 2.0]), {"a": np.ones(3)}, {"a": 100.0})
     with pytest.raises(ValueError, match="observation times must be finite"):
         table.validate()
 
@@ -457,6 +463,41 @@ def test_load_csv_skips_comments_and_blanks(tmp_path):
     assert table.times.size == 2
 
 
+def _two_locations(**fields):
+    table = RawSeriesTable(
+        times=np.array([0.0, 1.0, 2.0]),
+        locations=("a", "b"),
+        counts=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        populations=np.array([100.0, 200.0]),
+    )
+    return dataclasses.replace(table, **fields)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"counts": np.ones((2, 4))}, r"counts must be \(2, 3\) and populations \(2,\)"),
+        ({"counts": np.ones(3)}, r"counts must be \(2, 3\)"),
+        ({"populations": np.array([100.0, 200.0, 300.0])}, r"populations \(2,\) .*not \(2, 3\) and \(3,\)"),
+        ({"locations": ("a", "a")}, "location names must be unique and nonempty"),
+        ({"locations": ("a", "")}, "location names must be unique and nonempty"),
+        ({"locations": ()}, "need at least one location"),
+        ({"counts": np.array([[1.0, 2.0, 3.0], [4.0, -5.0, 6.0]])}, "location 'b': counts must be finite and >= 0"),
+        ({"counts": np.array([[1.0, 2.0, np.nan], [4.0, 5.0, 6.0]])}, "location 'a': counts must be finite and >= 0"),
+        ({"counts": np.array([[1.0, 2.0, 3.0], [np.inf, 5.0, 6.0]])}, "location 'b': counts must be finite and >= 0"),
+        ({"counts": np.array([[-1.0, 2.0, 3.0], [np.inf, 5.0, 6.0]])}, "location 'a': counts must be finite and >= 0"),
+        ({"populations": np.array([100.0, 0.0])}, "location 'b': population must be positive and finite"),
+        ({"populations": np.array([-1.0, 200.0])}, "location 'a': population must be positive and finite"),
+        ({"populations": np.array([100.0, np.nan])}, "location 'b': population must be positive and finite"),
+        ({"populations": np.array([np.inf, 200.0])}, "location 'a': population must be positive and finite"),
+    ],
+)
+def test_raw_series_table_validation_names_the_bad_field(fields, message):
+    _two_locations().validate()
+    with pytest.raises(ValueError, match=message):
+        _two_locations(**fields).validate()
+
+
 # --------------------------------------------------------------- preprocessing
 
 
@@ -485,9 +526,9 @@ def test_cumulate_normalize_refuses_zero_first_counts():
     # here the MLE went from (0.072, 0.011) to (0.126, 0.881)
     rng = np.random.default_rng(2)
     counts = {f"loc{i}": rng.poisson(3.0, 60).astype(float) for i in range(5)}
-    table = RawSeriesTable(np.arange(60.0), counts, {name: 1000.0 for name in counts})
+    table = _table_of(np.arange(60.0), counts, {name: 1000.0 for name in counts})
     assert estimate_pipeline(cumulate_normalize(table, 0.5)).mle[1] < 0.05
-    counts["loc2"][0] = 0.0
+    table.counts[2, 0] = 0.0
     with pytest.raises(ValueError, match=r"first count is 0 at location\(s\) 'loc2';"):
         cumulate_normalize(table, 0.5)
 
@@ -500,7 +541,7 @@ def test_cumulate_normalize_refuses_tiny_first_values():
     counts["loc1"][0] = 0.0
     counts["loc2"][0] = 1e-7
     counts["loc4"][0] = 1e-8
-    table = RawSeriesTable(np.arange(60.0), counts, {name: 1000.0 for name in counts})
+    table = _table_of(np.arange(60.0), counts, {name: 1000.0 for name in counts})
     with pytest.raises(
         ValueError,
         match=r"first count is 0 at location\(s\) 'loc1'; "
@@ -523,7 +564,7 @@ def test_cumulate_normalize_refuses_tiny_first_values():
 )
 def test_zero_first_count_is_refused_exactly_when_present(rows):
     counts = {f"loc{i}": np.asarray(r, dtype=float) for i, r in enumerate(rows)}
-    table = RawSeriesTable(np.arange(float(len(rows[0]))), counts, {n: 1e4 for n in counts})
+    table = _table_of(np.arange(float(len(rows[0]))), counts, {n: 1e4 for n in counts})
     zero_start = [n for n, c in counts.items() if c[0] == 0.0]
     if zero_start:
         with pytest.raises(ValueError) as err:
@@ -534,7 +575,7 @@ def test_zero_first_count_is_refused_exactly_when_present(rows):
 
 
 def test_cumulate_normalize_global_population():
-    table = RawSeriesTable(
+    table = _table_of(
         times=np.array([0.0, 1.0]),
         counts={"a": np.array([2.0, 2.0]), "b": np.array([2.0, 2.0])},
         populations={"a": 100.0, "b": 400.0},
@@ -560,25 +601,56 @@ def test_cumulate_normalize_time_units():
         cumulate_normalize(_table(), 0.25, time_unit="weeks")
 
 
-def test_restrict_window():
+def test_cumulate_normalize_window():
     table = _table(times=(0.0, 1.0, 2.0), counts=(2.0, 3.0, 5.0))
-    sub = restrict_window(table, 0.5, 2.5)
-    assert np.array_equal(sub.times, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        restrict_window(table, 10.0, 20.0)
+    sub = cumulate_normalize(table, 0.25, time_unit="calendar", window=(0.5, 2.5))
+    assert np.array_equal(sub.grid.times, [1.0, 2.0])
+    with pytest.raises(ValueError, match="fewer than two observations"):
+        cumulate_normalize(table, 0.25, window=(10.0, 20.0))
 
 
 def test_windowed_paths_keep_the_earlier_prevalence():
     counts = np.arange(2.0, 12.0)  # 2, 3, 4, 5, ... at times 0, 1, 2, ...
     table = _table(times=np.arange(10.0), counts=counts)
-    sub = restrict_window(table, 3.0, 5.0)
-    assert np.array_equal(sub.counts["loc01"], [14.0, 6.0, 7.0])
-    assert np.array_equal(table.counts["loc01"], counts)  # the input is left as it was
-    windowed = cumulate_normalize(sub, 1.0)
+    windowed = cumulate_normalize(table, 1.0, window=(3.0, 5.0))
+    assert np.array_equal(table.counts[0], counts)  # the input is left as it was
     assert windowed.values[0, 0] == pytest.approx(0.14, rel=1e-15)
     # the windowed path is the slice of the whole path, bit for bit
     whole = cumulate_normalize(table, 1.0)
     assert np.array_equal(windowed.values, whole.values[:, 3:6])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_locations=st.integers(2, 24),
+    n_times=st.integers(8, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_windowed_estimate_is_the_estimate_of_the_whole_paths_slice(n_locations, n_times, seed, data):
+    # a boolean column index returns Fortran order; numpy then sums the
+    # moments across locations in another order and the estimate's last
+    # bits move, so the window must hand the pipeline C-ordered values
+    lo = data.draw(st.integers(0, n_times - 6))
+    hi = data.draw(st.integers(lo + 5, n_times - 1))
+    rng = np.random.default_rng(seed)
+    table = RawSeriesTable(
+        times=np.arange(float(n_times)),
+        locations=tuple(f"loc{i}" for i in range(n_locations)),
+        counts=rng.poisson(3.0, (n_locations, n_times)) + 1.0,
+        populations=rng.integers(1000, 5000, n_locations).astype(float),
+    )
+    window = (lo - data.draw(st.floats(0.0, 0.9)), hi + data.draw(st.floats(0.0, 0.9)))
+    paths, est = analyze_series(table, AnalysisConfig(capacity=1.0, time_window=window))
+    whole = cumulate_normalize(table, 1.0)
+    sliced = PathSet(paths.grid, np.ascontiguousarray(whole.values[:, lo : hi + 1]), "X", 1.0)
+    expected = estimate_pipeline(sliced, stride=1, with_mle=True)
+    assert np.array_equal(paths.values, sliced.values)
+    times = paths.grid.times
+    assert np.array_equal(est.lambda_hat(times), expected.lambda_hat(times))
+    assert np.array_equal(est.sigma2_hat_raw(times), expected.sigma2_hat_raw(times))
+    assert est.mle == expected.mle
+    assert est.diagnostics == expected.diagnostics
 
 
 def test_suggest_capacity():
@@ -601,7 +673,7 @@ def test_analysis_config_validation():
 def test_analyze_series_end_to_end():
     rng = np.random.default_rng(8)
     times = np.arange(40.0)
-    table = RawSeriesTable(
+    table = _table_of(
         times=times,
         counts={
             "a": rng.poisson(3.0, 40).astype(float),
@@ -618,9 +690,9 @@ def test_analyze_series_end_to_end():
     # windowed path starts at that prevalence
     windowed, _ = analyze_series(table, AnalysisConfig(capacity=0.2, time_window=(5.0, 30.0)))
     assert windowed.values.shape[1] == 26
-    assert windowed.values[1, 0] == np.sum(table.counts["b"][:6]) / 4000.0 == 9.0 / 4000.0
+    assert windowed.values[1, 0] == np.sum(table.counts[1, :6]) / 4000.0 == 9.0 / 4000.0
     assert np.array_equal(windowed.values, paths.values[:, 5:31])
     # a location with no cases at all up to the window start is refused
-    table.counts["b"][:6] = 0.0
+    table.counts[1, :6] = 0.0
     with pytest.raises(ValueError, match="'b'"):
         analyze_series(table, AnalysisConfig(capacity=0.2, time_window=(5.0, 30.0)))

@@ -59,13 +59,13 @@ def test_transform_clips_what_ingest_leaves_near_capacity():
     # transform clips and counts it, and the fit equals the fit of a copy
     # clipped beforehand
     rng = np.random.default_rng(5)
-    counts = {"a": rng.poisson(3.0, 12).astype(float), "b": rng.poisson(3.0, 12).astype(float)}
-    counts["a"][0] = 2.0
-    counts["a"][-1] = 250.0 - 1e-7 - counts["a"][:-1].sum()
-    counts["b"][0] = 4.0
-    table = RawSeriesTable(np.arange(12.0), counts, {"a": 1000.0, "b": 1000.0})
+    counts = np.array([rng.poisson(3.0, 12), rng.poisson(3.0, 12)], dtype=float)
+    counts[0, 0] = 2.0
+    counts[0, -1] = 250.0 - 1e-7 - counts[0, :-1].sum()
+    counts[1, 0] = 4.0
+    table = RawSeriesTable(np.arange(12.0), ("a", "b"), counts, np.array([1000.0, 1000.0]))
     paths = cumulate_normalize(table, 0.25)
-    assert paths.values[0, -1] == np.cumsum(counts["a"])[-1] / 1000.0
+    assert paths.values[0, -1] == np.cumsum(counts[0])[-1] / 1000.0
     assert paths.values[0, -1] > (1.0 - CLIP_EPS) * 0.25
     assert "clip_count" not in paths.meta
     clipped = PathSet(paths.grid, np.minimum(paths.values, (1.0 - CLIP_EPS) * 0.25), "X", 0.25)

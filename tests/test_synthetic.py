@@ -17,12 +17,11 @@ def test_table_shape_and_validity():
     table.validate()
     assert len(table.locations) == N_LOCATIONS
     assert table.times.size == N_TIMES
-    for name in table.locations:
-        col = table.counts[name]
-        assert col.shape == (N_TIMES,)
-        assert np.all(col >= 0.0)
-        assert np.all(col == np.round(col))  # integer case counts
-        assert table.populations[name] > 0.0
+    assert table.counts.shape == (N_LOCATIONS, N_TIMES)
+    assert np.all(table.counts >= 0.0)
+    assert np.all(table.counts == np.round(table.counts))  # integer case counts
+    assert table.populations.shape == (N_LOCATIONS,)
+    assert np.all(table.populations > 0.0)
 
 
 def test_table_is_deterministic():
@@ -30,9 +29,8 @@ def test_table_is_deterministic():
     b = measles_like_table()
     assert a.locations == b.locations
     assert np.array_equal(a.times, b.times)
-    for name in a.locations:
-        assert np.array_equal(a.counts[name], b.counts[name])
-        assert a.populations[name] == b.populations[name]
+    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a.populations, b.populations)
 
 
 def test_rates_cover_the_observation_window():
