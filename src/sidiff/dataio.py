@@ -6,13 +6,23 @@ sidecars, and every CSV opens with one metadata comment line
 
     # config-hash=<12 hex> seed=<int> version=<semver>
 
-so a rerun can be checked byte for byte.  Writes are atomic
-(temp file in the target directory, then rename), so a crash never
-leaves a half-written file behind.
+so a rerun can be checked byte for byte.
+
+Writes go to a temp file in the target directory, .tmp_<random>.part,
+which is then renamed onto the target, so an exception or a process
+crash never leaves a partial file at the target.  An existing target is
+first renamed aside to .tmp_<random>.old (same <random>), and unlinked
+once the new file is in place: renaming onto a path that exists makes
+ext4 (auto_da_alloc) write the new data out to disk first.  A crash
+between the two renames leaves the target missing, the old content in
+the .old file and the new content in the .part file.  Nothing here calls
+fsync, so durability against power loss is what the filesystem gives a
+rename; nothing more is promised.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -54,17 +64,43 @@ SUGGEST_K_FACTOR = 1.05  # suggest_K's inflation of the largest observation
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to a temp file .tmp_<random>.part and rename it onto path.
+
+    An exception or a process crash never leaves a partial file at path.
+    An existing path is first renamed to .tmp_<random>.old and unlinked
+    after the rename in; if the rename in fails, the old file is renamed
+    back before the error is raised.  A crash between the two renames
+    leaves path missing, the old content in the .old file and the new in
+    the .part file.  No fsync is called, so durability against power loss
+    is what the filesystem gives a rename, the same as with a plain
+    replace.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    # refused as a replace would refuse it: the aside rename would move a directory
+    if os.path.isdir(path) and not os.path.islink(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
+    aside = tmp.removesuffix(".part") + ".old"
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.replace(tmp, path)
+        try:
+            os.rename(path, aside)
+        except FileNotFoundError:
+            aside = None
+        try:
+            os.rename(tmp, path)
+        except BaseException:
+            if aside is not None:
+                os.rename(aside, path)
+            raise
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    if aside is not None:
+        os.unlink(aside)
 
 
 def _write_csv(
@@ -112,15 +148,18 @@ def _grid_from_times(times: np.ndarray) -> TimeGrid:
     return TimeGrid(t0=float(times[0]), delta=delta, n=int(times.size))
 
 
-def _read_rows(path: str) -> list[tuple[int, list[str]]]:
-    """(1-based line number, fields) pairs; comments and blank lines skipped."""
-    rows = []
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """(1-based line number, stripped line) pairs; comments and blank lines skipped."""
     with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                rows.append((lineno, [f.strip() for f in stripped.split(",")]))
-    return rows
+        return [
+            (lineno, stripped)
+            for lineno, line in enumerate(handle, start=1)
+            if (stripped := line.strip()) and not stripped.startswith("#")
+        ]
+
+
+def _split(line: str) -> list[str]:
+    return [f.strip() for f in line.split(",")]
 
 
 def _read_table(path: str, first_column: str) -> tuple[list[str], list[int], np.ndarray]:
@@ -129,21 +168,38 @@ def _read_table(path: str, first_column: str) -> tuple[list[str], list[int], np.
     Refuses, naming path:line, a header not starting with first_column
     or of one field, a row of another width and a non-numeric cell.
     """
-    rows = _read_rows(path)
-    if len(rows) < 2:
+    lines = _read_lines(path)
+    if len(lines) < 2:
         raise ValueError(f"{path}: expected a header and at least one data row")
-    (header_line, header), data = rows[0], rows[1:]
+    header_line, header = lines[0][0], _split(lines[0][1])
+    data = lines[1:]
     if header[0] != first_column or len(header) < 2:
         raise ValueError(f"{path}:{header_line}: expected header {first_column},<column>,...")
-    cells = np.empty((len(data), len(header)))
-    for j, (lineno, fields) in enumerate(data):
-        if len(fields) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+    # np.loadtxt accepts a subset of what float() accepts, with the same
+    # values (it refuses 1_000 and full-width digits); what it refuses goes
+    # to the line parser, which loads the rest and words every error.
+    # comments=None keeps an inline '#' a non-numeric cell
+    try:
+        cells = np.loadtxt([text for _, text in data], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        cells = None
+    if cells is None or cells.shape[1] != len(header):
+        cells = _parse_cells(path, len(header), data)
+    return header, [lineno for lineno, _ in data], cells
+
+
+def _parse_cells(path: str, width: int, data: list[tuple[int, str]]) -> np.ndarray:
+    """The rows of data as floats, line by line; refuses naming path:line."""
+    cells = np.empty((len(data), width))
+    for j, (lineno, text) in enumerate(data):
+        fields = _split(text)
+        if len(fields) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
         try:
             cells[j] = [float(v) for v in fields]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
-    return header, [lineno for lineno, _ in data], cells
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +478,7 @@ def load_csv(counts_path: str, populations_path: str) -> RawSeriesTable:
         raise ValueError(f"{counts_path}:{lines[row]}: {problem} for {names[col]!r}")
 
     populations: dict[str, float] = {}
-    pop_rows = _read_rows(populations_path)
+    pop_rows = [(lineno, _split(text)) for lineno, text in _read_lines(populations_path)]
     if not pop_rows or pop_rows[0][1] != ["location", "population"]:
         raise ValueError(f"{populations_path}: expected header location,population")
     for lineno, fields in pop_rows[1:]:

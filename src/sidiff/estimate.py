@@ -118,7 +118,8 @@ def fit_moment_curves(
     nu_1 is identically zero, which pins the variance fit at the window
     start.  stride > 1 thins the knots to every stride-th point
     (endpoints always kept), trading resolution for smoothness of the
-    derivative.
+    derivative.  Each spline needs three knots, so the grid needs at
+    least four observations (nu has one knot fewer than mu).
     """
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError("stride must be an integer >= 1")
@@ -127,6 +128,8 @@ def fit_moment_curves(
     nu = np.asarray(nu, dtype=float)
     if mu.shape != times.shape or nu.shape != times.shape:
         raise ValueError("moment sequences must match the grid length")
+    if grid.n < 4:
+        raise ValueError(f"at least four observations are needed for the moment fit, got {grid.n}")
 
     idx = _thin_indices(grid.n, stride)
     idx_cov = _thin_indices(grid.n - 1, stride)

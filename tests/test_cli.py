@@ -10,6 +10,7 @@ from sidiff import RawSeriesTable, load_paths
 from sidiff.cli import _experiment_configs, main
 from sidiff.dataio import save_raw_series
 from sidiff.experiments import BAND_MIN_REPLICATES, KDE_MIN_VALUES, case_config, run_experiment, table1_config
+from sidiff.synthetic import measles_like_table
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SEED = 20260819
@@ -470,6 +471,16 @@ def test_analyze_with_window(tmp_path):
     assert rc == 0
     sidecar = json.loads(Path(out + ".meta.json").read_text())
     assert sidecar["n_times"] == 20
+
+
+def test_analyze_refuses_a_window_of_three_observations(tmp_path, capsys):
+    cf, pf = str(tmp_path / "counts.csv"), str(tmp_path / "pops.csv")
+    save_raw_series(measles_like_table(), cf, pf)
+    out = tmp_path / "est.csv"
+    rc = main(["analyze", "--in", cf, "--pop", pf, "--K", "0.25", "--window", "-5", "2", "--out", str(out)])
+    assert rc == 1
+    assert "at least four observations are needed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_refuses_zero_first_counts(tmp_path, capsys):

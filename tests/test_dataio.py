@@ -39,7 +39,7 @@ from sidiff import (
     write_kde,
     write_table1,
 )
-from sidiff.dataio import save_raw_series
+from sidiff.dataio import _atomic_write, _parse_cells, _read_lines, _read_table, _split, save_raw_series
 from sidiff.estimate import CLIP_EPS
 
 K = 200.0
@@ -265,6 +265,112 @@ def test_no_partial_files_left_behind(tmp_path):
     save_paths(ps, str(tmp_path / "out.csv"))
     assert glob.glob(str(tmp_path / "*.part")) == []
     assert glob.glob(str(tmp_path / ".tmp_*")) == []
+
+
+def test_atomic_write_overwrites_leaving_only_the_target(tmp_path):
+    target = tmp_path / "out.csv"
+    _atomic_write(str(target), "new name\n")
+    assert target.read_text() == "new name\n"
+    _atomic_write(str(target), "second\n")
+    assert target.read_text() == "second\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_atomic_write_keeps_the_old_bytes_when_the_rename_in_fails(tmp_path, monkeypatch):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    rename = os.rename
+
+    def failing_rename(src, dst):
+        if str(src).endswith(".part"):
+            raise OSError("rename refused")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", failing_rename)
+    with pytest.raises(OSError, match="rename refused"):
+        _atomic_write(str(target), "new\n")
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_atomic_write_refuses_a_directory_target(tmp_path):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "kept").write_text("x")
+    with pytest.raises(IsADirectoryError):
+        _atomic_write(str(tmp_path / "out"), "new\n")
+    assert os.listdir(tmp_path) == ["out"]
+    assert os.listdir(tmp_path / "out") == ["kept"]
+
+
+def _line_parser_result(path):
+    """_read_table's result as the line-numbered parser alone gives it."""
+    lines = _read_lines(path)
+    header = _split(lines[0][1])
+    return header, [lineno for lineno, _ in lines[1:]], _parse_cells(path, len(header), lines[1:])
+
+
+def _same_reading(path, first_column):
+    """_read_table and the line parser give bit-identical results or the same error."""
+    try:
+        expected = _line_parser_result(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _read_table(path, first_column)
+        assert str(got.value) == str(exc)
+        return None
+    header, lines, cells = _read_table(path, first_column)
+    assert (header, lines) == expected[:2]
+    assert cells.dtype == expected[2].dtype and cells.shape == expected[2].shape
+    assert cells.tobytes() == expected[2].tobytes()
+    return cells
+
+
+def _with_cell(row, cell):
+    """The row with its second field replaced by cell."""
+    fields = row.split(",")
+    return ",".join([fields[0], cell, *fields[2:]])
+
+
+@pytest.mark.parametrize(
+    "edit, loads",
+    [
+        (lambda row: _with_cell(row, "1.5#2"), False),
+        (lambda row: _with_cell(row, "1_000"), True),
+        (lambda row: row + ",", False),
+        (lambda row: row.rsplit(",", 1)[0], False),
+        (lambda row: "\n# mid-file comment\n" + row, True),
+    ],
+    ids=["inline-hash", "underscore-digits", "trailing-comma", "ragged-row", "blank-and-comment"],
+)
+def test_table_reader_matches_the_line_parser_on_edited_bundles(tmp_path, edit, loads):
+    f = tmp_path / "paths.csv"
+    save_paths(_small_run(), str(f))
+    rows = f.read_text().split("\n")
+    rows[4] = edit(rows[4])  # the third data row
+    f.write_text("\n".join(rows))
+    cells = _same_reading(str(f), "t")
+    assert (cells is not None) == loads
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="0123456789+-.eE_#naifINF \t\xa0\x1c\uff11,", max_size=8), min_size=1, max_size=6))
+def test_table_reader_matches_the_line_parser_on_any_cells(tmp_path_factory, cells):
+    f = tmp_path_factory.mktemp("cells") / "t.csv"
+    f.write_text("t,a\n0,1\n" + "\n".join(f"1,{cell}" for cell in cells) + "\n")
+    _same_reading(str(f), "t")
+
+
+def test_path_bundle_round_trip_is_bit_identical(tmp_path):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((3, 40)) * np.logspace(-300, 300, 40)
+    values[:, 0] = 0.0
+    values[1, 1:4] = (-0.0, 5e-324, np.nextafter(1.0, 2.0))
+    ps = PathSet(TimeGrid(0.0, 0.1, 40), values, "Y", K)
+    f = str(tmp_path / "paths.csv")
+    save_paths(ps, f)
+    back = load_paths(f)
+    assert back.values.tobytes() == ps.values.tobytes()
+    assert back.grid.times.tobytes() == ps.grid.times.tobytes()
 
 
 def test_config_hash_tracks_content():
