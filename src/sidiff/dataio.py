@@ -12,12 +12,20 @@ Writes go to a temp file in the target directory, .tmp_<random>.part,
 which is then renamed onto the target, so an exception or a process
 crash never leaves a partial file at the target.  An existing target is
 first renamed aside to .tmp_<random>.old (same <random>), and unlinked
-once the new file is in place: renaming onto a path that exists makes
-ext4 (auto_da_alloc) write the new data out to disk first.  A crash
-between the two renames leaves the target missing, the old content in
-the .old file and the new content in the .part file.  Nothing here calls
-fsync, so durability against power loss is what the filesystem gives a
-rename; nothing more is promised.
+once the new file is in place.  A crash between the two renames leaves
+the target missing, the old content in the .old file and the new
+content in the .part file.
+
+Nothing here calls fsync, and an OS crash or power loss is not covered.
+Renaming onto a path that exists makes ext4 (auto_da_alloc, its
+default) write the new data out before it commits the rename; the aside
+rename skips that write, and with it the ordering it gave.  So after an
+overwrite, until the kernel writes the data back (about 30 s with
+Linux's default writeback), an OS crash or power loss can leave the
+target empty or short with its old content gone, where a plain replace
+on ext4 leaves the old file or the new one.  A write to a new name is
+exposed either way.  Every file here is a deterministic function of its
+inputs, so rerunning the command that wrote it restores it.
 """
 
 from __future__ import annotations
@@ -71,9 +79,10 @@ def _atomic_write(path: str, text: str) -> None:
     after the rename in; if the rename in fails, the old file is renamed
     back before the error is raised.  A crash between the two renames
     leaves path missing, the old content in the .old file and the new in
-    the .part file.  No fsync is called, so durability against power loss
-    is what the filesystem gives a rename, the same as with a plain
-    replace.
+    the .part file.  No fsync is called, and since no rename lands on an
+    existing path, ext4 does not write the new data out first: an OS
+    crash or power loss soon after an overwrite can leave path empty or
+    short with the old content gone (see the module docstring).
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
