@@ -57,12 +57,12 @@ def transform_paths(paths: PathSet) -> PathSet:
     if np.any(x < 0.0) or np.any(x > k):
         raise ValueError("path values outside [0, capacity]")
     lo, hi = CLIP_EPS * k, (1.0 - CLIP_EPS) * k
-    clipped = (x < lo) | (x > hi)
-    n_clipped = int(clipped.sum())
-    if n_clipped:
-        x = np.clip(x, lo, hi)
-    x0 = x[:, :1]  # per-path reference point
-    y = x_to_y(x, x0, k)
+    n_clipped = int(np.count_nonzero((x < lo) | (x > hi)))
+    # the transform is written over the clipped copy, so the result and
+    # the transform's denominator are the only full-size arrays made
+    y = np.clip(x, lo, hi)
+    x0 = y[:, :1].copy()  # per-path reference point
+    x_to_y(y, x0, k, out=y)
     return PathSet(
         grid=paths.grid,
         values=y,
@@ -95,10 +95,18 @@ def sample_lag_cov(ypaths: PathSet) -> np.ndarray:
     d = y.shape[0]
     if d < 2:
         raise ValueError("lagged covariance needs at least two paths")
-    centered = y - y.mean(axis=0)
-    out = np.empty(y.shape[1])
-    out[0] = 0.0
-    out[1:] = (centered[:, 1:] * centered[:, :-1]).sum(axis=0) / (d - 1)
+    # one path at a time: centre the row, multiply it by its own lag
+    # and add it into one zeroed accumulator, which is how .sum(axis=0)
+    # adds up the rows of a C-ordered product array
+    mean = y.mean(axis=0)
+    row = np.empty(y.shape[1])
+    prod = np.empty(y.shape[1] - 1)
+    out = np.zeros(y.shape[1])
+    for i in range(d):
+        np.subtract(y[i], mean, out=row)
+        np.multiply(row[1:], row[:-1], out=prod)
+        out[1:] += prod
+    out[1:] /= d - 1
     return out
 
 
@@ -205,15 +213,12 @@ def estimate_pipeline(
     constant; a time-averaged summary otherwise).
     """
     ypaths = paths if paths.space == "Y" else transform_paths(paths)
+    # the MLE's full-size increments go before the splines exist
+    mle = mle_homogeneous(ypaths) if with_mle else None
     mu = sample_mean(ypaths)
     nu = sample_lag_cov(ypaths)
     mean_curve, cov_curve = fit_moment_curves(mu, nu, ypaths.grid, stride=stride)
-    result = EstimateResult(
-        grid=ypaths.grid,
-        mean_curve=mean_curve,
-        cov_curve=cov_curve,
-        mle=mle_homogeneous(ypaths) if with_mle else None,
-    )
+    result = EstimateResult(grid=ypaths.grid, mean_curve=mean_curve, cov_curve=cov_curve, mle=mle)
 
     times = ypaths.grid.times
     result.diagnostics = {
@@ -253,7 +258,9 @@ def mle_homogeneous(ypaths: PathSet) -> tuple[float, float]:
     if m < 1:
         raise ValueError("need at least one increment")
     lam_hat = float(inc.sum()) / (m * delta)
-    s2_hat = float(((inc - lam_hat * delta) ** 2).sum()) / (m * delta)
+    inc -= lam_hat * delta
+    np.square(inc, out=inc)
+    s2_hat = float(inc.sum()) / (m * delta)
     return lam_hat, s2_hat
 
 

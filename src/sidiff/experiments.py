@@ -12,11 +12,14 @@ is identical however the work was scheduled.
 
 Work is split into chunks of replicates, the unit handed to a worker,
 each holding as many replicates as fit CHUNK_BYTES of path values
-(three 50 x 5001 replicates in 6 MiB).  An Euler-Maruyama chunk steps
-as one batch; an exact chunk builds its increment tables once, and its
-replicates stay in the Gaussian coordinate from draw to estimate.
-Estimation and aggregation stay per replicate, so every output is the
-same as simulating and estimating each replicate on its own.
+(four 50 x 5001 replicates in 8 MiB).  An Euler-Maruyama chunk steps
+as one batch, so a wider chunk takes fewer Python steps per replicate;
+an exact chunk builds its increment tables once, and its replicates
+stay in the Gaussian coordinate from draw to estimate.  Estimation and
+aggregation stay per replicate, so every output is the same as
+simulating and estimating each replicate on its own.  A chunk's peak
+memory is its path values plus one replicate's estimate, which holds
+the transformed paths and one other array of their size at a time.
 """
 
 from __future__ import annotations
@@ -58,9 +61,11 @@ KDE_MIN_VALUES = 10  # kde's minimum; boxplot_stats needs only 5
 BAND_MIN_REPLICATES = 2  # pointwise_band's minimum
 KDE_CHUNK = 512
 
-# path values of one chunk: three 50 x 5001 replicates; larger
+# path values of one chunk: four 50 x 5001 replicates.  The estimate
+# of a replicate peaks at two copies of its paths (it was three, with
+# 6 MiB chunks), so 8 + 4 MiB peaks where 6 + 6 MiB did; larger
 # Euler-Maruyama chunks step faster but raise the peak memory of a run
-CHUNK_BYTES = 6 * 2**20
+CHUNK_BYTES = 8 * 2**20
 STAGES = ("simulate", "estimate")
 
 # standard synthetic setup shared by the error-table and band runs
@@ -209,7 +214,10 @@ def _chunk_worker(args: tuple[ExperimentConfig, range]) -> tuple[dict, dict]:
 
 
 def _chunks(config: ExperimentConfig) -> list[range]:
-    """Replicate index ranges, one per worker task, each filling CHUNK_BYTES of path values."""
+    """Replicate index ranges, one per worker task, each filling CHUNK_BYTES of path values.
+
+    At least one replicate per chunk; 100 standard 50 x 5001 replicates
+    make 25 chunks of four."""
     size = max(1, CHUNK_BYTES // (8 * config.n_paths * config.grid.n))
     return [range(lo, min(lo + size, config.replicates)) for lo in range(0, config.replicates, size)]
 

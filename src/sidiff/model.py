@@ -137,14 +137,25 @@ def _check_state(x, capacity, name="x"):
         raise ValueError(f"{name} must lie strictly inside (0, {capacity})")
 
 
-def x_to_y(x, x0: float, capacity: float):
-    """Forward transform ln(x (K - x0) / (x0 (K - x))).  Vectorized."""
+def x_to_y(x, x0: float, capacity: float, out=None):
+    """Forward transform ln(x (K - x0) / (x0 (K - x))).  Vectorized.
+
+    With `out`, a float array of x's shape, the result is written there
+    and returned; `out` may be x itself.
+    """
     _check_state(x0, capacity, "x0")
     _check_state(x, capacity, "x")
-    x_arr = np.asarray(x, dtype=float)
-    out = np.log(x_arr * (capacity - x0) / (x0 * (capacity - x_arr)))
+    # besides the result (made here unless `out` is given), the
+    # denominator is the one full-size array; the ratio and the log are
+    # taken in place, at least 1-d so that scalars go the same way
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    den = np.subtract(capacity, x_arr)
+    den *= x0
+    out = np.multiply(x_arr, capacity - x0, out=out)
+    out /= den
+    np.log(out, out=out)
     if np.ndim(x) == 0:
-        return float(out)
+        return float(out[0])
     return out
 
 

@@ -14,7 +14,10 @@ path of every replicate in the batch (`simulate_em` is the batch of one
 replicate; `run_experiment` passes chunks of replicates).  Noise is
 drawn per path in blocks of EM_NOISE_BLOCK steps, never as one
 (paths, steps) array, so a batch holds its path values plus a small
-noise buffer.
+noise buffer.  A step does only the arithmetic of the scheme and the
+clamp, and writes its unclamped iterate over the noise it has used;
+once per block, one vectorised pass over that buffer counts the clamp
+hits, clips the iterates and stores those at the observation times.
 
 Random numbers: every (replicate, path) pair gets its own stream,
 derived from the master seed by a counter-based key.  Serial, parallel
@@ -189,8 +192,10 @@ def _exact_replicates(
         z = np.empty((n_paths, grid.n - 1))
         for i in range(n_paths):
             np.random.default_rng(derive_path_seed(master_seed, r, i)).standard_normal(out=z[i])
+        z *= sd_inc
+        z += mean_inc
         values = np.zeros((n_paths, grid.n))
-        np.cumsum(mean_inc + sd_inc * z, axis=1, out=values[:, 1:])
+        np.cumsum(z, axis=1, out=values[:, 1:])
         yield PathSet(grid, values, "Y", k, seed={"master_seed": int(master_seed), "replicate": int(r)})
 
 
@@ -310,12 +315,19 @@ def _em_batch(
 
     Path i draws its noise from `seeds[i]`, EM_NOISE_BLOCK steps at a
     time; consecutive draws from one generator continue its stream, so
-    the noise equals one draw of the full length.  Every operation is
-    elementwise, so a path's values do not depend on which other paths
-    share the batch.  Returns the (len(seeds), grid.n) values and the
-    clamp hits per path.  A NaN iterate stays NaN through the step and
-    the clamp, so NaN paths are left in and found by the caller from
-    the last column.
+    the noise equals one draw of the full length.  The block is held as
+    a (steps, paths) array, one row per step: a step reads its row,
+    writes its iterate there before the clamp, and clamps x with
+    np.maximum and np.minimum.  After the block, one pass counts the
+    rows outside the clamp edges, clips them (the same values the
+    clamped x took) and copies every refine-th row, transposed, into
+    the path values, so the block's buffer is the only one needed.
+    Every operation is elementwise, so a path's values do not depend
+    on which other paths share the batch.  Returns the (len(seeds),
+    grid.n) values and the clamp hits per path.  A NaN iterate stays
+    NaN through the step and the clamp and is never counted as a
+    clamp, so NaN paths are left in and found by the caller from the
+    last column.
     """
     k = rates.capacity
     if not (0.0 < x0 < k):
@@ -360,11 +372,11 @@ def _em_batch(
         stop = min(start + EM_NOISE_BLOCK, total_steps)
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=draws[i, : stop - start])
-        noise = draws[:, : stop - start].T.copy()  # one contiguous row per step
+        block = draws[:, : stop - start].T.copy()  # one contiguous row per step
         lam_b = lam_vals[start:stop].tolist()
         s2_b = s2_vals[start:stop].tolist()
         sd_b = sd_vals[start:stop].tolist()
-        for j in range(stop - start):
+        for j, row in enumerate(block):
             np.subtract(k, x, out=logistic)
             logistic *= x
             logistic /= k
@@ -380,13 +392,16 @@ def _em_batch(
             drift *= h
             np.multiply(logistic, sd_b[j], out=shock)
             shock *= sqrt_h
-            shock *= noise[j]
+            shock *= row
             x += drift
-            x += shock
-            # fmin/fmax skip NaN, so a NaN path does not hide another path's clamp
-            if np.fmin.reduce(x) < lo or np.fmax.reduce(x) > hi:
-                clamps += (x < lo) | (x > hi)
-                np.clip(x, lo, hi, out=x)
-            if (start + j + 1) % refine == 0:
-                values[:, (start + j + 1) // refine] = x
+            np.add(x, shock, out=row)
+            # maximum and minimum keep NaN, as np.clip does
+            np.maximum(row, lo, out=x)
+            np.minimum(x, hi, out=x)
+        clamps += np.count_nonzero((block < lo) | (block > hi), axis=0)
+        np.clip(block, lo, hi, out=block)
+        first = (refine - 1 - start) % refine  # first row that ends an observation step
+        kept = block[first::refine]
+        col = (start + first + 1) // refine
+        values[:, col : col + kept.shape[0]] = kept.T
     return values, clamps

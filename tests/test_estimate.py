@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidiff import (
     PathSet,
@@ -16,8 +18,10 @@ from sidiff import (
     mle_homogeneous,
     sample_lag_cov,
     sample_mean,
+    simulate_em,
     simulate_exact,
     transform_paths,
+    x_to_y,
 )
 from sidiff.estimate import CLIP_EPS
 
@@ -280,3 +284,73 @@ def test_log_likelihood_validation():
     xs = PathSet(grid, np.array([[20.0, 30.0, 40.0]]), "X", K)
     with pytest.raises(ValueError):
         mle_homogeneous(xs)
+
+
+# ------------------------------------------------------- in-place arithmetic
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 60),
+    n=st.integers(4, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    zero_start=st.booleans(),
+    coarse=st.booleans(),
+)
+def test_in_place_estimates_match_the_one_line_expressions(d, n, seed, zero_start, coarse):
+    # sample_lag_cov, mle_homogeneous and x_to_y keep few full-size
+    # arrays; each must equal the plain expression bit for bit, signed
+    # zeros included (coarse values make exact ties and zero products)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((d, n))
+    if coarse:
+        y = np.round(y)
+    if zero_start:
+        y[:, 0] = 0.0
+    delta = 0.01
+    ypaths = _ypaths(y, delta)
+
+    centered = y - y.mean(axis=0)
+    nu = np.empty(n)
+    nu[0] = 0.0
+    nu[1:] = (centered[:, 1:] * centered[:, :-1]).sum(axis=0) / (d - 1)
+    assert sample_lag_cov(ypaths).tobytes() == nu.tobytes()
+
+    inc = np.diff(y, axis=1)
+    m = inc.size
+    lam = float(inc.sum()) / (m * delta)
+    s2 = float(((inc - lam * delta) ** 2).sum()) / (m * delta)
+    assert np.array([mle_homogeneous(ypaths)]).tobytes() == np.array([(lam, s2)]).tobytes()
+
+    x = K * rng.uniform(1e-9, 1.0 - 1e-9, (d, n))
+    x0 = x[:, :1]
+    expected = np.log(x * (K - x0) / (x0 * (K - x)))
+    assert x_to_y(x, x0, K).tobytes() == expected.tobytes()
+    over = x.copy()
+    assert x_to_y(over, x0, K, out=over) is over
+    assert over.tobytes() == expected.tobytes()
+    assert x_to_y(x, 20.0, K).tobytes() == np.log(x * (K - 20.0) / (20.0 * (K - x))).tobytes()
+    scalar = x_to_y(float(x[0, -1]), 20.0, K)
+    assert type(scalar) is float
+    assert scalar == float(np.log(x[0, -1] * (K - 20.0) / (20.0 * (K - x[0, -1]))))
+
+
+@pytest.mark.parametrize("simulator", ["exact", "em"])
+def test_estimate_pipeline_peaks_near_two_bundles(simulator):
+    # one 50 x 5001 replicate: the transformed paths plus one other
+    # full-size array (the transform's denominator, or the MLE's
+    # increments) at a time, whether or not the transform clips
+    grid = TimeGrid(0.0, 0.01, 5001)
+    if simulator == "exact":
+        ps = simulate_exact(PAIR, 20.0, grid, 50, 11)
+    else:
+        ps = simulate_em(PAIR, 20.0, grid, 50, 11, drift_correction="constant")
+    tracemalloc.start()
+    try:
+        estimate_pipeline(ps, stride=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * ps.values.nbytes
+    # the exact bundle saturates into the clip band, EM clamps onto its edges
+    assert (transform_paths(ps).meta["clip_count"] > 0) == (simulator == "exact")

@@ -295,7 +295,7 @@ def _em_config(**changes):
 
 @pytest.fixture
 def two_replicate_chunks(monkeypatch):
-    # the standard 6 MiB chunk would hold every replicate of these small runs
+    # the standard 8 MiB chunk would hold every replicate of these small runs
     monkeypatch.setattr(experiments, "CHUNK_BYTES", 2 * 8 * 6 * 101)
 
 

@@ -262,17 +262,27 @@ def _reference_em(rates, x0, grid, n_paths, master_seed, refine, replicate, drif
     return values, clamp_count
 
 
+SHORT_GRID = TimeGrid(0.0, 0.05, 201)
+
+
 @pytest.mark.parametrize("drift_correction", DRIFT_CORRECTIONS)
 @pytest.mark.parametrize(
-    "rates, x0, refine",
-    [(PAIR, 20.0, 1), (PAIR, 20.0, 3), (RatePair(sinusoid(0.4, 1.0, 1.0), constant(6.0), K), 100.0, 2)],
+    "rates, x0, refine, grid, n_paths",
+    [
+        (PAIR, 20.0, 1, SHORT_GRID, 7),
+        (PAIR, 20.0, 3, SHORT_GRID, 7),
+        (RatePair(sinusoid(0.4, 1.0, 1.0), constant(6.0), K), 100.0, 2, SHORT_GRID, 7),
+        # the standard 5001-point grid: ten noise blocks, and paths that
+        # reach the upper clamp and stay there
+        (RatePair(constant(1.2), constant(0.05), K), 20.0, 1, TimeGrid(0.0, 0.01, 5001), 5),
+    ],
+    ids=["rates0-20.0-1", "rates1-20.0-3", "rates2-100.0-2", "standard_grid"],
 )
-def test_em_matches_the_reference_loop_bit_for_bit(rates, x0, refine, drift_correction):
-    # 200 * refine internal steps: one to two noise blocks with a partial last one
-    grid = TimeGrid(0.0, 0.05, 201)
+def test_em_matches_the_reference_loop_bit_for_bit(rates, x0, refine, grid, n_paths, drift_correction):
+    # every case ends on a partial noise block
     assert (grid.n - 1) * refine % EM_NOISE_BLOCK != 0
-    ps = simulate_em(rates, x0, grid, 7, 13, refine=refine, replicate=2, drift_correction=drift_correction)
-    values, clamp_count = _reference_em(rates, x0, grid, 7, 13, refine, 2, drift_correction)
+    ps = simulate_em(rates, x0, grid, n_paths, 13, refine=refine, replicate=2, drift_correction=drift_correction)
+    values, clamp_count = _reference_em(rates, x0, grid, n_paths, 13, refine, 2, drift_correction)
     assert np.array_equal(ps.values, values)
     assert ps.meta["clamp_count"] == clamp_count
 
