@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a replicated experiment batch")
     p_exp.add_argument("--config", required=True, help="experiment JSON (rows and/or cases)")
     p_exp.add_argument("--out-dir", required=True, help="directory for report CSVs")
-    p_exp.add_argument("--workers", type=int, default=1, help="parallel replicate workers")
     p_exp.add_argument("--seed", type=int, default=None, help="override the config master seed")
     p_exp.set_defaults(func=_cmd_experiment)
 
@@ -242,7 +241,7 @@ def _cmd_experiment(args) -> int:
     table_rows = []
     reports = []
     for config in row_configs:
-        report = run_experiment(config, max_workers=args.workers)
+        report = run_experiment(config)
         reports.append(report)
         table_rows.extend(homogeneous_error_rows(report))
         _print_done(report)
@@ -257,7 +256,7 @@ def _cmd_experiment(args) -> int:
         write_kde(reports, os.path.join(out_dir, "kde.csv"), seed=master_seed)
 
     for config in case_configs:
-        report = run_experiment(config, max_workers=args.workers)
+        report = run_experiment(config)
         write_bands(report, os.path.join(out_dir, f"bands_{config.label}.csv"))
         _print_done(report)
     print(f"reports written to {out_dir}")

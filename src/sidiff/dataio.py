@@ -69,6 +69,7 @@ __all__ = [
 GRID_UNIFORM_RTOL = 1e-8
 TIME_UNITS = ("index", "calendar")
 SUGGEST_K_FACTOR = 1.05  # suggest_K's inflation of the largest observation
+SCALAR_PARAMS = ("lambda", "sigma2")  # the order of ExperimentReport.scalar_estimates' pairs
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -361,24 +362,13 @@ def write_bands(report: ExperimentReport, path: str, *, unbiased: bool = False) 
     _write_csv(path, header, columns, meta=(_report_payload(report), report.config.master_seed))
 
 
-def _scalar_estimates(report: ExperimentReport) -> list[tuple[str, str, np.ndarray]]:
-    """(method, param, per-replicate values) triples present in a report."""
-    out = [
-        ("GMM", "lambda", report.scalar_lambda),
-        ("GMM", "sigma2", report.scalar_sigma2),
-    ]
-    if report.mle_lambda is not None:
-        out.append(("MLE", "lambda", report.mle_lambda))
-        out.append(("MLE", "sigma2", report.mle_sigma2))
-    return out
-
-
 def write_boxplot(reports: list[ExperimentReport], path: str, *, seed: int) -> None:
     """Five-number summaries of per-replicate scalar estimates."""
     summaries = [
         (report.config.label, method, param, boxplot_stats(values))
         for report in reports
-        for method, param, values in _scalar_estimates(report)
+        for method, estimates in report.scalar_estimates().items()
+        for param, values in zip(SCALAR_PARAMS, estimates)
     ]
     header = ["case", "method", "param", "min", "q1", "median", "q3", "max", "outliers"]
     columns = [[row[i] for row in summaries] for i in range(3)]
@@ -392,12 +382,13 @@ def write_kde(reports: list[ExperimentReport], path: str, *, seed: int) -> None:
     """Kernel densities of standardized scalar estimates, long format."""
     labels, grids, densities = [[], [], [], []], [], []
     for report in reports:
-        for method, param, values in _scalar_estimates(report):
-            grid, density, bw = kde(standardize(values))
-            for column, cell in zip(labels, (report.config.label, method, param, repr(bw))):
-                column.extend([cell] * grid.size)
-            grids.append(grid)
-            densities.append(density)
+        for method, estimates in report.scalar_estimates().items():
+            for param, values in zip(SCALAR_PARAMS, estimates):
+                grid, density, bw = kde(standardize(values))
+                for column, cell in zip(labels, (report.config.label, method, param, repr(bw))):
+                    column.extend([cell] * grid.size)
+                grids.append(grid)
+                densities.append(density)
     floats = [np.concatenate(arrays) if arrays else np.empty(0) for arrays in (grids, densities)]
     payload = {"reports": [_report_payload(r) for r in reports]}
     header = ["case", "method", "param", "bandwidth", "x", "density"]

@@ -32,7 +32,6 @@ __all__ = [
     "fit_moment_curves",
     "estimate_pipeline",
     "mle_homogeneous",
-    "log_likelihood",
 ]
 
 # |estimated curve| below this fraction of its scale near the window
@@ -262,24 +261,3 @@ def mle_homogeneous(ypaths: PathSet) -> tuple[float, float]:
     np.square(inc, out=inc)
     s2_hat = float(inc.sum()) / (m * delta)
     return lam_hat, s2_hat
-
-
-def log_likelihood(
-    ypaths: PathSet,
-    transmission: float,
-    noise: float,
-) -> float:
-    """Exact Gaussian log-likelihood of the increments under constant rates."""
-    if ypaths.space != "Y":
-        raise ValueError("expected Y-space paths")
-    if not noise > 0.0:
-        raise ValueError("noise must be positive")
-    delta = ypaths.grid.delta
-    inc = np.diff(ypaths.values, axis=1)
-    m = inc.size
-    rss = float(((inc - transmission * delta) ** 2).sum())
-    return (
-        -0.5 * m * np.log(2.0 * np.pi * delta)
-        - 0.5 * m * np.log(noise)
-        - rss / (2.0 * noise * delta)
-    )

@@ -6,26 +6,26 @@ pointwise mean/sd bands, box-plot statistics and kernel density
 summaries of the estimates.
 
 Replicates are independent by construction (per-replicate seed streams
-derived from the master seed), so they may execute in parallel; the
-aggregation is a deterministic fold in replicate order and the output
-is identical however the work was scheduled.
+derived from the master seed), and the aggregation is a deterministic
+fold in replicate order, so the output does not depend on how the
+replicates are grouped.
 
-Work is split into chunks of replicates, the unit handed to a worker,
-each holding as many replicates as fit CHUNK_BYTES of path values
-(four 50 x 5001 replicates in 8 MiB).  An Euler-Maruyama chunk steps
-as one batch, so a wider chunk takes fewer Python steps per replicate;
-an exact chunk builds its increment tables once, and its replicates
-stay in the Gaussian coordinate from draw to estimate.  Estimation and
-aggregation stay per replicate, so every output is the same as
-simulating and estimating each replicate on its own.  A chunk's peak
-memory is its path values plus one replicate's estimate, which holds
-the transformed paths and one other array of their size at a time.
+Replicates run one after another, in chunks, each holding as many
+replicates as fit CHUNK_BYTES of path values (four 50 x 5001
+replicates in 8 MiB).  An Euler-Maruyama chunk steps as one batch, so
+a wider chunk takes fewer Python steps per replicate; an exact chunk
+builds its increment tables once, and its replicates stay in the
+Gaussian coordinate from draw to estimate.  Estimation stays per
+replicate, and each replicate's row is written straight into the
+report's arrays, so every output is the same as simulating and
+estimating each replicate on its own.  A chunk's peak memory is its
+path values plus one replicate's estimate, which holds the transformed
+paths and one other array of their size at a time.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +96,12 @@ class ExperimentConfig:
     em_drift_correction: str = "state"
 
     def __post_init__(self) -> None:
+        for name in ("n_paths", "replicates", "master_seed", "stride"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.n_paths < 2:
@@ -133,9 +139,10 @@ class ExperimentReport:
     one row per replicate.  Scalar columns come from endpoint
     differences of the integral fits over the scalar window; mle_*
     exist only when both true rates are constant (`config.methods`).
+    `scalar_estimates` pairs each method with its columns.
     elapsed_seconds and timings (seconds spent per stage, "simulate"
-    and "estimate", summed over replicates and workers) are
-    informational and never written to data files.
+    and "estimate", summed over replicates) are informational and never
+    written to data files.
     """
 
     config: ExperimentConfig
@@ -154,6 +161,11 @@ class ExperimentReport:
         curves = {"lambda": self.lambda_curves, "sigma2": self.sigma2_curves}[which]
         return pointwise_band(curves, unbiased=unbiased)
 
+    def scalar_estimates(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per-replicate (lambda, sigma2) estimates of each method, in `config.methods` order."""
+        columns = {"GMM": (self.scalar_lambda, self.scalar_sigma2), "MLE": (self.mle_lambda, self.mle_sigma2)}
+        return {method: columns[method] for method in self.config.methods}
+
 
 def _simulations(config: ExperimentConfig, replicates: range):
     """Lazy per-replicate PathSets: exact draws one in Y per `next`, EM the whole chunk in X."""
@@ -163,58 +175,41 @@ def _simulations(config: ExperimentConfig, replicates: range):
     return _em_replicates(*args, refine=EM_REFINE, drift_correction=config.em_drift_correction)
 
 
-def _chunk_worker(args: tuple[ExperimentConfig, range]) -> tuple[dict, dict]:
-    """Simulate and estimate one chunk of replicates.  Returns one array
-    per replicate quantity (row i for the chunk's i-th replicate; the
-    mle_* arrays only with the MLE method) and the stage timings."""
-    config, replicates = args
+def _run_chunk(config: ExperimentConfig, replicates: range, report: ExperimentReport, per_rep: dict) -> None:
+    """Simulate and estimate one chunk of replicates.  Writes row r of
+    the report's arrays and of `per_rep`'s diagnostics for each
+    replicate r, and adds the stage times to report.timings.  A chunk's
+    paths are freed when this returns, before the next chunk is drawn."""
     times = config.grid.times
     a, b = config.resolved_scalar_window()
     k = config.rates.capacity
     with_mle = "MLE" in config.methods
-    count = len(replicates)
-    out = {
-        "lambda_curves": np.empty((count, times.size)),
-        "sigma2_curves": np.empty((count, times.size)),
-        "scalar_lambda": np.empty(count),
-        "scalar_sigma2": np.empty(count),
-        "clip_count": np.empty(count, dtype=np.int64),
-        "clamp_count": np.empty(count, dtype=np.int64),
-        "negative_noise_fraction": np.empty(count),
-        "low_confidence_boundary": np.empty(count, dtype=bool),
-        "saturation_fraction": np.empty(count),
-    }
-    if with_mle:
-        out["mle_lambda"] = np.empty(count)
-        out["mle_sigma2"] = np.empty(count)
-    timings = dict.fromkeys(STAGES, 0.0)
     simulations = _simulations(config, replicates)
-    for i, r in enumerate(replicates):
+    for r in replicates:
         try:
             started = time.perf_counter()
             paths = next(simulations)
             simulated = time.perf_counter()
             result = estimate_pipeline(paths, stride=config.stride, with_mle=with_mle)
-            timings["simulate"] += simulated - started
-            timings["estimate"] += time.perf_counter() - simulated
+            report.timings["simulate"] += simulated - started
+            report.timings["estimate"] += time.perf_counter() - simulated
         except Exception as exc:
             raise RuntimeError(f"replicate {r} failed: {exc}") from exc
-        out["lambda_curves"][i] = result.lambda_hat(times)
-        out["sigma2_curves"][i] = result.sigma2_hat_raw(times)
-        out["scalar_lambda"][i] = result.avg_lambda_hat(a, b)
-        out["scalar_sigma2"][i] = result.avg_sigma2_hat(a, b)
+        report.lambda_curves[r] = result.lambda_hat(times)
+        report.sigma2_curves[r] = result.sigma2_hat_raw(times)
+        report.scalar_lambda[r] = result.avg_lambda_hat(a, b)
+        report.scalar_sigma2[r] = result.avg_sigma2_hat(a, b)
         if with_mle:
-            out["mle_lambda"][i], out["mle_sigma2"][i] = result.mle
+            report.mle_lambda[r], report.mle_sigma2[r] = result.mle
         for name in ("clip_count", "negative_noise_fraction", "low_confidence_boundary"):
-            out[name][i] = result.diagnostics[name]
-        out["clamp_count"][i] = paths.meta.get("clamp_count", 0)
+            per_rep[name][r] = result.diagnostics[name]
+        per_rep["clamp_count"][r] = paths.meta.get("clamp_count", 0)
         last = paths.values[:, -1] if paths.space == "X" else y_to_x(paths.values[:, -1], config.x0, k)
-        out["saturation_fraction"][i] = np.mean(last > 0.99 * k)
-    return out, timings
+        per_rep["saturation_fraction"][r] = np.mean(last > 0.99 * k)
 
 
 def _chunks(config: ExperimentConfig) -> list[range]:
-    """Replicate index ranges, one per worker task, each filling CHUNK_BYTES of path values.
+    """Replicate index ranges, each filling CHUNK_BYTES of path values.
 
     At least one replicate per chunk; 100 standard 50 x 5001 replicates
     make 25 chunks of four."""
@@ -222,46 +217,46 @@ def _chunks(config: ExperimentConfig) -> list[range]:
     return [range(lo, min(lo + size, config.replicates)) for lo in range(0, config.replicates, size)]
 
 
-def run_experiment(config: ExperimentConfig, max_workers: int = 1) -> ExperimentReport:
-    """Simulate and estimate all replicates; aggregate in replicate order.
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Simulate and estimate all replicates, chunk by chunk (see `_chunks`).
 
-    Replicates run in chunks (see `_chunks`); max_workers > 1 spreads
-    the chunks over processes.  Seeds are keyed by replicate index and
-    the Euler-Maruyama batch is elementwise, so the report does not
-    depend on the chunking or the schedule.  A failure is raised as
-    RuntimeError naming the first failing replicate.
+    Seeds are keyed by replicate index and the Euler-Maruyama batch is
+    elementwise, so the report does not depend on the chunking.  A
+    failure is raised as RuntimeError naming the first failing
+    replicate.
     """
     started = time.perf_counter()
-    jobs = [(config, replicates) for replicates in _chunks(config)]
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_chunk_worker, jobs, chunksize=1))
-    else:
-        results = [_chunk_worker(job) for job in jobs]
-    chunks = [chunk for chunk, _ in results]
-    per_rep = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
-    timings = {stage: sum(chunk_timings[stage] for _, chunk_timings in results) for stage in STAGES}
-
+    count, n = config.replicates, config.grid.n
+    with_mle = "MLE" in config.methods
     report = ExperimentReport(
         config=config,
         times=config.grid.times,
-        lambda_curves=per_rep["lambda_curves"],
-        sigma2_curves=per_rep["sigma2_curves"],
-        scalar_lambda=per_rep["scalar_lambda"],
-        scalar_sigma2=per_rep["scalar_sigma2"],
-        mle_lambda=per_rep.get("mle_lambda"),
-        mle_sigma2=per_rep.get("mle_sigma2"),
-        diagnostics={
-            "clip_count_total": int(per_rep["clip_count"].sum()),
-            "clamp_count_total": int(per_rep["clamp_count"].sum()),
-            "negative_noise_fraction_mean": float(per_rep["negative_noise_fraction"].mean()),
-            "low_confidence_replicates": int(per_rep["low_confidence_boundary"].sum()),
-            "saturation_fraction_mean": float(per_rep["saturation_fraction"].mean()),
-            "replicates": config.replicates,
-        },
-        elapsed_seconds=time.perf_counter() - started,
-        timings=timings,
+        lambda_curves=np.empty((count, n)),
+        sigma2_curves=np.empty((count, n)),
+        scalar_lambda=np.empty(count),
+        scalar_sigma2=np.empty(count),
+        mle_lambda=np.empty(count) if with_mle else None,
+        mle_sigma2=np.empty(count) if with_mle else None,
+        timings=dict.fromkeys(STAGES, 0.0),
     )
+    per_rep = {
+        "clip_count": np.empty(count, dtype=np.int64),
+        "clamp_count": np.empty(count, dtype=np.int64),
+        "negative_noise_fraction": np.empty(count),
+        "low_confidence_boundary": np.empty(count, dtype=bool),
+        "saturation_fraction": np.empty(count),
+    }
+    for replicates in _chunks(config):
+        _run_chunk(config, replicates, report, per_rep)
+    report.diagnostics = {
+        "clip_count_total": int(per_rep["clip_count"].sum()),
+        "clamp_count_total": int(per_rep["clamp_count"].sum()),
+        "negative_noise_fraction_mean": float(per_rep["negative_noise_fraction"].mean()),
+        "low_confidence_replicates": int(per_rep["low_confidence_boundary"].sum()),
+        "saturation_fraction_mean": float(per_rep["saturation_fraction"].mean()),
+        "replicates": config.replicates,
+    }
+    report.elapsed_seconds = time.perf_counter() - started
     return report
 
 
@@ -459,26 +454,15 @@ def homogeneous_error_rows(report: ExperimentReport) -> list[dict]:
         raise ValueError("error-table rows need constant-rate truth")
     lam = config.rates.transmission.params["value"]
     s2 = config.rates.noise.params["value"]
-    rows = []
-    if report.mle_lambda is not None:
-        rows.append(
-            {
-                "case": config.label,
-                "method": "MLE",
-                "lambda_true": lam,
-                "sigma2_true": s2,
-                "mre_lambda": mre(report.mle_lambda, lam),
-                "mre_sigma2": mre(report.mle_sigma2, s2),
-            }
-        )
-    rows.append(
+    # table1.csv lists the MLE row first
+    return [
         {
             "case": config.label,
-            "method": "GMM",
+            "method": method,
             "lambda_true": lam,
             "sigma2_true": s2,
-            "mre_lambda": mre(report.scalar_lambda, lam),
-            "mre_sigma2": mre(report.scalar_sigma2, s2),
+            "mre_lambda": mre(lam_hat, lam),
+            "mre_sigma2": mre(s2_hat, s2),
         }
-    )
-    return rows
+        for method, (lam_hat, s2_hat) in reversed(report.scalar_estimates().items())
+    ]

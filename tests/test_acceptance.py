@@ -244,7 +244,7 @@ def test_criterion_7_outbreak_fixture_signature():
     )
 
 
-def test_criterion_8_byte_identical_reruns(tmp_path):
+def test_criterion_8_byte_identical_reruns(tmp_path, monkeypatch):
     rates = {
         "transmission": {"kind": "constant", "params": {"value": 0.4}},
         "noise": {"kind": "constant", "params": {"value": 0.1}},
@@ -281,12 +281,13 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
         )
     )
     outputs = []
-    for sub, workers in (("run1", "1"), ("run2", "1"), ("run3", "2")):
+    for sub in ("run1", "run2", "run3"):
+        if sub == "run3":
+            # two replicates of 4 paths x 51 points per chunk, where the
+            # standard budget holds all 12 replicates in one
+            monkeypatch.setattr(sd.experiments, "CHUNK_BYTES", 2 * 8 * 4 * 51)
         out_dir = tmp_path / sub
-        code = main(
-            ["experiment", "--config", str(exp_cfg), "--out-dir", str(out_dir),
-             "--workers", workers]
-        )
+        code = main(["experiment", "--config", str(exp_cfg), "--out-dir", str(out_dir)])
         assert code == 0
         outputs.append(
             {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.suffix == ".csv"}
@@ -298,5 +299,5 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
         8,
         ok,
         f"simulate rerun byte-identical: {sim_ok}; "
-        f"experiment reruns incl. 2 workers byte-identical: {exp_ok}",
+        f"experiment reruns incl. two-replicate chunks byte-identical: {exp_ok}",
     )

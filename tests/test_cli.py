@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from dataclasses import asdict
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sidiff.experiments as experiments
 from sidiff import RawSeriesTable, load_paths
 from sidiff.cli import _experiment_configs, main
 from sidiff.dataio import save_raw_series
@@ -262,19 +264,60 @@ def test_experiment_writes_all_reports(tmp_path, capsys):
     assert len(bands) == 2 + 101
 
 
-def test_experiment_reruns_and_parallel_runs_are_byte_identical(tmp_path):
+def test_experiment_reruns_and_rechunked_runs_are_byte_identical(tmp_path, monkeypatch):
     cfg = _write_json(tmp_path / "exp.json", EXPERIMENT_CFG)
     outs = []
-    for name, workers in (("r1", "1"), ("r2", "1"), ("r3", "2")):
+    for name in ("r1", "r2", "r3"):
+        if name == "r3":
+            # two replicates of 8 paths x 101 points per chunk, where
+            # the standard budget holds all 12 replicates in one
+            monkeypatch.setattr(experiments, "CHUNK_BYTES", 2 * 8 * 8 * 101)
         out_dir = str(tmp_path / name)
-        assert main(["experiment", "--config", cfg, "--out-dir", out_dir,
-                     "--workers", workers]) == 0
+        assert main(["experiment", "--config", cfg, "--out-dir", out_dir]) == 0
         outs.append({
             f: Path(out_dir, f).read_bytes()
             for f in sorted(os.listdir(out_dir))
         })
     assert outs[0] == outs[1]
     assert outs[0] == outs[2]
+
+
+# sha256 of a real run's files (version 0.1.0): the writer pins in
+# test_dataio use hand-built reports, so this is what pins the numbers
+# that run_experiment computes
+PINNED_RUN_CFG = {
+    "rows": [{"transmission": 0.4, "noise": 0.1}],
+    "cases": ["a", "c"],
+    "replicates": 12,
+    "n_paths": 8,
+    "stride": 4,
+    "T": 10.0,
+    "delta": 0.05,
+    "master_seed": 5,
+}
+PINNED_RUN_SHA256 = {
+    "bands_case_a.csv": "7c08c8364758d89b7bae950421df96703713cd8b77d2e4143078e1fe29874520",
+    "bands_case_c.csv": "d18fb1ccefec1369d94ab15d15ff6007c0abad1b91611fe2dc62dbb5ce501f20",
+    "boxplot.csv": "11bbe4adfb7ba87d8e4b311869424edb42c03f06a05bab1757bd1e318aec1b54",
+    "kde.csv": "ecc00608c42d92f59f5fd98d38bbebb70e29f3fd5285af307aa36267448179f1",
+    "table1.csv": "83ed4789397427bf563ead2cff9e14c728d6dfd1225b315a28cc7982d545581c",
+}
+
+
+def test_experiment_run_bytes_are_pinned(tmp_path):
+    cfg = _write_json(tmp_path / "exp.json", PINNED_RUN_CFG)
+    out_dir = tmp_path / "out"
+    assert main(["experiment", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out_dir.iterdir())}
+    assert got == PINNED_RUN_SHA256
+
+
+def test_experiment_refuses_a_negative_seed_before_creating_the_directory(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "exp.json", EXPERIMENT_CFG)
+    out_dir = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out-dir", str(out_dir), "--seed", "-1"]) == 1
+    assert "data error: master_seed must be >= 0" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_experiment_seed_override_changes_results(tmp_path):

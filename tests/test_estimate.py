@@ -14,7 +14,6 @@ from sidiff import (
     cumulate_normalize,
     estimate_pipeline,
     fit_moment_curves,
-    log_likelihood,
     mle_homogeneous,
     sample_lag_cov,
     sample_mean,
@@ -132,6 +131,8 @@ def test_sample_moments_validation():
         sample_lag_cov(xs)
     with pytest.raises(ValueError):
         sample_lag_cov(_ypaths([[0.0, 1.0, 2.0]]))  # single path
+    with pytest.raises(ValueError):
+        mle_homogeneous(xs)
 
 
 # ----------------------------------------------------------------- curve fits
@@ -250,40 +251,24 @@ def test_mle_sampling_distribution():
     assert abs(np.mean(s2s) - 0.1) < 5e-4
 
 
-def test_log_likelihood_gradient_matches_fd():
-    ps = simulate_exact(PAIR, 20.0, TimeGrid(0.0, 0.01, 101), 10, 2718)
-    y = transform_paths(ps)
-    lam0, s20, delta = 0.35, 0.12, 0.01
-    inc = np.diff(y.values, axis=1)
+def _increment_loglik(ypaths, transmission, noise):
+    # exact Gaussian log-likelihood of the increments under constant
+    # rates: iid with mean transmission * delta, variance noise * delta
+    delta = ypaths.grid.delta
+    inc = np.diff(ypaths.values, axis=1)
     m = inc.size
-    g_lam = float((inc - lam0 * delta).sum()) / s20
-    rss = float(((inc - lam0 * delta) ** 2).sum())
-    g_s2 = -0.5 * m / s20 + rss / (2.0 * s20**2 * delta)
-    h = 1e-6
-    fd_lam = (log_likelihood(y, lam0 + h, s20) - log_likelihood(y, lam0 - h, s20)) / (2 * h)
-    fd_s2 = (log_likelihood(y, lam0, s20 + h) - log_likelihood(y, lam0, s20 - h)) / (2 * h)
-    assert g_lam == pytest.approx(fd_lam, rel=1e-6)
-    assert g_s2 == pytest.approx(fd_s2, rel=1e-6)
+    rss = float(((inc - transmission * delta) ** 2).sum())
+    return -0.5 * m * np.log(2.0 * np.pi * noise * delta) - rss / (2.0 * noise * delta)
 
 
-def test_log_likelihood_peaks_at_the_mle():
+def test_increment_likelihood_peaks_at_the_mle():
     ps = simulate_exact(PAIR, 20.0, TimeGrid(0.0, 0.01, 101), 10, 2718)
     y = transform_paths(ps)
     lam_hat, s2_hat = mle_homogeneous(y)
-    best = log_likelihood(y, lam_hat, s2_hat)
+    best = _increment_loglik(y, lam_hat, s2_hat)
     for dl, ds in [(0.01, 0.0), (-0.01, 0.0), (0.0, 0.01), (0.0, -0.005),
                    (0.02, 0.01), (-0.02, -0.005)]:
-        assert best >= log_likelihood(y, lam_hat + dl, s2_hat + ds)
-
-
-def test_log_likelihood_validation():
-    y = _ypaths([[0.0, 0.1, 0.2]])
-    with pytest.raises(ValueError):
-        log_likelihood(y, 0.4, 0.0)
-    grid = TimeGrid(0.0, 1.0, 3)
-    xs = PathSet(grid, np.array([[20.0, 30.0, 40.0]]), "X", K)
-    with pytest.raises(ValueError):
-        mle_homogeneous(xs)
+        assert best >= _increment_loglik(y, lam_hat + dl, s2_hat + ds)
 
 
 # ------------------------------------------------------- in-place arithmetic

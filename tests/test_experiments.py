@@ -125,6 +125,16 @@ def test_config_validation():
         ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=-1.0, grid=grid)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("master_seed", -3), ("master_seed", 5.0), ("stride", 2.5), ("n_paths", 8.0), ("replicates", True)],
+)
+def test_config_refuses_fractional_counts_and_negative_seeds(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0, grid=TimeGrid(0.0, 0.1, 51), **{name: value})
+    ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0, grid=TimeGrid(0.0, 0.1, 51), **{name: np.int64(3)})
+
+
 def test_resolved_windows():
     cfg = ExperimentConfig(label="x", rates=HOMOGENEOUS, x0=20.0,
                            grid=TimeGrid(0.0, 0.1, 501))
@@ -209,16 +219,17 @@ def test_exact_cases_are_unbiased_where_x_saturates(case):
     assert report.diagnostics["clip_count_total"] == 0
 
 
-def test_parallel_schedule_does_not_change_the_report():
+def test_chunking_does_not_change_the_report(two_replicate_chunks):
     cfg = ExperimentConfig(
         label="det", rates=case_rates("a"), x0=20.0, grid=TimeGrid(0.0, 0.05, 101),
         n_paths=6, replicates=4, master_seed=99, stride=4)
-    serial = run_experiment(cfg, max_workers=1)
-    parallel = run_experiment(cfg, max_workers=2)
-    assert np.array_equal(serial.lambda_curves, parallel.lambda_curves)
-    assert np.array_equal(serial.sigma2_curves, parallel.sigma2_curves)
-    assert np.array_equal(serial.scalar_lambda, parallel.scalar_lambda)
-    assert np.array_equal(serial.scalar_sigma2, parallel.scalar_sigma2)
+    assert [list(c) for c in experiments._chunks(cfg)] == [[0, 1], [2, 3]]
+    chunked = run_experiment(cfg)
+    whole = _in_one_chunk(cfg)
+    assert np.array_equal(whole.lambda_curves, chunked.lambda_curves)
+    assert np.array_equal(whole.sigma2_curves, chunked.sigma2_curves)
+    assert np.array_equal(whole.scalar_lambda, chunked.scalar_lambda)
+    assert np.array_equal(whole.scalar_sigma2, chunked.scalar_sigma2)
 
 
 def test_band_covers_constant_truth():
@@ -276,7 +287,7 @@ def test_report_diagnostics_aggregate():
 
 
 def test_replicate_failure_is_attributed():
-    # zero-noise rates reach the simulator via the worker and fail there
+    # zero-noise rates reach the simulator inside the run and fail there
     cfg = ExperimentConfig(
         label="bad", rates=RatePair(constant(0.4), constant(0.0), K), x0=20.0,
         grid=TimeGrid(0.0, 0.05, 101), n_paths=4, replicates=2, master_seed=3)
@@ -293,10 +304,23 @@ def _em_config(**changes):
     return ExperimentConfig(**fields)
 
 
+STANDARD_CHUNK_BYTES = experiments.CHUNK_BYTES
+# two replicates of 6 paths x 101 points; the standard 8 MiB chunk
+# holds every replicate of these small runs
+TWO_REPLICATE_CHUNK_BYTES = 2 * 8 * 6 * 101
+
+
 @pytest.fixture
 def two_replicate_chunks(monkeypatch):
-    # the standard 8 MiB chunk would hold every replicate of these small runs
-    monkeypatch.setattr(experiments, "CHUNK_BYTES", 2 * 8 * 6 * 101)
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", TWO_REPLICATE_CHUNK_BYTES)
+
+
+def _in_one_chunk(cfg):
+    """The run at the standard chunk budget, which holds all of cfg's replicates."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(experiments, "CHUNK_BYTES", STANDARD_CHUNK_BYTES)
+        assert len(experiments._chunks(cfg)) == 1
+        return run_experiment(cfg)
 
 
 def test_exact_chunks_fill_the_same_budget(two_replicate_chunks):
@@ -308,7 +332,7 @@ def test_exact_chunks_fill_the_same_budget(two_replicate_chunks):
         est = estimate_pipeline(ps, stride=4, with_mle=False)
         assert np.array_equal(report.lambda_curves[r], est.lambda_hat(exact.grid.times))
         assert np.array_equal(report.sigma2_curves[r], est.sigma2_hat_raw(exact.grid.times))
-    assert report.diagnostics == run_experiment(exact, max_workers=2).diagnostics
+    assert report.diagnostics == _in_one_chunk(exact).diagnostics
 
 
 @pytest.mark.parametrize("drift_correction", ["state", "constant"])
@@ -335,30 +359,33 @@ def test_em_chunks_match_per_replicate_composition(two_replicate_chunks, drift_c
 
 def test_em_report_does_not_depend_on_the_schedule(two_replicate_chunks):
     cfg = _em_config()
-    serial = run_experiment(cfg)
-    pooled = run_experiment(cfg, max_workers=2)
-    for name in ("lambda_curves", "sigma2_curves", "scalar_lambda", "scalar_sigma2"):
-        assert np.array_equal(getattr(serial, name), getattr(pooled, name))
-    assert serial.diagnostics == pooled.diagnostics
+    chunked = run_experiment(cfg)
+    whole = _in_one_chunk(cfg)
+    for name in ("lambda_curves", "sigma2_curves", "scalar_lambda", "scalar_sigma2", "mle_lambda", "mle_sigma2"):
+        assert np.array_equal(getattr(whole, name), getattr(chunked, name))
+    assert whole.diagnostics == chunked.diagnostics
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("workers", [1, 2])
-def test_em_failures_name_the_first_failing_replicate(two_replicate_chunks, workers):
+@pytest.mark.parametrize(
+    "chunk_bytes", [STANDARD_CHUNK_BYTES, TWO_REPLICATE_CHUNK_BYTES], ids=["standard", "two_replicate"]
+)
+def test_em_failures_name_the_first_failing_replicate(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", chunk_bytes)
     zero_noise = _em_config(rates=RatePair(constant(0.4), constant(0.0), K))
     with pytest.raises(RuntimeError, match="replicate 0 failed: rate kind"):
-        run_experiment(zero_noise, max_workers=workers)
+        run_experiment(zero_noise)
     # x (K - x) would overflow at this capacity
     huge = _em_config(rates=RatePair(constant(0.4), constant(0.1), 1e300), x0=5e299)
     with pytest.raises(RuntimeError, match=r"replicate 0 failed: capacity 1e\+300 is above"):
-        run_experiment(huge, max_workers=workers)
+        run_experiment(huge)
     # noise this large overflows both the drift and the shock, and the
     # step turns to inf - inf
     wild = _em_config(
         rates=RatePair(constant(0.4), constant(1e308), 1e154), x0=2.5e153, grid=TimeGrid(0.0, 100.0, 101)
     )
     with pytest.raises(RuntimeError, match=r"replicate 0 failed: Euler-Maruyama path \d+ went NaN"):
-        run_experiment(wild, max_workers=workers)
+        run_experiment(wild)
 
 
 def test_em_estimate_failure_in_a_later_chunk_is_attributed(two_replicate_chunks, monkeypatch):
@@ -372,11 +399,8 @@ def test_em_estimate_failure_in_a_later_chunk_is_attributed(two_replicate_chunks
         run_experiment(_em_config())
 
 
-def test_report_records_stage_timings():
-    report = run_experiment(_em_config())
-    assert set(report.timings) == {"simulate", "estimate"}
-    assert all(v > 0.0 for v in report.timings.values())
-    assert sum(report.timings.values()) <= report.elapsed_seconds
-    pooled = run_experiment(_em_config(), max_workers=2)
-    assert set(pooled.timings) == {"simulate", "estimate"}
-    assert all(v > 0.0 for v in pooled.timings.values())
+def test_report_records_stage_timings(two_replicate_chunks):
+    for report in (_in_one_chunk(_em_config()), run_experiment(_em_config())):
+        assert set(report.timings) == {"simulate", "estimate"}
+        assert all(v > 0.0 for v in report.timings.values())
+        assert sum(report.timings.values()) <= report.elapsed_seconds
