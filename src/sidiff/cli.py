@@ -218,6 +218,11 @@ def _experiment_configs(cfg: dict, seed_override: int | None):
         _refuse_unknown_keys(row, RATE_KEYS, "row")
         if set(row) != RATE_KEYS:
             raise ValueError(f"row {row!r} needs both keys {sorted(RATE_KEYS)}")
+        # refused before any run: relative errors divide by the transmission, and the simulators need noise > 0
+        if _number(row["transmission"], "transmission", float) == 0.0:
+            raise ValueError("config key 'transmission' must be nonzero: relative errors divide by it")
+        if not _number(row["noise"], "noise", float) > 0.0:
+            raise ValueError("config key 'noise' must be positive")
     row_configs = [
         table1_config(
             _number(row["transmission"], "transmission", float),

@@ -79,9 +79,10 @@ def sample_mean(ypaths: PathSet) -> np.ndarray:
     return ypaths.values.mean(axis=0)
 
 
-def sample_lag_cov(ypaths: PathSet) -> np.ndarray:
+def sample_lag_cov(ypaths: PathSet, mean: np.ndarray) -> np.ndarray:
     """Lag-one sample covariance, one value per grid step.
 
+    `mean` is the cross-sectional mean of the paths, `sample_mean(ypaths)`.
     Entry j (j = 1..n-1) is the covariance of column j with column
     j - 1, normalized by (d - 1).  Its target is the noise integral
     accumulated by time t_{j-1}, since what happens after t_{j-1} is
@@ -97,7 +98,6 @@ def sample_lag_cov(ypaths: PathSet) -> np.ndarray:
     # one path at a time: centre the row, multiply it by its own lag
     # and add it into one zeroed accumulator, which is how .sum(axis=0)
     # adds up the rows of a C-ordered product array
-    mean = y.mean(axis=0)
     row = np.empty(y.shape[1])
     prod = np.empty(y.shape[1] - 1)
     out = np.zeros(y.shape[1])
@@ -215,7 +215,7 @@ def estimate_pipeline(
     # the MLE's full-size increments go before the splines exist
     mle = mle_homogeneous(ypaths) if with_mle else None
     mu = sample_mean(ypaths)
-    nu = sample_lag_cov(ypaths)
+    nu = sample_lag_cov(ypaths, mu)
     mean_curve, cov_curve = fit_moment_curves(mu, nu, ypaths.grid, stride=stride)
     result = EstimateResult(grid=ypaths.grid, mean_curve=mean_curve, cov_curve=cov_curve, mle=mle)
 

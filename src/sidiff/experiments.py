@@ -10,17 +10,18 @@ derived from the master seed), and the aggregation is a deterministic
 fold in replicate order, so the output does not depend on how the
 replicates are grouped.
 
-Replicates run one after another, in chunks, each holding as many
-replicates as fit CHUNK_BYTES of path values (four 50 x 5001
-replicates in 8 MiB).  An Euler-Maruyama chunk steps as one batch, so
-a wider chunk takes fewer Python steps per replicate; an exact chunk
-builds its increment tables once, and its replicates stay in the
-Gaussian coordinate from draw to estimate.  Estimation stays per
-replicate, and each replicate's row is written straight into the
-report's arrays, so every output is the same as simulating and
-estimating each replicate on its own.  A chunk's peak memory is its
-path values plus one replicate's estimate, which holds the transformed
-paths and one other array of their size at a time.
+Replicates run one after another from one simulation stream per run.
+The exact stream checks the rate window and builds its increment
+tables once, then draws each replicate in the Gaussian coordinate,
+where it stays from draw to estimate.  The Euler-Maruyama stream
+integrates replicates in batches of simulate.EM_BATCH_BYTES of path
+values (four 50 x 5001 replicates in 8 MiB), since a wider batch takes
+fewer Python steps per replicate.  Estimation is per replicate, and
+each replicate's row is written straight into the report's arrays, so
+every output is the same as simulating and estimating each replicate
+on its own.  A run's peak memory is one Euler-Maruyama batch (or one
+exact replicate) plus one replicate's estimate, which holds the
+transformed paths and one other array of their size at a time.
 """
 
 from __future__ import annotations
@@ -60,12 +61,6 @@ KDE_GRID_POINTS = 4096
 KDE_MIN_VALUES = 10  # kde's minimum; boxplot_stats needs only 5
 BAND_MIN_REPLICATES = 2  # pointwise_band's minimum
 KDE_CHUNK = 512
-
-# path values of one chunk: four 50 x 5001 replicates.  The estimate
-# of a replicate peaks at two copies of its paths (it was three, with
-# 6 MiB chunks), so 8 + 4 MiB peaks where 6 + 6 MiB did; larger
-# Euler-Maruyama chunks step faster but raise the peak memory of a run
-CHUNK_BYTES = 8 * 2**20
 STAGES = ("simulate", "estimate")
 
 # standard synthetic setup shared by the error-table and band runs
@@ -157,73 +152,57 @@ class ExperimentReport:
     elapsed_seconds: float = 0.0
     timings: dict = field(default_factory=dict)
 
-    def band(self, which: str = "lambda", unbiased: bool = False):
-        curves = {"lambda": self.lambda_curves, "sigma2": self.sigma2_curves}[which]
-        return pointwise_band(curves, unbiased=unbiased)
-
     def scalar_estimates(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per-replicate (lambda, sigma2) estimates of each method, in `config.methods` order."""
         columns = {"GMM": (self.scalar_lambda, self.scalar_sigma2), "MLE": (self.mle_lambda, self.mle_sigma2)}
         return {method: columns[method] for method in self.config.methods}
 
 
-def _simulations(config: ExperimentConfig, replicates: range):
-    """Lazy per-replicate PathSets: exact draws one in Y per `next`, EM the whole chunk in X."""
-    args = (config.rates, config.x0, config.grid, config.n_paths, config.master_seed, replicates)
+def _simulations(config: ExperimentConfig):
+    """Lazy per-replicate PathSets of the whole run: exact draws one in Y per `next`, EM a batch at a time in X."""
+    args = (config.rates, config.x0, config.grid, config.n_paths, config.master_seed, range(config.replicates))
     if config.simulator == "exact":
         return _exact_replicates(*args)
     return _em_replicates(*args, refine=EM_REFINE, drift_correction=config.em_drift_correction)
 
 
-def _run_chunk(config: ExperimentConfig, replicates: range, report: ExperimentReport, per_rep: dict) -> None:
-    """Simulate and estimate one chunk of replicates.  Writes row r of
-    the report's arrays and of `per_rep`'s diagnostics for each
-    replicate r, and adds the stage times to report.timings.  A chunk's
-    paths are freed when this returns, before the next chunk is drawn."""
-    times = config.grid.times
-    a, b = config.resolved_scalar_window()
+def _run_replicate(config: ExperimentConfig, r: int, simulations, report: ExperimentReport, per_rep: dict) -> None:
+    """Draw replicate r from `simulations` and estimate it.  Writes row
+    r of the report's arrays and of `per_rep`'s diagnostics, and adds
+    the stage times to report.timings.  The replicate's paths are freed
+    when this returns, before the next replicate is drawn."""
     k = config.rates.capacity
     with_mle = "MLE" in config.methods
-    simulations = _simulations(config, replicates)
-    for r in replicates:
-        try:
-            started = time.perf_counter()
-            paths = next(simulations)
-            simulated = time.perf_counter()
-            result = estimate_pipeline(paths, stride=config.stride, with_mle=with_mle)
-            report.timings["simulate"] += simulated - started
-            report.timings["estimate"] += time.perf_counter() - simulated
-        except Exception as exc:
-            raise RuntimeError(f"replicate {r} failed: {exc}") from exc
-        report.lambda_curves[r] = result.lambda_hat(times)
-        report.sigma2_curves[r] = result.sigma2_hat_raw(times)
-        report.scalar_lambda[r] = result.avg_lambda_hat(a, b)
-        report.scalar_sigma2[r] = result.avg_sigma2_hat(a, b)
-        if with_mle:
-            report.mle_lambda[r], report.mle_sigma2[r] = result.mle
-        for name in ("clip_count", "negative_noise_fraction", "low_confidence_boundary"):
-            per_rep[name][r] = result.diagnostics[name]
-        per_rep["clamp_count"][r] = paths.meta.get("clamp_count", 0)
-        last = paths.values[:, -1] if paths.space == "X" else y_to_x(paths.values[:, -1], config.x0, k)
-        per_rep["saturation_fraction"][r] = np.mean(last > 0.99 * k)
-
-
-def _chunks(config: ExperimentConfig) -> list[range]:
-    """Replicate index ranges, each filling CHUNK_BYTES of path values.
-
-    At least one replicate per chunk; 100 standard 50 x 5001 replicates
-    make 25 chunks of four."""
-    size = max(1, CHUNK_BYTES // (8 * config.n_paths * config.grid.n))
-    return [range(lo, min(lo + size, config.replicates)) for lo in range(0, config.replicates, size)]
+    try:
+        started = time.perf_counter()
+        paths = next(simulations)
+        simulated = time.perf_counter()
+        result = estimate_pipeline(paths, stride=config.stride, with_mle=with_mle)
+        report.timings["simulate"] += simulated - started
+        report.timings["estimate"] += time.perf_counter() - simulated
+    except Exception as exc:
+        raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+    a, b = config.resolved_scalar_window()
+    report.lambda_curves[r] = result.lambda_hat(report.times)
+    report.sigma2_curves[r] = result.sigma2_hat_raw(report.times)
+    report.scalar_lambda[r] = result.avg_lambda_hat(a, b)
+    report.scalar_sigma2[r] = result.avg_sigma2_hat(a, b)
+    if with_mle:
+        report.mle_lambda[r], report.mle_sigma2[r] = result.mle
+    for name in ("clip_count", "negative_noise_fraction", "low_confidence_boundary"):
+        per_rep[name][r] = result.diagnostics[name]
+    per_rep["clamp_count"][r] = paths.meta.get("clamp_count", 0)
+    last = paths.values[:, -1] if paths.space == "X" else y_to_x(paths.values[:, -1], config.x0, k)
+    per_rep["saturation_fraction"][r] = np.mean(last > 0.99 * k)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Simulate and estimate all replicates, chunk by chunk (see `_chunks`).
+    """Simulate and estimate all replicates, in order, from one stream.
 
     Seeds are keyed by replicate index and the Euler-Maruyama batch is
-    elementwise, so the report does not depend on the chunking.  A
-    failure is raised as RuntimeError naming the first failing
-    replicate.
+    elementwise, so the report does not depend on how replicates share
+    a batch.  A failure is raised as RuntimeError naming the first
+    failing replicate.
     """
     started = time.perf_counter()
     count, n = config.replicates, config.grid.n
@@ -246,8 +225,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "low_confidence_boundary": np.empty(count, dtype=bool),
         "saturation_fraction": np.empty(count),
     }
-    for replicates in _chunks(config):
-        _run_chunk(config, replicates, report, per_rep)
+    simulations = _simulations(config)
+    for r in range(count):
+        _run_replicate(config, r, simulations, report, per_rep)
     report.diagnostics = {
         "clip_count_total": int(per_rep["clip_count"].sum()),
         "clamp_count_total": int(per_rep["clamp_count"].sum()),

@@ -11,7 +11,8 @@ boundary clamp, and is not meant for production runs.  Its step loop is
 the one pure-Python loop left here, so it runs once for a whole batch
 of paths: each internal step is a few vector operations over every
 path of every replicate in the batch (`simulate_em` is the batch of one
-replicate; `run_experiment` passes chunks of replicates).  Noise is
+replicate; a run integrates as many replicates at a time as fit
+EM_BATCH_BYTES of path values).  Noise is
 drawn per path in blocks of EM_NOISE_BLOCK steps, never as one
 (paths, steps) array, so a batch holds its path values plus a small
 noise buffer.  A step does only the arithmetic of the scheme and the
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 EM_NOISE_BLOCK = 512  # internal steps of noise drawn per path at a time
+# path values per Euler-Maruyama batch of replicates (four of 50 x 5001);
+# wider batches step faster but raise the peak memory of a run
+EM_BATCH_BYTES = 8 * 2**20
 # largest capacity whose Euler-Maruyama drift term (K - x) x stays finite
 EM_MAX_CAPACITY = math.sqrt(np.finfo(float).max)
 
@@ -267,39 +271,44 @@ def _em_replicates(
 ):
     """Yield the `simulate_em` PathSet of each replicate, in order.
 
-    All replicates are integrated together as one batch, on the first
-    `next`; their paths are the rows of one (len(replicates) * n_paths,
-    grid.n) array, and each yielded PathSet holds a view of its rows.
-    A replicate with a NaN path raises when its turn comes, so callers
-    that interleave other work per replicate see failures in replicate
-    order.
+    Replicates are integrated together, as many as fit EM_BATCH_BYTES
+    of path values (at least one), on the `next` that reaches the first
+    of them.  A batch's paths are the rows of one array, each yielded
+    PathSet holds a view of its rows, and the batch is dropped before
+    the next one is integrated.  A replicate with a NaN path raises
+    when its turn comes, so callers that interleave other work per
+    replicate see failures in replicate order.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    seeds = [derive_path_seed(master_seed, r, i) for r in replicates for i in range(n_paths)]
-    values, clamps = _em_batch(rates, x0, grid, seeds, refine=refine, drift_correction=drift_correction)
-    for j, r in enumerate(replicates):
-        rows = slice(j * n_paths, (j + 1) * n_paths)
-        nan_paths = np.flatnonzero(np.isnan(values[rows, -1]))
-        if nan_paths.size:
-            i = int(nan_paths[0])
-            first = int(np.argmax(np.isnan(values[rows][i])))
-            raise RuntimeError(
-                f"Euler-Maruyama path {i} went NaN by t={grid.times[first]}; "
-                "reduce the step or check the rates"
+    size = max(1, EM_BATCH_BYTES // (8 * n_paths * grid.n))
+    for lo in range(0, len(replicates), size):
+        batch = replicates[lo : lo + size]
+        seeds = [derive_path_seed(master_seed, r, i) for r in batch for i in range(n_paths)]
+        values, clamps = _em_batch(rates, x0, grid, seeds, refine=refine, drift_correction=drift_correction)
+        for j, r in enumerate(batch):
+            rows = slice(j * n_paths, (j + 1) * n_paths)
+            nan_paths = np.flatnonzero(np.isnan(values[rows, -1]))
+            if nan_paths.size:
+                i = int(nan_paths[0])
+                first = int(np.argmax(np.isnan(values[rows][i])))
+                raise RuntimeError(
+                    f"Euler-Maruyama path {i} went NaN by t={grid.times[first]}; "
+                    "reduce the step or check the rates"
+                )
+            yield PathSet(
+                grid=grid,
+                values=values[rows],
+                space="X",
+                capacity=rates.capacity,
+                seed={"master_seed": int(master_seed), "replicate": int(r)},
+                meta={
+                    "clamp_count": int(clamps[rows].sum()),
+                    "refine": int(refine),
+                    "drift_correction": drift_correction,
+                },
             )
-        yield PathSet(
-            grid=grid,
-            values=values[rows],
-            space="X",
-            capacity=rates.capacity,
-            seed={"master_seed": int(master_seed), "replicate": int(r)},
-            meta={
-                "clamp_count": int(clamps[rows].sum()),
-                "refine": int(refine),
-                "drift_correction": drift_correction,
-            },
-        )
+        del values, clamps
 
 
 def _em_batch(

@@ -97,7 +97,7 @@ def test_criterion_2_sinusoidal_transmission_recovery(case_a_report):
     truth = np.array(
         [sd.evaluate(report.config.rates.transmission, float(t)) for t in times]
     )
-    mean, _, lower, upper = report.band("lambda")
+    mean, _, lower, upper = sd.pointwise_band(report.lambda_curves)
     mask = (times >= 2.0) & (times <= 48.0)
     rmse = float(np.sqrt(np.mean((mean[mask] - truth[mask]) ** 2)))
     covered = (lower[mask] <= truth[mask]) & (truth[mask] <= upper[mask])
@@ -111,9 +111,9 @@ def test_criterion_3_sinusoidal_noise_recovery(case_c_report):
     times = report.times
     truth = np.array([sd.evaluate(report.config.rates.noise, float(t)) for t in times])
     mask = (times >= 2.0) & (times <= 48.0)
-    mean_s2 = report.band("sigma2")[0]
+    mean_s2 = sd.pointwise_band(report.sigma2_curves)[0]
     rmse = float(np.sqrt(np.mean((mean_s2[mask] - truth[mask]) ** 2)))
-    lam_avg = float(report.band("lambda")[0][mask].mean())
+    lam_avg = float(sd.pointwise_band(report.lambda_curves)[0][mask].mean())
     ok = rmse < 0.01 and abs(lam_avg - 0.4) < 0.05
     _check(
         3,
@@ -283,9 +283,9 @@ def test_criterion_8_byte_identical_reruns(tmp_path, monkeypatch):
     outputs = []
     for sub in ("run1", "run2", "run3"):
         if sub == "run3":
-            # two replicates of 4 paths x 51 points per chunk, where the
-            # standard budget holds all 12 replicates in one
-            monkeypatch.setattr(sd.experiments, "CHUNK_BYTES", 2 * 8 * 4 * 51)
+            # two replicates of 4 paths x 51 points per Euler-Maruyama
+            # batch, where the standard budget holds all 12 replicates
+            monkeypatch.setattr(sd.simulate, "EM_BATCH_BYTES", 2 * 8 * 4 * 51)
         out_dir = tmp_path / sub
         code = main(["experiment", "--config", str(exp_cfg), "--out-dir", str(out_dir)])
         assert code == 0
@@ -299,5 +299,5 @@ def test_criterion_8_byte_identical_reruns(tmp_path, monkeypatch):
         8,
         ok,
         f"simulate rerun byte-identical: {sim_ok}; "
-        f"experiment reruns incl. two-replicate chunks byte-identical: {exp_ok}",
+        f"experiment reruns incl. two-replicate EM batches byte-identical: {exp_ok}",
     )

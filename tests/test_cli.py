@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import sidiff.experiments as experiments
 from sidiff import RawSeriesTable, load_paths
 from sidiff.cli import _experiment_configs, main
 from sidiff.dataio import save_raw_series
@@ -269,9 +268,9 @@ def test_experiment_reruns_and_rechunked_runs_are_byte_identical(tmp_path, monke
     outs = []
     for name in ("r1", "r2", "r3"):
         if name == "r3":
-            # two replicates of 8 paths x 101 points per chunk, where
-            # the standard budget holds all 12 replicates in one
-            monkeypatch.setattr(experiments, "CHUNK_BYTES", 2 * 8 * 8 * 101)
+            # two replicates of 8 paths x 101 points per Euler-Maruyama
+            # batch, where the standard budget holds all 12 replicates
+            monkeypatch.setattr("sidiff.simulate.EM_BATCH_BYTES", 2 * 8 * 8 * 101)
         out_dir = str(tmp_path / name)
         assert main(["experiment", "--config", cfg, "--out-dir", out_dir]) == 0
         outs.append({
@@ -383,6 +382,9 @@ def test_experiment_refuses_malformed_rows_and_cases(tmp_path, capsys, edit, nam
         ({"t0": [0.0]}, "'t0'"),
         ({"rows": [{"transmission": True, "noise": 0.1}]}, "'transmission'"),
         ({"rows": [{"transmission": 0.4, "noise": "0.1"}]}, "'noise'"),
+        ({"rows": [{"transmission": 0, "noise": 0.1}]}, "'transmission'"),
+        ({"rows": [{"transmission": 0.4, "noise": 0}]}, "'noise'"),
+        ({"rows": [{"transmission": 0.4, "noise": -0.1}]}, "'noise'"),
     ],
 )
 def test_experiment_refuses_malformed_scalar_values(tmp_path, capsys, edit, named):

@@ -105,14 +105,15 @@ def test_sample_moments_hand_computed():
     y = _ypaths([[0.0, 1.0, 3.0], [0.0, 3.0, 1.0]])
     assert np.allclose(sample_mean(y), [0.0, 2.0, 2.0])
     # centered columns: (-1, 1) and (1, -1); lag products sum to -2, d-1 = 1
-    assert np.allclose(sample_lag_cov(y), [0.0, 0.0, -2.0])
+    assert np.allclose(sample_lag_cov(y, sample_mean(y)), [0.0, 0.0, -2.0])
 
 
 def test_sample_lag_cov_targets_previous_time():
     # nu_j estimates the accumulated noise at t_{j-1}
     grid = TimeGrid(0.0, 0.5, 11)
     ps = simulate_exact(PAIR, 20.0, grid, 10_000, 303)
-    nu = sample_lag_cov(transform_paths(ps))
+    y = transform_paths(ps)
+    nu = sample_lag_cov(y, sample_mean(y))
     d = 10_000
     for j in (2, 5, 10):
         v_prev = 0.1 * grid.times[j - 1]
@@ -128,9 +129,10 @@ def test_sample_moments_validation():
     with pytest.raises(ValueError):
         sample_mean(xs)
     with pytest.raises(ValueError):
-        sample_lag_cov(xs)
+        sample_lag_cov(xs, xs.values.mean(axis=0))
     with pytest.raises(ValueError):
-        sample_lag_cov(_ypaths([[0.0, 1.0, 2.0]]))  # single path
+        single = _ypaths([[0.0, 1.0, 2.0]])
+        sample_lag_cov(single, sample_mean(single))
     with pytest.raises(ValueError):
         mle_homogeneous(xs)
 
@@ -299,7 +301,7 @@ def test_in_place_estimates_match_the_one_line_expressions(d, n, seed, zero_star
     nu = np.empty(n)
     nu[0] = 0.0
     nu[1:] = (centered[:, 1:] * centered[:, :-1]).sum(axis=0) / (d - 1)
-    assert sample_lag_cov(ypaths).tobytes() == nu.tobytes()
+    assert sample_lag_cov(ypaths, sample_mean(ypaths)).tobytes() == nu.tobytes()
 
     inc = np.diff(y, axis=1)
     m = inc.size

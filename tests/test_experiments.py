@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sidiff.experiments as experiments
+import sidiff.simulate as simulate
 from sidiff import (
     ExperimentConfig,
     RatePair,
@@ -212,24 +214,28 @@ def test_exact_cases_are_unbiased_where_x_saturates(case):
     rates = report.config.rates
     late = (report.times >= 40.0) & (report.times <= 48.0)
     times = report.times[late]
-    lam_bias = np.mean(report.band("lambda")[0][late] - evaluate(rates.transmission, times))
-    s2_bias = np.mean(report.band("sigma2")[0][late] - evaluate(rates.noise, times))
+    lam_bias = np.mean(pointwise_band(report.lambda_curves)[0][late] - evaluate(rates.transmission, times))
+    s2_bias = np.mean(pointwise_band(report.sigma2_curves)[0][late] - evaluate(rates.noise, times))
     assert abs(lam_bias) < 0.01
     assert abs(s2_bias) < 0.05
     assert report.diagnostics["clip_count_total"] == 0
 
 
-def test_chunking_does_not_change_the_report(two_replicate_chunks):
+def test_chunking_does_not_change_the_report():
+    # an exact run draws every replicate from one stream; a fresh
+    # stream per replicate gives the same rows
     cfg = ExperimentConfig(
         label="det", rates=case_rates("a"), x0=20.0, grid=TimeGrid(0.0, 0.05, 101),
         n_paths=6, replicates=4, master_seed=99, stride=4)
-    assert [list(c) for c in experiments._chunks(cfg)] == [[0, 1], [2, 3]]
-    chunked = run_experiment(cfg)
-    whole = _in_one_chunk(cfg)
-    assert np.array_equal(whole.lambda_curves, chunked.lambda_curves)
-    assert np.array_equal(whole.sigma2_curves, chunked.sigma2_curves)
-    assert np.array_equal(whole.scalar_lambda, chunked.scalar_lambda)
-    assert np.array_equal(whole.scalar_sigma2, chunked.scalar_sigma2)
+    report = run_experiment(cfg)
+    a, b = cfg.resolved_scalar_window()
+    for r in range(cfg.replicates):
+        ps = next(_exact_replicates(cfg.rates, cfg.x0, cfg.grid, cfg.n_paths, cfg.master_seed, [r]))
+        est = estimate_pipeline(ps, stride=4, with_mle=False)
+        assert np.array_equal(report.lambda_curves[r], est.lambda_hat(cfg.grid.times))
+        assert np.array_equal(report.sigma2_curves[r], est.sigma2_hat_raw(cfg.grid.times))
+        assert report.scalar_lambda[r] == est.avg_lambda_hat(a, b)
+        assert report.scalar_sigma2[r] == est.avg_sigma2_hat(a, b)
 
 
 def test_band_covers_constant_truth():
@@ -238,7 +244,7 @@ def test_band_covers_constant_truth():
         grid=TimeGrid(0.0, 0.05, 101), n_paths=10, replicates=30,
         master_seed=4242, stride=4)
     report = run_experiment(cfg)
-    mean, sd, _, _ = report.band("lambda")
+    mean, sd, _, _ = pointwise_band(report.lambda_curves)
     inside = (report.times >= 1.0) & (report.times <= 4.0)
     covered = (0.3 >= (mean - 2 * sd)[inside]) & (0.3 <= (mean + 2 * sd)[inside])
     assert covered.mean() >= 0.9
@@ -304,43 +310,76 @@ def _em_config(**changes):
     return ExperimentConfig(**fields)
 
 
-STANDARD_CHUNK_BYTES = experiments.CHUNK_BYTES
-# two replicates of 6 paths x 101 points; the standard 8 MiB chunk
+STANDARD_BATCH_BYTES = simulate.EM_BATCH_BYTES
+# two replicates of 6 paths x 101 points; the standard 8 MiB batch
 # holds every replicate of these small runs
-TWO_REPLICATE_CHUNK_BYTES = 2 * 8 * 6 * 101
+TWO_REPLICATE_BATCH_BYTES = 2 * 8 * 6 * 101
 
 
 @pytest.fixture
-def two_replicate_chunks(monkeypatch):
-    monkeypatch.setattr(experiments, "CHUNK_BYTES", TWO_REPLICATE_CHUNK_BYTES)
+def two_replicate_batches(monkeypatch):
+    monkeypatch.setattr(simulate, "EM_BATCH_BYTES", TWO_REPLICATE_BATCH_BYTES)
 
 
-def _in_one_chunk(cfg):
-    """The run at the standard chunk budget, which holds all of cfg's replicates."""
+def _record_em_batches(monkeypatch, n_paths):
+    """Replicates per Euler-Maruyama batch, appended as each batch is integrated."""
+    sizes = []
+    em_batch = simulate._em_batch
+
+    def recording(rates, x0, grid, seeds, **kwargs):
+        sizes.append(len(seeds) // n_paths)
+        return em_batch(rates, x0, grid, seeds, **kwargs)
+
+    monkeypatch.setattr(simulate, "_em_batch", recording)
+    return sizes
+
+
+def _in_one_batch(cfg):
+    """The run at the standard batch budget, which holds all of cfg's replicates."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(experiments, "CHUNK_BYTES", STANDARD_CHUNK_BYTES)
-        assert len(experiments._chunks(cfg)) == 1
-        return run_experiment(cfg)
+        m.setattr(simulate, "EM_BATCH_BYTES", STANDARD_BATCH_BYTES)
+        sizes = _record_em_batches(m, cfg.n_paths)
+        report = run_experiment(cfg)
+    assert sizes == ([cfg.replicates] if cfg.simulator == "em" else [])
+    return report
 
 
-def test_exact_chunks_fill_the_same_budget(two_replicate_chunks):
+def test_exact_run_tabulates_increments_once(monkeypatch):
+    # one stream for the whole run: the window check and the two
+    # increment tables are not redone per group of replicates
+    tables = []
+    increment_table = simulate.increment_table
+
+    def counting(rate, grid):
+        tables.append(rate.kind)
+        return increment_table(rate, grid)
+
+    monkeypatch.setattr(simulate, "increment_table", counting)
+    batches = _record_em_batches(monkeypatch, 50)
+    report = run_experiment(case_config("b", replicates=20))
+    assert tables == ["sinusoid", "exp_saturating"]
+    assert batches == []
+    assert report.diagnostics["replicates"] == 20
+
+
+def test_exact_run_ignores_the_em_batch_budget(two_replicate_batches):
     exact = _em_config(simulator="exact")
-    assert [list(c) for c in experiments._chunks(exact)] == [[0, 1], [2, 3], [4]]
     report = run_experiment(exact)
     for r in range(exact.replicates):
         ps = next(_exact_replicates(exact.rates, exact.x0, exact.grid, exact.n_paths, exact.master_seed, [r]))
         est = estimate_pipeline(ps, stride=4, with_mle=False)
         assert np.array_equal(report.lambda_curves[r], est.lambda_hat(exact.grid.times))
         assert np.array_equal(report.sigma2_curves[r], est.sigma2_hat_raw(exact.grid.times))
-    assert report.diagnostics == _in_one_chunk(exact).diagnostics
+    assert report.diagnostics == _in_one_batch(exact).diagnostics
 
 
 @pytest.mark.parametrize("drift_correction", ["state", "constant"])
-def test_em_chunks_match_per_replicate_composition(two_replicate_chunks, drift_correction):
+def test_em_batches_match_per_replicate_composition(two_replicate_batches, monkeypatch, drift_correction):
     cfg = _em_config(
         rates=RatePair(constant(0.4), constant(3.0), K), em_drift_correction=drift_correction)
-    assert [list(c) for c in experiments._chunks(cfg)] == [[0, 1], [2, 3], [4]]
+    batches = _record_em_batches(monkeypatch, cfg.n_paths)
     report = run_experiment(cfg)
+    assert batches == [2, 2, 1]
     a, b = cfg.resolved_scalar_window()
     clamps = 0
     for r in range(cfg.replicates):
@@ -357,21 +396,39 @@ def test_em_chunks_match_per_replicate_composition(two_replicate_chunks, drift_c
     assert report.diagnostics["clamp_count_total"] == clamps
 
 
-def test_em_report_does_not_depend_on_the_schedule(two_replicate_chunks):
+def test_em_report_does_not_depend_on_the_schedule(two_replicate_batches, monkeypatch):
     cfg = _em_config()
-    chunked = run_experiment(cfg)
-    whole = _in_one_chunk(cfg)
+    batches = _record_em_batches(monkeypatch, cfg.n_paths)
+    batched = run_experiment(cfg)
+    assert batches == [2, 2, 1]
+    whole = _in_one_batch(cfg)
     for name in ("lambda_curves", "sigma2_curves", "scalar_lambda", "scalar_sigma2", "mle_lambda", "mle_sigma2"):
-        assert np.array_equal(getattr(whole, name), getattr(chunked, name))
-    assert whole.diagnostics == chunked.diagnostics
+        assert np.array_equal(getattr(whole, name), getattr(batched, name))
+    assert whole.diagnostics == batched.diagnostics
+
+
+def test_em_run_holds_one_batch_at_a_time(monkeypatch):
+    # six replicates in three two-replicate batches: a batch is dropped
+    # before the next is integrated, so the run peaks at one batch, its
+    # noise buffer and one replicate's estimate, not at two batches
+    cfg = _em_config(n_paths=50, grid=TimeGrid(0.0, 0.01, 5001), replicates=6)
+    bundle = 8 * cfg.n_paths * cfg.grid.n
+    monkeypatch.setattr(simulate, "EM_BATCH_BYTES", 2 * bundle)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.6 * bundle
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
-    "chunk_bytes", [STANDARD_CHUNK_BYTES, TWO_REPLICATE_CHUNK_BYTES], ids=["standard", "two_replicate"]
+    "batch_bytes", [STANDARD_BATCH_BYTES, TWO_REPLICATE_BATCH_BYTES], ids=["standard", "two_replicate"]
 )
-def test_em_failures_name_the_first_failing_replicate(monkeypatch, chunk_bytes):
-    monkeypatch.setattr(experiments, "CHUNK_BYTES", chunk_bytes)
+def test_em_failures_name_the_first_failing_replicate(monkeypatch, batch_bytes):
+    monkeypatch.setattr(simulate, "EM_BATCH_BYTES", batch_bytes)
     zero_noise = _em_config(rates=RatePair(constant(0.4), constant(0.0), K))
     with pytest.raises(RuntimeError, match="replicate 0 failed: rate kind"):
         run_experiment(zero_noise)
@@ -388,7 +445,7 @@ def test_em_failures_name_the_first_failing_replicate(monkeypatch, chunk_bytes):
         run_experiment(wild)
 
 
-def test_em_estimate_failure_in_a_later_chunk_is_attributed(two_replicate_chunks, monkeypatch):
+def test_em_estimate_failure_in_a_later_chunk_is_attributed(two_replicate_batches, monkeypatch):
     def failing_on_replicate_3(paths, **kwargs):
         if paths.seed["replicate"] == 3:
             raise ValueError("boom")
@@ -399,8 +456,8 @@ def test_em_estimate_failure_in_a_later_chunk_is_attributed(two_replicate_chunks
         run_experiment(_em_config())
 
 
-def test_report_records_stage_timings(two_replicate_chunks):
-    for report in (_in_one_chunk(_em_config()), run_experiment(_em_config())):
+def test_report_records_stage_timings(two_replicate_batches):
+    for report in (_in_one_batch(_em_config()), run_experiment(_em_config())):
         assert set(report.timings) == {"simulate", "estimate"}
         assert all(v > 0.0 for v in report.timings.values())
         assert sum(report.timings.values()) <= report.elapsed_seconds
