@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import bisect
 from scipy.special import erf
 
@@ -48,6 +47,36 @@ MOMENT_RTOL = 1e-12
 # relative width of the boundary band: X values within CLIP_EPS * K of 0 or
 # K are clipped by estimate.transform_paths and clamped by the EM integrator
 CLIP_EPS = 1e-9
+
+
+def _tanh_sinh_table(t_max: float, last_level: int):
+    """Tanh-sinh nodes and weights on [-1, 1], sorted by level.
+
+    Level 0 is the integer steps t = k with |t| <= t_max, level l >= 1
+    the odd multiples of 2^-l; the rule at level l is 2^-l times the
+    weighted sum over levels 0..l.  Each node comes as x and as 1 + x,
+    the latter without cancellation near x = -1 (at t = -3.2 it is
+    about 4e-17); the table is symmetric, so 1 + x at -t is 1 - x at t.
+    """
+    parts = []
+    for level in range(last_level + 1):
+        top = math.floor(t_max * 2**level)
+        k = np.arange(-top, top + 1)
+        parts.append(k[k % 2 == 1] * 2.0**-level if level else k.astype(float))
+    t = np.concatenate(parts)
+    u = 0.5 * math.pi * np.sinh(t)
+    one_plus_x = 2.0 / (1.0 + np.exp(-2.0 * u))
+    weight = 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+    level_end = np.cumsum([part.size for part in parts])
+    return np.tanh(u), one_plus_x, weight, level_end
+
+
+# the nodes of levels 0..6 are evaluated in one pass, each later level
+# only when the last two level sums still differ by more than MOMENT_RTOL
+_TS_FIRST_LEVEL = 6
+_TS_LAST_LEVEL = 10
+_TS_X, _TS_ONE_PLUS_X, _TS_WEIGHT, _TS_LEVEL_END = _tanh_sinh_table(3.2, _TS_LAST_LEVEL)
+_LOG_NORM = -0.5 * math.log(2.0 * math.pi)
 
 
 class DegenerateTimeError(ValueError):
@@ -268,37 +297,67 @@ def conditional_median(law: TransitionLaw, t: float) -> float:
 def conditional_moment(law: TransitionLaw, m: int, t: float) -> float:
     """m-th conditional moment E[X(t)^m | X(t0) = x0].
 
-    One adaptive quadrature (scipy's `quad`, relative tolerance 1e-12)
-    over the standardized Gaussian coordinate z, on [-40, 40], with a
-    breakpoint at the logistic knee y = ln r, r = (K - x0) / x0.  The
-    integrand (x / K)^m times the standard normal density is formed in
-    log space, -m * logaddexp(0, ln r - y) - z^2 / 2, so it lies in
-    [0, 1] and cannot overflow at any growth or variance.  The cost is
-    bounded: about 400 to 900 integrand calls for growths up to 50 in
-    magnitude and variances from 1e-14 to 1e6.
+    A tanh-sinh rule (Takahasi & Mori 1974) over the standardized
+    Gaussian coordinate z on [-40, 40], split at the logistic knee
+    z = (ln r - Lam) / sd, r = (K - x0) / x0, into [-40, knee] and
+    [knee, 40] (one segment when the knee lies outside).  The integrand
+    (x / K)^m times the standard normal density is formed in log space,
+    -m * logaddexp(0, ln r - Lam - sd z) - z^2 / 2, so it lies in [0, 1]
+    and cannot overflow at any growth or variance.  The rule's nodes
+    crowd double-exponentially toward each segment's ends, so the knee's
+    boundary layer, 1 / sd wide in z, is resolved at any variance.
+
+    One array pass evaluates the integrand on the 409 nodes per segment
+    of levels 0..6 and takes the level sums from a cumulative sum; each
+    further level (at most four) is added only while the last two level
+    sums differ by more than 1e-12 relative, and RuntimeError is raised
+    if level 10 still does not meet it.  Checked against a quadrature
+    split at the knee to 1e-13 relative for growths up to 50 in
+    magnitude, x0 / K from 5e-5 to 0.995 and variances from 1e-14 to
+    1e6, in at most three array passes.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError("moment order m must be an integer >= 1")
     lam_int, var_int = law.accumulated(t)
     k = law.rates.capacity
-    log_ratio = math.log((k - law.x0) / law.x0)
+    shift = math.log((k - law.x0) / law.x0) - lam_int
     sd = math.sqrt(var_int)
-    log_norm = -0.5 * math.log(2.0 * math.pi)
-
-    def integrand(z: float) -> float:
-        a = log_ratio - lam_int - sd * z
-        softplus = max(a, 0.0) + math.log1p(math.exp(-abs(a)))
-        return math.exp(log_norm - m * softplus - 0.5 * z * z)
-
-    knee = (log_ratio - lam_int) / sd
+    knee = shift / sd
     width = MOMENT_HALF_WIDTH
-    value, _ = quad(
-        integrand,
-        -width,
-        width,
-        points=[knee] if abs(knee) < width else None,
-        epsabs=0.0,
-        epsrel=MOMENT_RTOL,
-    )
+    # segment s maps x in [-1, 1] to z = mid_s + half_s x; split at the
+    # knee, half_s < 0 on [-40, knee], so that the knee is x = -1 in both
+    # and the exponent's argument sd (knee - z) = -sd half_s (1 + x) is
+    # exact on the nodes crowding there
+    if abs(knee) < width:
+        mid = np.array([[0.5 * (knee - width)], [0.5 * (knee + width)]])
+        half = np.array([[-0.5 * (width + knee)], [0.5 * (width - knee)]])
+        base, offset = 0.0, _TS_ONE_PLUS_X
+    else:
+        mid = np.zeros((1, 1))
+        half = np.full((1, 1), width)
+        base, offset = shift, _TS_X
+    slope = sd * half
+    log_scale = _LOG_NORM + np.log(np.abs(half))
+
+    def weighted(start: int, stop: int) -> np.ndarray:
+        z = mid + half * _TS_X[start:stop]
+        a = base - slope * offset[start:stop]
+        # softplus(a) = logaddexp(0, a), at half the cost of np.logaddexp
+        softplus = np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
+        f = np.exp(log_scale - m * softplus - 0.5 * z * z)
+        return f.sum(axis=0) * _TS_WEIGHT[start:stop]
+
+    level = _TS_FIRST_LEVEL
+    raw = np.cumsum(weighted(0, _TS_LEVEL_END[level]))[_TS_LEVEL_END[level - 1 : level + 1] - 1]
+    total = raw[-1]
+    previous, value = math.ldexp(raw[0], 1 - level), math.ldexp(total, -level)
+    while abs(value - previous) > MOMENT_RTOL * value:
+        if level == _TS_LAST_LEVEL:
+            raise RuntimeError(
+                f"conditional moment not converged to {MOMENT_RTOL} relative at tanh-sinh level {level}"
+            )
+        level += 1
+        total += weighted(_TS_LEVEL_END[level - 1], _TS_LEVEL_END[level]).sum()
+        previous, value = value, math.ldexp(total, -level)
     # a law saturated at K integrates to 1 + a few ulps; the moment cannot exceed K^m
     return k**m * min(value, 1.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 
+from sidiff import model
 from sidiff import (
     DegenerateTimeError,
     RatePair,
@@ -272,7 +274,7 @@ def test_conditional_moment_matches_trapezoid_oracle():
         assert conditional_moment(law, m, t) == pytest.approx(oracle, rel=1e-8)
 
 
-@pytest.mark.parametrize("var_int", [500.0, 1e4])
+@pytest.mark.parametrize("var_int", [500.0, 1e4, 1e5, 1e6])
 def test_conditional_moment_at_large_variance(var_int):
     # sigma2 * t = var_int at t = 10; the logistic knee is far narrower
     # than the Gaussian, so the oracle is a fine trapezoid rule in y
@@ -290,6 +292,64 @@ def test_conditional_moment_at_large_variance(var_int):
     assert m2 >= m1 * m1
     assert m1 == pytest.approx(np.trapezoid(x * density, y), rel=1e-8)
     assert m2 == pytest.approx(np.trapezoid(x * x * density, y), rel=1e-8)
+
+
+@pytest.mark.parametrize("var_int", [1e-6, 1e-2, 1.0, 1e2, 1e4, 1e6])
+def test_conditional_moment_symmetric_law_has_mean_half_capacity(var_int):
+    # x0 = K/2 with no growth: y is centred at the knee, so X and K - X
+    # have the same law and the mean is K/2 at every variance
+    law = TransitionLaw(_pair(0.0, var_int), K / 2.0, 0.0)
+    assert conditional_moment(law, 1, 1.0) == pytest.approx(K / 2.0, rel=1e-12)
+
+
+def _split_quad_moment(x0, growth, var_int, m):
+    """E[(X/K)^m] by quad over z on [-40, 40], split at the knee and at
+    knee +- 1e-4, 1e-3, 1e-2, 1e-1 so that every piece sees a smooth
+    integrand.  A rough pass sets the absolute tolerance of the final
+    one: pieces far beyond the knee hold ~1e-130 of the mass and cannot
+    be had to a relative tolerance."""
+    shift = math.log((K - x0) / x0) - growth
+    sd = math.sqrt(var_int)
+    knee = shift / sd
+
+    def integrand(z):
+        a = shift - sd * z
+        softplus = max(a, 0.0) + math.log1p(math.exp(-abs(a)))
+        return math.exp(-m * softplus - 0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    offsets = (-1e-1, -1e-2, -1e-3, -1e-4, 0.0, 1e-4, 1e-3, 1e-2, 1e-1)
+    cuts = sorted({-40.0, 40.0, *(knee + d for d in offsets if abs(knee + d) < 40.0)})
+    pieces = list(zip(cuts[:-1], cuts[1:]))
+    rough = sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-6, limit=200, full_output=1)[0] for a, b in pieces)
+    return sum(quad(integrand, a, b, epsabs=1e-15 * rough, epsrel=1e-13, limit=200)[0] for a, b in pieces)
+
+
+def test_conditional_moment_matches_split_quad_reference_grid():
+    grid = list(
+        itertools.product(
+            (0.01, 1.0, 20.0, 100.0, 199.0),
+            (-50.0, -5.0, 0.0, 0.4, 4.0, 50.0),
+            10.0 ** np.arange(-14, 7),
+            (1, 2, 3),
+        )
+    )
+    # every 5th case: 5 is prime to the 3 orders and the 21 variances,
+    # so each order meets each variance, 1e-14 and 1e6 included
+    for x0, growth, var_int, m in grid[::5]:
+        law = TransitionLaw(_pair(growth, var_int), x0, 0.0)
+        reference = K**m * _split_quad_moment(x0, growth, var_int, m)
+        assert conditional_moment(law, m, 1.0) == pytest.approx(reference, rel=1e-12), (x0, growth, var_int, m)
+
+
+def test_conditional_moment_raises_when_the_last_level_does_not_converge(monkeypatch):
+    # a variance of 1e-12 puts the knee far outside [-40, 40]: the
+    # Gaussian sits mid-segment and the rule needs level 8
+    law = TransitionLaw(_pair(0.4, 1e-12), X0, 0.0)
+    monkeypatch.setattr(model, "_TS_LAST_LEVEL", 7)
+    with pytest.raises(RuntimeError, match="not converged"):
+        conditional_moment(law, 1, 5.0)
+    monkeypatch.setattr(model, "_TS_LAST_LEVEL", 8)
+    assert conditional_moment(law, 1, 5.0) == pytest.approx(deterministic_solution(K, X0, 0.4, 0.0, 5.0), rel=1e-6)
 
 
 def test_conditional_moment_saturated_law_stays_below_capacity_power():
