@@ -8,13 +8,13 @@ maximum likelihood baseline, and a replicated-experiment harness with
 CSV reporting.
 """
 
-from . import rates, model, simulate, estimate, experiments, dataio
+from . import spline, rates, model, simulate, estimate, experiments, dataio
 from ._version import __version__
 
-# every public name of the six library modules, re-exported under the
+# every public name of the seven library modules, re-exported under the
 # one list each module keeps in its own __all__
 __all__ = ["__version__"]
-for _module in (rates, model, simulate, estimate, experiments, dataio):
+for _module in (spline, rates, model, simulate, estimate, experiments, dataio):
     __all__ += _module.__all__
     globals().update((name, getattr(_module, name)) for name in _module.__all__)
 del _module

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .model import CLIP_EPS, x_to_y
 from .simulate import PathSet, TimeGrid
+from .spline import NaturalSpline
 
 __all__ = [
     "EstimateResult",
@@ -114,7 +114,7 @@ def fit_moment_curves(
     nu: np.ndarray,
     grid: TimeGrid,
     stride: int = 1,
-) -> tuple[CubicSpline, CubicSpline]:
+) -> tuple[NaturalSpline, NaturalSpline]:
     """Natural cubic splines through the integrated-transmission and
     integrated-noise sequences.
 
@@ -126,7 +126,8 @@ def fit_moment_curves(
     start.  stride > 1 thins the knots to every stride-th point
     (endpoints always kept), trading resolution for smoothness of the
     derivative.  Each spline needs three knots, so the grid needs at
-    least four observations (nu has one knot fewer than mu).
+    least four observations (nu has one knot fewer than mu).  Returns
+    the mean curve and the covariance curve, two `NaturalSpline`s.
     """
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError("stride must be an integer >= 1")
@@ -142,8 +143,8 @@ def fit_moment_curves(
     idx_cov = _thin_indices(grid.n - 1, stride)
     if idx.size < 3 or idx_cov.size < 3:
         raise ValueError("fewer than three knots after thinning; lower the stride")
-    mean_curve = CubicSpline(times[idx], mu[idx], bc_type="natural")
-    cov_curve = CubicSpline(times[:-1][idx_cov], nu[1:][idx_cov], bc_type="natural")
+    mean_curve = NaturalSpline(times[idx], mu[idx])
+    cov_curve = NaturalSpline(times[:-1][idx_cov], nu[1:][idx_cov])
     return mean_curve, cov_curve
 
 
@@ -168,12 +169,12 @@ class EstimateResult:
     """
 
     grid: TimeGrid
-    mean_curve: CubicSpline
-    cov_curve: CubicSpline
+    mean_curve: NaturalSpline
+    cov_curve: NaturalSpline
     mle: tuple[float, float] | None = None
     diagnostics: dict = field(default_factory=dict)
-    _mean_slope: PPoly = field(init=False, repr=False)
-    _cov_slope: PPoly = field(init=False, repr=False)
+    _mean_slope: NaturalSpline = field(init=False, repr=False)
+    _cov_slope: NaturalSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._mean_slope = self.mean_curve.derivative()
@@ -235,7 +236,12 @@ def _edge_flag(lam: np.ndarray) -> bool:
     if lam.size < 5:
         return True
     interior = lam[1:-1]
-    scale = float(np.median(np.abs(interior)))
+    # np.median's value, the middle one or the mean of the middle two,
+    # without the numpy.ma import np.median makes on its first call
+    mags = np.abs(interior)
+    half = mags.size // 2
+    mid = np.partition(mags, (half - 1, half))
+    scale = float(mid[half] if mags.size % 2 else (mid[half - 1] + mid[half]) / 2.0)
     if scale == 0.0:
         return False
     edge_dev = max(abs(lam[0] - interior[0]), abs(lam[-1] - interior[-1]))

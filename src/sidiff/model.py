@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
-from scipy.special import erf
 
 from .rates import RateFunction, RatePair, constant, cumulative, evaluate, integrate
 
@@ -42,6 +40,8 @@ __all__ = [
 ]
 
 BISECT_TIME_TOL = 1e-10
+BISECT_RTOL = 4.0 * np.finfo(float).eps
+BISECT_MAX_ITER = 100
 MOMENT_HALF_WIDTH = 40.0  # standard deviations; the Gaussian mass beyond is below 1e-340
 MOMENT_RTOL = 1e-12
 # relative width of the boundary band: X values within CLIP_EPS * K of 0 or
@@ -157,7 +157,30 @@ def threshold_time(
         if hi >= end:
             raise ValueError(f"threshold not reached within [{t0}, {end}]")
         hi = min(t0 + 2.0 * (hi - t0), end)
-    return float(bisect(excess, t0, hi, xtol=BISECT_TIME_TOL))
+    return _bisect(excess, t0, hi)
+
+
+def _bisect(f, a: float, b: float) -> float:
+    """Root of f on [a, b], f(a) < 0 <= f(b), by interval halving.
+
+    The steps of scipy's `optimize.bisect` with xtol BISECT_TIME_TOL and
+    its default rtol and iteration cap, so the root is the same float.
+    """
+    fa = f(a)
+    if fa == 0.0:
+        return a
+    if f(b) == 0.0:
+        return b
+    half = b - a
+    for _ in range(BISECT_MAX_ITER):
+        half *= 0.5
+        mid = a + half
+        fm = f(mid)
+        if fm * fa >= 0.0:
+            a = mid
+        if fm == 0.0 or abs(half) < BISECT_TIME_TOL + BISECT_RTOL * abs(mid):
+            return mid
+    raise RuntimeError(f"bisection did not converge in {BISECT_MAX_ITER} halvings")
 
 
 def _check_state(x, capacity, name="x"):
@@ -280,10 +303,15 @@ def transition_pdf(law: TransitionLaw, x, t: float):
 
 
 def transition_cdf(law: TransitionLaw, x, t: float):
-    """Transition distribution function at state x and time t."""
+    """Transition distribution function at state x and time t.
+
+    The error function is `math.erf`, applied element by element.
+    """
     lam_int, var_int = law.accumulated(t)
     y = x_to_y(x, law.x0, law.rates.capacity)
-    out = 0.5 * (1.0 + erf((y - lam_int) / math.sqrt(2.0 * var_int)))
+    z = np.asarray((y - lam_int) / math.sqrt(2.0 * var_int), dtype=float)
+    erf = np.fromiter(map(math.erf, z.ravel().tolist()), dtype=float, count=z.size)
+    out = 0.5 * (1.0 + erf.reshape(z.shape))
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -25,7 +25,8 @@ from functools import cached_property
 from typing import Any
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+
+from .spline import NaturalSpline
 
 __all__ = [
     "RateFunction",
@@ -100,16 +101,12 @@ class RateFunction:
         object.__setattr__(self, "params", knots)
 
     @cached_property
-    def _spline(self) -> CubicSpline:
+    def _spline(self) -> NaturalSpline:
         # natural boundary: second derivative zero at both end knots
-        return CubicSpline(
-            np.asarray(self.params["times"], dtype=float),
-            np.asarray(self.params["values"], dtype=float),
-            bc_type="natural",
-        )
+        return NaturalSpline(self.params["times"], self.params["values"])
 
     @cached_property
-    def _spline_integral(self):
+    def _spline_integral(self) -> NaturalSpline:
         # zero at the first knot; exact on every cubic piece
         return self._spline.antiderivative()
 

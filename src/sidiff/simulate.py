@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .model import CLIP_EPS, y_to_x
 from .rates import RatePair, evaluate, increment_table
@@ -134,7 +135,7 @@ class PathSet:
                 raise ValueError("Y-space paths must start at exactly zero")
 
 
-def derive_path_seed(master_seed: int, replicate: int, path: int) -> np.random.SeedSequence:
+def derive_path_seed(master_seed: int, replicate: int, path: int) -> SeedSequence:
     """Independent, reproducible stream key for one path of one replicate.
 
     The (replicate, path) pair goes into the spawn key, so the mapping
@@ -143,7 +144,7 @@ def derive_path_seed(master_seed: int, replicate: int, path: int) -> np.random.S
     for name, v in (("master_seed", master_seed), ("replicate", replicate), ("path", path)):
         if not isinstance(v, (int, np.integer)) or v < 0:
             raise ValueError(f"{name} must be a nonnegative integer")
-    return np.random.SeedSequence(int(master_seed), spawn_key=(int(replicate), int(path)))
+    return SeedSequence(int(master_seed), spawn_key=(int(replicate), int(path)))
 
 
 def simulate_exact(
@@ -195,7 +196,7 @@ def _exact_replicates(
     for r in replicates:
         z = np.empty((n_paths, grid.n - 1))
         for i in range(n_paths):
-            np.random.default_rng(derive_path_seed(master_seed, r, i)).standard_normal(out=z[i])
+            default_rng(derive_path_seed(master_seed, r, i)).standard_normal(out=z[i])
         z *= sd_inc
         z += mean_inc
         values = np.zeros((n_paths, grid.n))
@@ -315,7 +316,7 @@ def _em_batch(
     rates: RatePair,
     x0: float,
     grid: TimeGrid,
-    seeds: list[np.random.SeedSequence],
+    seeds: list[SeedSequence],
     *,
     refine: int,
     drift_correction: str,
@@ -363,7 +364,7 @@ def _em_batch(
     if drift_correction == "constant":
         lam_vals = lam_vals + 0.5 * s2_vals
 
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [default_rng(seed) for seed in seeds]
     n_paths = len(rngs)
     lo, hi = CLIP_EPS * k, (1.0 - CLIP_EPS) * k
     two_k = 2.0 * k

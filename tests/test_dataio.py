@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import CubicSpline
 
 from sidiff import (
     AnalysisConfig,
     EstimateResult,
     ExperimentConfig,
     ExperimentReport,
+    NaturalSpline,
     PathSet,
     RatePair,
     RawSeriesTable,
@@ -189,8 +189,8 @@ def _write_every_file_kind(d):
 
     est = EstimateResult(
         grid=grid,
-        mean_curve=CubicSpline([0.0, 0.5, 1.0], [0.0, 0.25, 0.5], bc_type="natural"),
-        cov_curve=CubicSpline([0.0, 0.5, 1.0], [0.0, 0.0625, 0.0625], bc_type="natural"),
+        mean_curve=NaturalSpline([0.0, 0.5, 1.0], [0.0, 0.25, 0.5]),
+        cov_curve=NaturalSpline([0.0, 0.5, 1.0], [0.0, 0.0625, 0.0625]),
         mle=(0.5, 0.125),
         diagnostics={"clip_count": 0, "floored": 2},
     )

@@ -1,10 +1,14 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import sidiff
 
-SUBMODULES = ("rates", "model", "simulate", "estimate", "experiments", "dataio", "synthetic", "cli")
+SUBMODULES = ("spline", "rates", "model", "simulate", "estimate", "experiments", "dataio", "synthetic", "cli")
 
 
 @pytest.mark.parametrize("module_name", ["sidiff", *(f"sidiff.{name}" for name in SUBMODULES)])
@@ -23,3 +27,13 @@ def test_package_reexports_every_public_library_name():
         obj = getattr(sidiff, name)
         home = importlib.import_module(getattr(obj, "__module__", "sidiff"))
         assert getattr(home, name) is obj
+
+
+def test_import_loads_no_scipy():
+    # the library and the CLI need numpy alone; scipy is a test dependency
+    code = "import sys, sidiff, sidiff.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(sidiff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

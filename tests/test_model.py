@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import expit
+from scipy.optimize import bisect
+from scipy.special import erf, expit
 
 from sidiff import model
 from sidiff import (
@@ -119,6 +120,19 @@ def test_threshold_time_search_ends_at_the_knot_span_and_t_max():
     # a root between the last doubling point and t_max is still found
     slow = sinusoid(0.4, 0.0, 1.0)
     assert threshold_time(K, X0, slow, 100.0, t_max=6.0) == pytest.approx(2.5 * math.log(9.0), abs=1e-9)
+
+
+def test_threshold_time_bisection_equals_scipy(monkeypatch):
+    # the same bracket handed to scipy's bisect gives the same float
+    cases = [
+        (sinusoid(0.4, 0.3, 1.0), 120.0),
+        (tabulated([0.0, 10.0, 20.0, 30.0], [0.5, 0.1, 0.3, 0.2]), 60.0),
+    ]
+    ours = [threshold_time(K, X0, lam, level) for lam, level in cases]
+    monkeypatch.setattr(model, "_bisect", lambda f, a, b: bisect(f, a, b, xtol=model.BISECT_TIME_TOL))
+    theirs = [threshold_time(K, X0, lam, level) for lam, level in cases]
+    assert all(type(t) is float for t in ours)
+    assert ours == theirs
 
 
 # ------------------------------------------------------------------ transforms
@@ -251,6 +265,17 @@ def test_cdf_monotone_with_correct_limits():
     assert np.all(np.diff(cdf) >= 0)
     assert cdf[0] < 1e-10
     assert cdf[-1] > 1.0 - 1e-10
+
+
+def test_transition_cdf_matches_the_scipy_erf_form():
+    law = TransitionLaw(_pair(0.4, 0.1), X0, 0.0)
+    states = np.linspace(1.0, K - 1.0, 63)
+    for t in (0.5, 3.0, 20.0):
+        lam_int, var_int = law.accumulated(t)
+        ref = 0.5 * (1.0 + erf((x_to_y(states, X0, K) - lam_int) / math.sqrt(2.0 * var_int)))
+        assert np.max(np.abs(transition_cdf(law, states, t) - ref)) <= 1e-15
+        scalar = transition_cdf(law, float(states[30]), t)
+        assert type(scalar) is float and abs(scalar - ref[30]) <= 1e-15
 
 
 def test_median_halves_the_law_and_tracks_logistic():
