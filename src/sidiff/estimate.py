@@ -236,16 +236,21 @@ def _edge_flag(lam: np.ndarray) -> bool:
     if lam.size < 5:
         return True
     interior = lam[1:-1]
-    # np.median's value, the middle one or the mean of the middle two,
-    # without the numpy.ma import np.median makes on its first call
-    mags = np.abs(interior)
-    half = mags.size // 2
-    mid = np.partition(mags, (half - 1, half))
-    scale = float(mid[half] if mags.size % 2 else (mid[half - 1] + mid[half]) / 2.0)
+    scale = _abs_median(interior)
     if scale == 0.0:
         return False
     edge_dev = max(abs(lam[0] - interior[0]), abs(lam[-1] - interior[-1]))
     return bool(edge_dev > EDGE_FLAG_FRACTION * scale)
+
+
+def _abs_median(values: np.ndarray) -> float:
+    """np.median(np.abs(values)): the middle magnitude, or the mean of
+    the middle two, without the numpy.ma import np.median makes on its
+    first call."""
+    mags = np.abs(values)
+    half = mags.size // 2
+    mid = np.partition(mags, (half - 1, half))
+    return float(mid[half] if mags.size % 2 else (mid[half - 1] + mid[half]) / 2.0)
 
 
 def mle_homogeneous(ypaths: PathSet) -> tuple[float, float]:

@@ -166,6 +166,7 @@ def _bisect(f, a: float, b: float) -> float:
     The steps of scipy's `optimize.bisect` with xtol BISECT_TIME_TOL and
     its default rtol and iteration cap, so the root is the same float.
     """
+    a, b = float(a), float(b)
     fa = f(a)
     if fa == 0.0:
         return a

@@ -26,15 +26,15 @@ interchanges and elimination factors of the solve depend only on the
 knot spacing, so they are worked out once per knot layout; a fit then
 runs the elimination on its right-hand side alone.  The piece index
 and s depend only on the knots and the evaluation times, so they are
-worked out once per such pair.  Each cache keeps its most recently
-used entries, up to _CACHE_BYTES; an entry is a function of its key
-alone, so no result depends on what is cached.
+worked out once per such pair of arrays; a scalar time is located
+directly.  Each cache keeps its most recently used entries, up to
+_CACHE_BYTES; an entry is a function of its key alone, so no result
+depends on what is cached.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import repeat
 
 import numpy as np
 
@@ -121,7 +121,11 @@ class NaturalSpline:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        idx, s = _POINTS.get((self._key, t_arr.tobytes()), lambda: _locate(self.x, t_arr.ravel()))
+        if t_arr.ndim:
+            idx, s = _POINTS.get((self._key, t_arr.tobytes()), lambda: _locate(self.x, t_arr.ravel()))
+        else:
+            # a scalar time, as in a bisection, is seldom asked for twice
+            idx, s = _locate(self.x, t_arr.ravel())
         # 0.0 + c[k-1], then c[k-1-j] z_j added in turn for the powers
         # z_1 = s, z_2 = s s, z_3 = (s s) s, ..., as PPoly sums them
         c = self.c
@@ -165,8 +169,8 @@ def _factor(dx: np.ndarray) -> tuple:
     Returns what `_solve` needs to repeat the elimination on a
     right-hand side: the interchange flags and the factors, first row
     first, then the eliminated diagonal, superdiagonal and fill-in
-    second superdiagonal, last row first.  The flags and the fill-in are
-    None when no row is interchanged.
+    second superdiagonal, last row first.  The fill-in is zero where no
+    row was interchanged.
     """
     d = np.concatenate(([2 * dx[0]], 2 * (dx[:-1] + dx[1:]), [2 * dx[-1]])).tolist()
     du = np.concatenate((dx[:1], dx[:-1])).tolist()
@@ -197,34 +201,33 @@ def _factor(dx: np.ndarray) -> tuple:
     # the back substitution starts from two zero unknowns past the last
     # row, with zero coefficients: v - 0.0 * 0.0 is v, so the last two
     # rows come out as dgtsv's shorter formulas give them
-    if any(swaps):
-        swaps, du2 = np.array(swaps), np.array([0.0, 0.0, *du2[::-1]])
-    else:
-        swaps = du2 = None
-    return swaps, np.array(factors), np.array(d[::-1]), np.array([0.0, *du[::-1]]), du2
+    return (
+        np.array(swaps),
+        np.array(factors),
+        np.array(d[::-1]),
+        np.array([0.0, *du[::-1]]),
+        np.array([0.0, 0.0, *du2[::-1]]),
+    )
 
 
 def _solve(layout: tuple, b: list) -> list:
     """The elimination and back substitution of `dgtsv` on one right-hand side."""
     swaps, factors, d, du, du2 = layout
-    if swaps is None:
-        # row i + 1 less its factor times the eliminated row i
-        acc = b[0]
-        eliminated = [acc]
-        for value, fact in zip(b[1:], factors.tolist()):
-            acc = value - fact * acc
-            eliminated.append(acc)
-        b = eliminated
-    else:
-        for i, (swap, fact) in enumerate(zip(swaps.tolist(), factors.tolist())):
-            if swap:
-                b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-            else:
-                b[i + 1] = b[i + 1] - fact * b[i]
+    # `row` is row i as eliminated so far; row i + 1 loses its factor
+    # times row i, or the two are interchanged first
+    row = b[0]
+    eliminated = []
+    for value, swap, fact in zip(b[1:], swaps.tolist(), factors.tolist()):
+        if swap:
+            eliminated.append(value)
+            row = row - fact * value
+        else:
+            eliminated.append(row)
+            row = value - fact * row
+    eliminated.append(row)
     x1 = x2 = 0.0
     out = []
-    upper2s = repeat(0.0) if du2 is None else du2.tolist()
-    for value, diag, upper, upper2 in zip(reversed(b), d.tolist(), du.tolist(), upper2s):
+    for value, diag, upper, upper2 in zip(reversed(eliminated), d.tolist(), du.tolist(), du2.tolist()):
         x2, x1 = x1, (value - upper * x1 - upper2 * x2) / diag
         out.append(x1)
     out.reverse()

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sidiff import (
     PathSet,
@@ -22,7 +22,7 @@ from sidiff import (
     transform_paths,
     x_to_y,
 )
-from sidiff.estimate import CLIP_EPS
+from sidiff.estimate import CLIP_EPS, _abs_median
 
 K = 200.0
 PAIR = RatePair(constant(0.4), constant(0.1), K)
@@ -204,6 +204,19 @@ def test_pipeline_diagnostics_shape():
     assert 0.0 <= diag["negative_noise_fraction"] <= 1.0
     assert isinstance(diag["low_confidence_boundary"], bool)
     assert est.sigma2_hat_floored(5.0) >= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1.0, -1.0]), min_size=2, max_size=30))
+@example([3.0, -1.0, 2.0])
+@example([4.0, -1.0, 2.0, 3.0])
+@example([0.0, -0.0, 0.0, 0.0])
+@example([2.0, 2.0, -2.0, 5.0])
+@example([1.0, 1.0, 1.0, 1.0, 7.0, -1.0])
+def test_abs_median_equals_numpy(values):
+    # odd and even lengths, ties and zeros
+    values = np.array(values)
+    assert _abs_median(values) == float(np.median(np.abs(values)))
 
 
 def test_pipeline_window_validation():

@@ -135,6 +135,13 @@ def test_threshold_time_bisection_equals_scipy(monkeypatch):
     assert ours == theirs
 
 
+def test_bisect_returns_floats_for_integer_brackets():
+    # an integer bracket end that is itself the root comes back as a float
+    for a, b, root in ((0, 2, 2.0), (-3, 0, -3.0), (0, 5, 1.5)):
+        t = model._bisect(lambda s, root=root: s - root, a, b)
+        assert type(t) is float and t == pytest.approx(root, abs=1e-9)
+
+
 # ------------------------------------------------------------------ transforms
 
 

@@ -1,5 +1,8 @@
 """NaturalSpline against scipy's natural CubicSpline, bit for bit."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +15,11 @@ from sidiff import (
     sample_lag_cov,
     sample_mean,
     simulate_exact,
+    spline,
     transform_paths,
 )
 from sidiff.experiments import STANDARD_GRID, STANDARD_X0, case_rates
-from sidiff.spline import _factor
+from sidiff.spline import _POINTS, _factor
 from sidiff.synthetic import measles_like_rates
 
 
@@ -74,8 +78,8 @@ def test_spline_matches_scipy_on_two_and_three_knots(x):
 def test_growing_gaps_interchange_rows():
     # the drawn "growing" layouts exercise dgtsv's row interchange
     swaps = _factor(np.diff([0.0, 1.0, 3.5, 12.0, 40.0]))[0]
-    assert swaps is not None and swaps.all()
-    assert _factor(np.diff(np.linspace(0.0, 1.0, 9)))[0] is None
+    assert swaps.all()
+    assert not _factor(np.diff(np.linspace(0.0, 1.0, 9)))[0].any()
 
 
 @pytest.mark.parametrize("stride", [1, 10])
@@ -114,6 +118,50 @@ def test_repeated_fits_and_evaluations_reuse_nothing_stale():
         for y in (np.sin(x), np.cos(x)):
             _assert_matches_scipy(x + shift, y, t + shift)
             _assert_matches_scipy(x + shift, y, t[::-1] + shift)
+
+
+def test_scalar_times_bypass_the_point_cache():
+    # a bisection asks for a new scalar time at every step
+    spline = NaturalSpline(np.linspace(0.0, 1.0, 6), np.arange(6.0))
+    before = len(_POINTS.entries)
+    values = [spline(t) for t in np.linspace(0.05, 0.95, 19)]
+    assert len(_POINTS.entries) == before
+    assert np.array_equal(values, spline(np.linspace(0.05, 0.95, 19)))
+
+
+def test_caches_hold_under_concurrent_fits(monkeypatch):
+    # threads share both caches; a small budget makes them evict while
+    # other threads read, and every result must still equal scipy's
+    budget = 16 << 10
+    monkeypatch.setattr(spline, "_CACHE_BYTES", budget)
+    layouts = [np.linspace(0.0, 1.0 + k, 40 + k) for k in range(6)]
+    times = np.linspace(0.0, 1.0, 101)
+    expected = [CubicSpline(x, np.sin(x), bc_type="natural")(times) for x in layouts]
+    errors = []
+
+    def work(seed):
+        try:
+            for i in range(60):
+                k = (seed + i) % len(layouts)
+                if not np.array_equal(NaturalSpline(layouts[k], np.sin(layouts[k]))(times), expected[k]):
+                    errors.append(k)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for cache in (spline._LAYOUTS, _POINTS):
+        assert cache.nbytes == sum(counted for counted, _ in cache.entries.values()) <= budget
 
 
 def test_spline_keeps_read_only_knots_and_refuses_bad_input():
