@@ -153,7 +153,10 @@ def _grid_from_times(times: np.ndarray) -> TimeGrid:
     if times.size < 2 or np.any(diffs <= 0.0):
         raise ValueError("times must be strictly increasing with >= 2 entries")
     delta = float(diffs.mean())
-    if np.any(np.abs(diffs - delta) > GRID_UNIFORM_RTOL * max(delta, 1.0)):
+    # steps within GRID_UNIFORM_RTOL of delta, plus the rounding of the
+    # times themselves, which grows with their magnitude
+    tol = GRID_UNIFORM_RTOL * delta + 4 * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
+    if np.any(np.abs(diffs - delta) > tol):
         raise ValueError("times are not uniformly spaced")
     return TimeGrid(t0=float(times[0]), delta=delta, n=int(times.size))
 
@@ -313,11 +316,10 @@ def save_estimate(result: EstimateResult, path: str, *, capacity: float, seed: i
         "diagnostics": result.diagnostics,
         "n_times": int(times.size),
     }
-    curves = (result.lambda_hat, result.sigma2_hat_raw, result.sigma2_hat_floored)
     _write_csv(
         path,
         ["t", "lambda_hat", "sigma2_hat_raw", "sigma2_hat_floored"],
-        [times, *(curve(times) for curve in curves)],
+        [times, result.lambda_grid, result.sigma2_grid, np.maximum(result.sigma2_grid, 0.0)],
         meta=(sidecar, seed),
     )
     _write_json(path + ".meta.json", sidecar)

@@ -165,7 +165,9 @@ class EstimateResult:
     overshoots.  avg_* are endpoint-difference summaries: the mean
     slope of the integral curve over a window, which for constant rates
     estimates the rate itself.  The two derivative polynomials are
-    built once, when the result is made.
+    built, and sampled once on the grid as lambda_grid and sigma2_grid,
+    when the result is made; those arrays equal
+    lambda_hat(grid.times) and sigma2_hat_raw(grid.times) bit for bit.
     """
 
     grid: TimeGrid
@@ -173,12 +175,16 @@ class EstimateResult:
     cov_curve: NaturalSpline
     mle: tuple[float, float] | None = None
     diagnostics: dict = field(default_factory=dict)
+    lambda_grid: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma2_grid: np.ndarray = field(init=False, repr=False, compare=False)
     _mean_slope: NaturalSpline = field(init=False, repr=False)
     _cov_slope: NaturalSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._mean_slope = self.mean_curve.derivative()
         self._cov_slope = self.cov_curve.derivative()
+        self.lambda_grid = self._mean_slope(self.grid.times)
+        self.sigma2_grid = self._cov_slope(self.grid.times)
 
     def lambda_hat(self, t):
         return self._mean_slope(t)
@@ -219,12 +225,10 @@ def estimate_pipeline(
     nu = sample_lag_cov(ypaths, mu)
     mean_curve, cov_curve = fit_moment_curves(mu, nu, ypaths.grid, stride=stride)
     result = EstimateResult(grid=ypaths.grid, mean_curve=mean_curve, cov_curve=cov_curve, mle=mle)
-
-    times = ypaths.grid.times
     result.diagnostics = {
         "clip_count": int(ypaths.meta.get("clip_count", 0)),
-        "negative_noise_fraction": float(np.mean(result._cov_slope(times) < 0.0)),
-        "low_confidence_boundary": _edge_flag(result._mean_slope(times)),
+        "negative_noise_fraction": float(np.mean(result.sigma2_grid < 0.0)),
+        "low_confidence_boundary": _edge_flag(result.lambda_grid),
     }
     return result
 

@@ -183,8 +183,8 @@ def _run_replicate(config: ExperimentConfig, r: int, simulations, report: Experi
     except Exception as exc:
         raise RuntimeError(f"replicate {r} failed: {exc}") from exc
     a, b = config.resolved_scalar_window()
-    report.lambda_curves[r] = result.lambda_hat(report.times)
-    report.sigma2_curves[r] = result.sigma2_hat_raw(report.times)
+    report.lambda_curves[r] = result.lambda_grid
+    report.sigma2_curves[r] = result.sigma2_grid
     report.scalar_lambda[r] = result.avg_lambda_hat(a, b)
     report.scalar_sigma2[r] = result.avg_sigma2_hat(a, b)
     if with_mle:

@@ -21,58 +21,29 @@ theirs bit for bit:
 - an antiderivative divides row j by k - j, then sets each piece's
   constant to the previous piece's value at their common knot.
 
-Two caches keep a fit and an evaluation at array speed.  The row
-interchanges and elimination factors of the solve depend only on the
-knot spacing, so they are worked out once per knot layout; a fit then
-runs the elimination on its right-hand side alone.  The piece index
-and s depend only on the knots and the evaluation times, so they are
-worked out once per such pair of arrays; a scalar time is located
-directly.  Each cache keeps its most recently used entries, up to
-_CACHE_BYTES; an entry is a function of its key alone, so no result
-depends on what is cached.
+One cache keeps a fit at array speed.  The row interchanges and
+elimination factors of the solve depend only on the knot spacing, so
+they are worked out once per knot layout, and the _LAYOUTS_KEPT most
+recently used layouts are kept (about 41 bytes per knot each); a fit
+then runs the elimination on its right-hand side alone.  An entry is a
+function of its key alone, so no result depends on what is cached.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 
 import numpy as np
 
 __all__ = ["NaturalSpline"]
 
-_CACHE_BYTES = 4 << 20
-# what an entry costs besides its key bytes and arrays: the tuples,
-# array headers and dict slot around them
-_ENTRY_BYTES = 512
+_LAYOUTS_KEPT = 8
 
 
-class _Cache:
-    """Entries made from their keys, the most recently used kept while
-    the entries' bytes stay within _CACHE_BYTES."""
-
-    def __init__(self):
-        self.entries: dict = {}  # key -> (bytes counted, entry)
-        self.nbytes = 0
-        self.lock = threading.Lock()
-
-    def get(self, key, make):
-        """The entry for key, made by make() on a miss."""
-        with self.lock:
-            hit = self.entries.pop(key, None)
-            if hit is None:
-                entry = make()
-                keys = key if isinstance(key, tuple) else (key,)
-                arrays = [part for part in entry if isinstance(part, np.ndarray)]
-                hit = (_ENTRY_BYTES + sum(map(len, keys)) + sum(a.nbytes for a in arrays), entry)
-                self.nbytes += hit[0]
-            self.entries[key] = hit
-            while self.nbytes > _CACHE_BYTES:
-                self.nbytes -= self.entries.pop(next(iter(self.entries)))[0]
-        return hit[1]
-
-
-_LAYOUTS = _Cache()  # knot bytes -> _factor result
-_POINTS = _Cache()  # (knot bytes, time bytes) -> _locate result
+@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
+def _layout(knot_bytes: bytes) -> tuple:
+    """`_factor` of the knots whose float64 bytes are knot_bytes."""
+    return _factor(np.diff(np.frombuffer(knot_bytes)))
 
 
 class NaturalSpline:
@@ -84,7 +55,7 @@ class NaturalSpline:
     the end pieces' polynomials.  The knots are read-only.
     """
 
-    __slots__ = ("x", "c", "_key")
+    __slots__ = ("x", "c")
 
     def __init__(self, x, y):
         x = np.array(x, dtype=float)
@@ -97,7 +68,6 @@ class NaturalSpline:
         if np.any(dx <= 0.0):
             raise ValueError("spline knots must be strictly increasing")
         x.flags.writeable = False
-        key = x.tobytes()
         slope = np.diff(y) / dx
         # inner rows dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1};
         # the natural end rows 2 dx_0 s_0 + dx_0 s_1 = 3 (y_1 - y_0) and
@@ -107,25 +77,21 @@ class NaturalSpline:
         rhs[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
         rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         rhs[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
-        s = np.array(_solve(_LAYOUTS.get(key, lambda: _factor(dx)), rhs.tolist()), dtype=float)
+        s = np.array(_solve(_layout(x.tobytes()), rhs.tolist()), dtype=float)
         # cubic Hermite map from the knot slopes to the coefficients
         t = (s[:-1] + s[1:] - 2 * slope) / dx
-        self.x, self._key = x, key
+        self.x = x
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
     def _with(self, c: np.ndarray) -> NaturalSpline:
         """The piecewise polynomial with coefficients c on these knots."""
         other = object.__new__(type(self))
-        other.x, other._key, other.c = self.x, self._key, c
+        other.x, other.c = self.x, c
         return other
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim:
-            idx, s = _POINTS.get((self._key, t_arr.tobytes()), lambda: _locate(self.x, t_arr.ravel()))
-        else:
-            # a scalar time, as in a bisection, is seldom asked for twice
-            idx, s = _locate(self.x, t_arr.ravel())
+        idx, s = _locate(self.x, t_arr.ravel())
         # 0.0 + c[k-1], then c[k-1-j] z_j added in turn for the powers
         # z_1 = s, z_2 = s s, z_3 = (s s) s, ..., as PPoly sums them
         c = self.c

@@ -125,6 +125,31 @@ def test_load_paths_reports_line_numbers(tmp_path):
         load_paths(str(f), capacity=K)
 
 
+@pytest.mark.parametrize(
+    "times", [(0.0, 1e-9, 3e-9, 4e-9), (0.0, 1e-6, 2.01e-6, 3e-6)], ids=["doubled_step", "one_percent_off"]
+)
+def test_uneven_grids_with_small_steps_are_refused(tmp_path, times):
+    # the spacing check is relative to the step, however small the step
+    f = tmp_path / "uneven.csv"
+    f.write_text("t,path_1\n" + "".join(f"{t!r},20.0\n" for t in times))
+    with pytest.raises(ValueError, match="not uniformly spaced"):
+        load_paths(str(f), capacity=K)
+    table = _table(times=times, counts=(2.0, 3.0, 5.0, 8.0))
+    with pytest.raises(ValueError, match="not uniformly spaced"):
+        cumulate_normalize(table, 0.25, time_unit="calendar")
+
+
+def test_grids_far_from_zero_load(tmp_path):
+    # each step carries the rounding of times near 1e9, which is far more
+    # than a relative 1e-8 of a 1e-3 step
+    grid = TimeGrid(1e9, 1e-3, 1001)
+    f = str(tmp_path / "paths.csv")
+    save_paths(PathSet(grid, np.full((2, grid.n), 20.0), "X", K), f)
+    back = load_paths(f)
+    assert (back.grid.t0, back.grid.n) == (grid.t0, grid.n)
+    assert back.grid.delta == pytest.approx(grid.delta, rel=1e-9)
+
+
 def test_path_csv_layout(tmp_path):
     ps = _small_run()
     f = str(tmp_path / "paths.csv")

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sidiff import (
+    EstimateResult,
+    NaturalSpline,
     PathSet,
     RatePair,
     RawSeriesTable,
@@ -204,6 +206,26 @@ def test_pipeline_diagnostics_shape():
     assert 0.0 <= diag["negative_noise_fraction"] <= 1.0
     assert isinstance(diag["low_confidence_boundary"], bool)
     assert est.sigma2_hat_floored(5.0) >= 0.0
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_grid_samples_equal_the_curve_methods(stride):
+    ps = simulate_exact(PAIR, 20.0, TimeGrid(0.0, 0.1, 101), 30, 11)
+    est = estimate_pipeline(ps, stride=stride)
+    times = est.grid.times
+    assert np.array_equal(est.lambda_grid, est.lambda_hat(times))
+    assert np.array_equal(est.sigma2_grid, est.sigma2_hat_raw(times))
+    assert np.array_equal(np.maximum(est.sigma2_grid, 0.0), est.sigma2_hat_floored(times))
+    # a result built directly, on a grid other than the knots
+    grid = TimeGrid(-0.125, 0.25, 7)
+    direct = EstimateResult(
+        grid=grid,
+        mean_curve=NaturalSpline([0.0, 0.5, 1.0], [0.0, 0.25, 0.5]),
+        cov_curve=NaturalSpline([0.0, 0.5, 1.0], [0.0, 0.0625, 0.0625]),
+    )
+    assert np.array_equal(direct.lambda_grid, direct.lambda_hat(grid.times))
+    assert np.array_equal(direct.sigma2_grid, direct.sigma2_hat_raw(grid.times))
+    assert direct.sigma2_grid.min() < 0.0 <= direct.sigma2_hat_floored(grid.times).min()
 
 
 @settings(max_examples=200, deadline=None)

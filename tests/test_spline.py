@@ -15,11 +15,10 @@ from sidiff import (
     sample_lag_cov,
     sample_mean,
     simulate_exact,
-    spline,
     transform_paths,
 )
 from sidiff.experiments import STANDARD_GRID, STANDARD_X0, case_rates
-from sidiff.spline import _POINTS, _factor
+from sidiff.spline import _factor, _layout
 from sidiff.synthetic import measles_like_rates
 
 
@@ -110,8 +109,8 @@ def test_tabulated_rates_match_scipy():
 
 
 def test_repeated_fits_and_evaluations_reuse_nothing_stale():
-    # the layout and point caches key on the knots and times themselves,
-    # so a new layout or new times never see another's entries
+    # the layout cache keys on the knots themselves, so a new layout
+    # never sees another's entries
     x = np.linspace(0.0, 1.0, 6)
     t = np.linspace(0.0, 1.0, 11)
     for shift in (0.0, 0.5, 0.0):
@@ -120,21 +119,20 @@ def test_repeated_fits_and_evaluations_reuse_nothing_stale():
             _assert_matches_scipy(x + shift, y, t[::-1] + shift)
 
 
-def test_scalar_times_bypass_the_point_cache():
-    # a bisection asks for a new scalar time at every step
+def test_scalar_and_array_times_give_the_same_values():
+    # a bisection asks for one scalar time at a time
     spline = NaturalSpline(np.linspace(0.0, 1.0, 6), np.arange(6.0))
-    before = len(_POINTS.entries)
     values = [spline(t) for t in np.linspace(0.05, 0.95, 19)]
-    assert len(_POINTS.entries) == before
+    assert all(value.shape == () for value in values)
     assert np.array_equal(values, spline(np.linspace(0.05, 0.95, 19)))
 
 
-def test_caches_hold_under_concurrent_fits(monkeypatch):
-    # threads share both caches; a small budget makes them evict while
-    # other threads read, and every result must still equal scipy's
-    budget = 16 << 10
-    monkeypatch.setattr(spline, "_CACHE_BYTES", budget)
-    layouts = [np.linspace(0.0, 1.0 + k, 40 + k) for k in range(6)]
+def test_layout_cache_holds_under_concurrent_fits():
+    # threads share the layout cache and fit more layouts than it keeps,
+    # so it evicts while other threads read; every result must still
+    # equal scipy's
+    maxsize = _layout.cache_info().maxsize
+    layouts = [np.linspace(0.0, 1.0 + k, 40 + k) for k in range(2 * maxsize + 2)]
     times = np.linspace(0.0, 1.0, 101)
     expected = [CubicSpline(x, np.sin(x), bc_type="natural")(times) for x in layouts]
     errors = []
@@ -148,6 +146,7 @@ def test_caches_hold_under_concurrent_fits(monkeypatch):
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
+    _layout.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -160,8 +159,9 @@ def test_caches_hold_under_concurrent_fits(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    for cache in (spline._LAYOUTS, _POINTS):
-        assert cache.nbytes == sum(counted for counted, _ in cache.entries.values()) <= budget
+    info = _layout.cache_info()
+    # every layout was fitted, fewer are kept, and evicted ones missed again
+    assert info.currsize <= info.maxsize < len(layouts) < info.misses
 
 
 def test_spline_keeps_read_only_knots_and_refuses_bad_input():
