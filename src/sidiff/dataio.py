@@ -245,7 +245,7 @@ def load_paths(path: str, capacity: float | None = None) -> PathSet:
     """Inverse of save_paths.  `capacity` overrides the sidecar value.
 
     A wrong header, a row of the wrong width or a non-numeric cell is a
-    ValueError naming path:line; the times must be uniformly spaced.
+    ValueError naming path:line, and unevenly spaced times one naming path.
     The sidecar <path>.meta.json may be absent.  If present it must be a
     JSON object whose seed is an object or null (its master_seed, when
     given, a nonnegative integer), whose meta is an object and whose
@@ -259,8 +259,12 @@ def load_paths(path: str, capacity: float | None = None) -> PathSet:
         capacity = sidecar.get("capacity")
         if capacity is None:
             raise ValueError(f"{path}: no sidecar capacity; pass capacity explicitly")
+    try:
+        grid = _grid_from_times(columns[0])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     ps = PathSet(
-        grid=_grid_from_times(columns[0]),
+        grid=grid,
         values=columns[1:],
         space=sidecar.get("space", "X"),
         capacity=float(capacity),
@@ -302,8 +306,8 @@ def save_estimate(result: EstimateResult, path: str, *, capacity: float, seed: i
 
     Columns are pinned: t, lambda_hat, sigma2_hat_raw,
     sigma2_hat_floored.  The JSON sidecar holds the homogeneous-fit
-    baseline, scalar summaries over the default window and the
-    diagnostics dict.
+    baseline, scalar summaries over the whole grid (its window) and
+    the diagnostics dict.
     """
     times = result.grid.times
     a, b = float(times[0]), float(times[-1])
@@ -623,6 +627,8 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         if not self.capacity > 0.0:
             raise ValueError("capacity must be positive")
+        if not isinstance(self.stride, (int, np.integer)) or isinstance(self.stride, bool):
+            raise ValueError(f"stride must be an integer, not {self.stride!r}")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
         if self.time_unit not in TIME_UNITS:

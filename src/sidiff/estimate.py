@@ -129,8 +129,10 @@ def fit_moment_curves(
     least four observations (nu has one knot fewer than mu).  Returns
     the mean curve and the covariance curve, two `NaturalSpline`s.
     """
-    if not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise ValueError("stride must be an integer >= 1")
+    if not isinstance(stride, (int, np.integer)) or isinstance(stride, bool):
+        raise ValueError(f"stride must be an integer, not {stride!r}")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     times = grid.times
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -183,8 +185,8 @@ class EstimateResult:
     def __post_init__(self) -> None:
         self._mean_slope = self.mean_curve.derivative()
         self._cov_slope = self.cov_curve.derivative()
-        self.lambda_grid = self._mean_slope(self.grid.times)
-        self.sigma2_grid = self._cov_slope(self.grid.times)
+        self.lambda_grid = self.lambda_hat(self.grid.times)
+        self.sigma2_grid = self.sigma2_hat_raw(self.grid.times)
 
     def lambda_hat(self, t):
         return self._mean_slope(t)

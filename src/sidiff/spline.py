@@ -21,12 +21,13 @@ theirs bit for bit:
 - an antiderivative divides row j by k - j, then sets each piece's
   constant to the previous piece's value at their common knot.
 
-One cache keeps a fit at array speed.  The row interchanges and
-elimination factors of the solve depend only on the knot spacing, so
-they are worked out once per knot layout, and the _LAYOUTS_KEPT most
-recently used layouts are kept (about 41 bytes per knot each); a fit
-then runs the elimination on its right-hand side alone.  An entry is a
-function of its key alone, so no result depends on what is cached.
+One cache keeps a fit fast.  The row interchanges and elimination
+factors of the solve depend only on the knot spacing, so they are
+worked out once per knot layout, as the Python floats the solve reads,
+and the _LAYOUTS_KEPT most recently used layouts are kept (about 112
+bytes per knot each, up to about 140 where rows are interchanged); a
+fit then runs the elimination on its right-hand side alone.  An entry
+is a function of its key alone, so no result depends on what is cached.
 """
 
 from __future__ import annotations
@@ -38,12 +39,6 @@ import numpy as np
 __all__ = ["NaturalSpline"]
 
 _LAYOUTS_KEPT = 8
-
-
-@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
-def _layout(knot_bytes: bytes) -> tuple:
-    """`_factor` of the knots whose float64 bytes are knot_bytes."""
-    return _factor(np.diff(np.frombuffer(knot_bytes)))
 
 
 class NaturalSpline:
@@ -129,15 +124,17 @@ class NaturalSpline:
         return self._with(c)
 
 
-def _factor(dx: np.ndarray) -> tuple:
-    """Row interchanges and factors of reference `dgtsv` on the spline system.
-
-    Returns what `_solve` needs to repeat the elimination on a
-    right-hand side: the interchange flags and the factors, first row
-    first, then the eliminated diagonal, superdiagonal and fill-in
-    second superdiagonal, last row first.  The fill-in is zero where no
-    row was interchanged.
+@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
+def _layout(knot_bytes: bytes) -> tuple:
+    """Row interchanges and factors of reference `dgtsv` on the spline
+    system of the knots whose float64 bytes are knot_bytes, as the
+    tuples of Python bools and floats that `_solve` zips over: the
+    interchange flags and the factors, first row first, then the
+    eliminated diagonal, superdiagonal and fill-in second
+    superdiagonal, last row first.  The fill-in is zero where no row
+    was interchanged.
     """
+    dx = np.diff(np.frombuffer(knot_bytes))
     d = np.concatenate(([2 * dx[0]], 2 * (dx[:-1] + dx[1:]), [2 * dx[-1]])).tolist()
     du = np.concatenate((dx[:1], dx[:-1])).tolist()
     dl = np.concatenate((dx[1:], dx[-1:])).tolist()
@@ -167,13 +164,7 @@ def _factor(dx: np.ndarray) -> tuple:
     # the back substitution starts from two zero unknowns past the last
     # row, with zero coefficients: v - 0.0 * 0.0 is v, so the last two
     # rows come out as dgtsv's shorter formulas give them
-    return (
-        np.array(swaps),
-        np.array(factors),
-        np.array(d[::-1]),
-        np.array([0.0, *du[::-1]]),
-        np.array([0.0, 0.0, *du2[::-1]]),
-    )
+    return tuple(swaps), tuple(factors), tuple(d[::-1]), (0.0, *du[::-1]), (0.0, 0.0, *du2[::-1])
 
 
 def _solve(layout: tuple, b: list) -> list:
@@ -183,7 +174,7 @@ def _solve(layout: tuple, b: list) -> list:
     # times row i, or the two are interchanged first
     row = b[0]
     eliminated = []
-    for value, swap, fact in zip(b[1:], swaps.tolist(), factors.tolist()):
+    for value, swap, fact in zip(b[1:], swaps, factors):
         if swap:
             eliminated.append(value)
             row = row - fact * value
@@ -193,7 +184,7 @@ def _solve(layout: tuple, b: list) -> list:
     eliminated.append(row)
     x1 = x2 = 0.0
     out = []
-    for value, diag, upper, upper2 in zip(reversed(eliminated), d.tolist(), du.tolist(), du2.tolist()):
+    for value, diag, upper, upper2 in zip(reversed(eliminated), d, du, du2):
         x2, x1 = x1, (value - upper * x1 - upper2 * x2) / diag
         out.append(x1)
     out.reverse()

@@ -132,7 +132,7 @@ def test_uneven_grids_with_small_steps_are_refused(tmp_path, times):
     # the spacing check is relative to the step, however small the step
     f = tmp_path / "uneven.csv"
     f.write_text("t,path_1\n" + "".join(f"{t!r},20.0\n" for t in times))
-    with pytest.raises(ValueError, match="not uniformly spaced"):
+    with pytest.raises(ValueError, match=r"uneven\.csv: times are not uniformly spaced"):
         load_paths(str(f), capacity=K)
     table = _table(times=times, counts=(2.0, 3.0, 5.0, 8.0))
     with pytest.raises(ValueError, match="not uniformly spaced"):
@@ -788,6 +788,13 @@ def test_suggest_capacity():
     assert suggest_K(np.array([0.1, 0.238])) == pytest.approx(0.238 * 1.05, rel=1e-12)
     ps = cumulate_normalize(_table(), 0.25)
     assert suggest_K(ps) == pytest.approx(0.10 * 1.05, rel=1e-12)
+
+
+@pytest.mark.parametrize("stride", [True, 2.5, "3"])
+def test_analysis_config_refuses_non_integer_strides(stride):
+    with pytest.raises(ValueError, match=f"^stride must be an integer, not {stride!r}$"):
+        AnalysisConfig(capacity=0.25, stride=stride)
+    AnalysisConfig(capacity=0.25, stride=np.int64(3))
 
 
 def test_analysis_config_validation():

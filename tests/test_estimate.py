@@ -166,6 +166,13 @@ def test_fit_moment_curves_stride_validation():
         fit_moment_curves(np.zeros(5), np.zeros(6), grid)
 
 
+@pytest.mark.parametrize("stride", [True, 2.5, "3"])
+def test_fit_moment_curves_refuses_non_integer_strides(stride):
+    grid = TimeGrid(0.0, 1.0, 6)
+    with pytest.raises(ValueError, match=f"^stride must be an integer, not {stride!r}$"):
+        fit_moment_curves(np.zeros(6), np.zeros(6), grid, stride=stride)
+
+
 # -------------------------------------------------------------- full pipeline
 
 
@@ -226,6 +233,30 @@ def test_grid_samples_equal_the_curve_methods(stride):
     assert np.array_equal(direct.lambda_grid, direct.lambda_hat(grid.times))
     assert np.array_equal(direct.sigma2_grid, direct.sigma2_hat_raw(grid.times))
     assert direct.sigma2_grid.min() < 0.0 <= direct.sigma2_hat_floored(grid.times).min()
+
+
+def test_grid_samples_go_through_the_curve_methods(monkeypatch):
+    # a wrapper on the curve methods (a tracer's, say) sees the one grid
+    # sampling of each curve that building a result makes
+    calls = []
+
+    def counting(name):
+        method = getattr(EstimateResult, name)
+
+        def wrapper(self, t):
+            calls.append((name, t is self.grid.times))
+            return method(self, t)
+
+        monkeypatch.setattr(EstimateResult, name, wrapper)
+
+    counting("lambda_hat")
+    counting("sigma2_hat_raw")
+    ps = simulate_exact(PAIR, 20.0, TimeGrid(0.0, 0.1, 101), 30, 11)
+    est = estimate_pipeline(ps, stride=5)
+    assert calls == [("lambda_hat", True), ("sigma2_hat_raw", True)]
+    calls.clear()
+    EstimateResult(grid=est.grid, mean_curve=est.mean_curve, cov_curve=est.cov_curve)
+    assert calls == [("lambda_hat", True), ("sigma2_hat_raw", True)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,7 +18,7 @@ from sidiff import (
     transform_paths,
 )
 from sidiff.experiments import STANDARD_GRID, STANDARD_X0, case_rates
-from sidiff.spline import _factor, _layout
+from sidiff.spline import _layout
 from sidiff.synthetic import measles_like_rates
 
 
@@ -76,9 +76,19 @@ def test_spline_matches_scipy_on_two_and_three_knots(x):
 
 def test_growing_gaps_interchange_rows():
     # the drawn "growing" layouts exercise dgtsv's row interchange
-    swaps = _factor(np.diff([0.0, 1.0, 3.5, 12.0, 40.0]))[0]
-    assert swaps.all()
-    assert not _factor(np.diff(np.linspace(0.0, 1.0, 9)))[0].any()
+    swaps = _layout(np.array([0.0, 1.0, 3.5, 12.0, 40.0]).tobytes())[0]
+    assert all(swaps)
+    assert not any(_layout(np.linspace(0.0, 1.0, 9).tobytes())[0])
+
+
+@pytest.mark.parametrize("x", [np.linspace(0.0, 50.0, 501), np.array([0.0, 1.0, 3.5, 12.0, 40.0])])
+def test_layouts_are_cached_as_the_python_values_the_solve_reads(x):
+    # a cached layout is one representation: tuples of Python bools and
+    # floats, which the solve zips over without converting
+    swaps, *rows = _layout(x.tobytes())
+    assert type(swaps) is tuple and all(type(v) is bool for v in swaps)
+    assert all(type(row) is tuple and all(type(v) is float for v in row) for row in rows)
+    assert len(swaps) == x.size - 1 and [len(row) for row in rows] == [x.size - 1, x.size, x.size, x.size]
 
 
 @pytest.mark.parametrize("stride", [1, 10])
