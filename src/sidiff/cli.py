@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,7 +40,7 @@ from .experiments import (
     run_experiment,
     table1_config,
 )
-from .rates import _finite_number, pair_from_dict
+from .rates import _finite_number, _positive_number, _whole_number, pair_from_dict
 from .simulate import DRIFT_CORRECTIONS, TimeGrid, simulate_em, simulate_exact
 
 __all__ = ["main", "build_parser"]
@@ -59,7 +60,10 @@ def _resolve_out(path: str) -> str:
 
 def _load_json(path: str) -> dict:
     with open(path) as handle:
-        cfg = json.load(handle)
+        try:
+            cfg = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: top-level JSON value must be an object")
     return cfg
@@ -89,12 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
         help="exact transition sampling or Euler-Maruyama (default exact)",
     )
-    p_sim.add_argument("--refine", type=int, default=1, help="Euler-Maruyama substeps per observation step")
+    p_sim.add_argument(
+        "--refine", type=int, help="Euler-Maruyama substeps per observation step (--simulator em only; default 1)"
+    )
     p_sim.add_argument(
         "--drift-correction",
         choices=DRIFT_CORRECTIONS,
-        default="state",
-        help="Ito correction used by the Euler-Maruyama drift",
+        help="Ito correction used by the Euler-Maruyama drift (--simulator em only; default state)",
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -149,18 +154,14 @@ def _cmd_simulate(args) -> int:
     _refuse_unknown_keys(cfg, RATE_KEYS, "rates file")
     rates = pair_from_dict({**cfg, "capacity": args.K})
     grid = TimeGrid.from_span(args.t0, args.T, args.delta)
+    em_flags = {"refine": args.refine, "drift_correction": args.drift_correction}
+    em_flags = {key: value for key, value in em_flags.items() if value is not None}
     if args.simulator == "exact":
+        if em_flags:
+            raise ValueError("--refine and --drift-correction apply to --simulator em only")
         paths = simulate_exact(rates, args.x0, grid, args.paths, args.seed)
     else:
-        paths = simulate_em(
-            rates,
-            args.x0,
-            grid,
-            args.paths,
-            args.seed,
-            refine=args.refine,
-            drift_correction=args.drift_correction,
-        )
+        paths = simulate_em(rates, args.x0, grid, args.paths, args.seed, **em_flags)
     out = _resolve_out(args.out)
     save_paths(paths, out, rates=rates)
     print(f"wrote {paths.n_paths} paths x {grid.n} times to {out}")
@@ -184,24 +185,20 @@ def _refuse_unknown_keys(entry: dict, known: frozenset, where: str) -> None:
         raise ValueError(f"unknown {where} key(s) {unknown}; known keys are {sorted(known)}")
 
 
-def _number(value, key: str, kind: type):
-    if kind is not int:
-        return _finite_number(value, f"config key {key!r}")
-    # JSON true/false are ints to Python, and int() would truncate 2.7
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config key {key!r} must be an integer, not {value!r}")
-    return value
-
-
 def _experiment_configs(cfg: dict, seed_override: int | None):
     _refuse_unknown_keys(cfg, EXPERIMENT_KEYS, "experiment config")
     counts = cfg if seed_override is None else {**cfg, "master_seed": seed_override}
-    shared = {key: _number(counts.get(key, default), key, int) for key, default in COUNT_DEFAULTS.items()}
+    # only the type here: ExperimentConfig checks the ranges, naming the field
+    shared = {
+        key: _whole_number(counts.get(key, default), f"config key {key!r}", -math.inf)
+        for key, default in COUNT_DEFAULTS.items()
+    }
     if any(key in cfg for key in ("t0", "T", "delta")):
         for key in ("T", "delta"):
             if key not in cfg:
                 raise ValueError(f"experiment config grid override needs {key!r}")
-        shared["grid"] = TimeGrid.from_span(*(_number(cfg.get(key, 0.0), key, float) for key in ("t0", "T", "delta")))
+        span = (_finite_number(cfg.get(key, 0.0), f"config key {key!r}") for key in ("t0", "T", "delta"))
+        shared["grid"] = TimeGrid.from_span(*span)
     rows = cfg.get("rows", [])
     cases = cfg.get("cases", [])
     # too few replicates is refused before any run: rows end in kernel densities, cases in bands
@@ -212,6 +209,7 @@ def _experiment_configs(cfg: dict, seed_override: int | None):
             raise ValueError(f"config key 'replicates' must be at least {least} for {key}")
     if not rows and not cases:
         raise ValueError("experiment config needs a nonempty 'rows' or 'cases' entry")
+    row_rates = []
     for row in rows:
         if not isinstance(row, dict):
             raise ValueError(f"each entry of 'rows' must be an object, not {row!r}")
@@ -219,19 +217,19 @@ def _experiment_configs(cfg: dict, seed_override: int | None):
         if set(row) != RATE_KEYS:
             raise ValueError(f"row {row!r} needs both keys {sorted(RATE_KEYS)}")
         # refused before any run: relative errors divide by the transmission, and the simulators need noise > 0
-        if _number(row["transmission"], "transmission", float) == 0.0:
+        transmission = _finite_number(row["transmission"], "config key 'transmission'")
+        if transmission == 0.0:
             raise ValueError("config key 'transmission' must be nonzero: relative errors divide by it")
-        if not _number(row["noise"], "noise", float) > 0.0:
-            raise ValueError("config key 'noise' must be positive")
+        row_rates.append((transmission, _positive_number(row["noise"], "config key 'noise'")))
     row_configs = [
         table1_config(
-            _number(row["transmission"], "transmission", float),
-            _number(row["noise"], "noise", float),
+            transmission,
+            noise,
             simulator=cfg.get("row_simulator", "em"),
             em_drift_correction=cfg.get("row_drift_correction", "constant"),
             **shared,
         )
-        for row in rows
+        for transmission, noise in row_rates
     ]
     case_configs = [case_config(str(name), **shared) for name in cases]
     return row_configs, case_configs, shared["master_seed"]

@@ -33,7 +33,6 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -44,7 +43,7 @@ from ._version import __version__
 from .estimate import EstimateResult, estimate_pipeline
 from .experiments import EM_REFINE, ExperimentReport, boxplot_stats, kde, pointwise_band, standardize
 from .model import CLIP_EPS
-from .rates import _finite_number, pair_to_dict
+from .rates import _finite_number, _positive_number, _whole_number, pair_to_dict
 from .simulate import PathSet, TimeGrid
 
 __all__ = [
@@ -245,12 +244,15 @@ def load_paths(path: str, capacity: float | None = None) -> PathSet:
     """Inverse of save_paths.  `capacity` overrides the sidecar value.
 
     A wrong header, a row of the wrong width or a non-numeric cell is a
-    ValueError naming path:line, and unevenly spaced times one naming path.
-    The sidecar <path>.meta.json may be absent.  If present it must be a
-    JSON object whose seed is an object or null (its master_seed, when
-    given, a nonnegative integer), whose meta is an object and whose
-    capacity is a finite number or null, or the ValueError names the
-    sidecar.  The capacity used must be positive.
+    ValueError naming path:line.  Unevenly spaced times and every
+    refusal of `PathSet.validate` (a non-finite value, an X value
+    outside (0, capacity), with the capacity used and the value) are
+    ValueErrors naming path.  The sidecar <path>.meta.json may be
+    absent.  If present it must be valid JSON: an object whose seed is
+    an object or null (its master_seed, when given, a nonnegative
+    integer), whose meta is an object and whose capacity is a finite
+    number or null, or the ValueError names the sidecar.  The capacity
+    used must be positive and finite.
     """
     _, _, cells = _read_table(path, "t")
     columns = cells.T.copy()
@@ -259,19 +261,19 @@ def load_paths(path: str, capacity: float | None = None) -> PathSet:
         capacity = sidecar.get("capacity")
         if capacity is None:
             raise ValueError(f"{path}: no sidecar capacity; pass capacity explicitly")
+    capacity = _positive_number(capacity, "capacity")
     try:
-        grid = _grid_from_times(columns[0])
+        ps = PathSet(
+            grid=_grid_from_times(columns[0]),
+            values=columns[1:],
+            space=sidecar.get("space", "X"),
+            capacity=capacity,
+            seed=sidecar.get("seed"),
+            meta=sidecar.get("meta", {}),
+        )
+        ps.validate()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    ps = PathSet(
-        grid=grid,
-        values=columns[1:],
-        space=sidecar.get("space", "X"),
-        capacity=float(capacity),
-        seed=sidecar.get("seed"),
-        meta=sidecar.get("meta", {}),
-    )
-    ps.validate()
     return ps
 
 
@@ -280,16 +282,17 @@ def _read_sidecar(path: str) -> dict:
     if not os.path.exists(path):
         return {}
     with open(path) as handle:
-        sidecar = json.load(handle)
+        try:
+            sidecar = json.load(handle)
+        except json.JSONDecodeError as exc:
+            # a plain ValueError: a malformed sidecar is a data error, not a config error
+            raise ValueError(f"{path}: malformed JSON ({exc})") from None
     if not isinstance(sidecar, dict):
         raise ValueError(f"{path}: sidecar must be a JSON object, not {sidecar!r}")
     seed = sidecar.get("seed")
     if not isinstance(seed, (dict, type(None))):
         raise ValueError(f"{path}: 'seed' must be an object or null, not {seed!r}")
-    master_seed = (seed or {}).get("master_seed", 0)
-    # JSON true/false are ints to Python; the seed goes into metadata lines via int()
-    if type(master_seed) is not int or master_seed < 0:
-        raise ValueError(f"{path}: seed 'master_seed' must be a nonnegative integer, not {master_seed!r}")
+    _whole_number((seed or {}).get("master_seed", 0), f"{path}: seed 'master_seed'")
     if not isinstance(sidecar.get("meta", {}), dict):
         raise ValueError(f"{path}: 'meta' must be an object, not {sidecar['meta']!r}")
     if sidecar.get("capacity") is not None:
@@ -498,9 +501,7 @@ def load_csv(counts_path: str, populations_path: str) -> RawSeriesTable:
             raise ValueError(f"{where}: non-numeric population") from None
         if name in populations:
             raise ValueError(f"{where}: duplicate location {name!r}")
-        if not (math.isfinite(pop) and pop > 0.0):
-            raise ValueError(f"{where}: population must be positive and finite, not {pop!r}")
-        populations[name] = pop
+        populations[name] = _positive_number(pop, f"{where}: population")
 
     missing = [n for n in names if n not in populations]
     if missing:
@@ -553,8 +554,7 @@ def cumulate_normalize(
     table.validate()
     if time_unit not in TIME_UNITS:
         raise ValueError(f"time_unit must be one of {TIME_UNITS}")
-    if not capacity > 0.0:
-        raise ValueError("capacity must be positive")
+    _positive_number(capacity, "capacity")
     divisor = table.populations.max() if global_population else table.populations[:, None]
     times, values = table.times, np.cumsum(table.counts, axis=1) / divisor
     if window is not None:
@@ -625,12 +625,8 @@ class AnalysisConfig:
     time_window: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not self.capacity > 0.0:
-            raise ValueError("capacity must be positive")
-        if not isinstance(self.stride, (int, np.integer)) or isinstance(self.stride, bool):
-            raise ValueError(f"stride must be an integer, not {self.stride!r}")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        _positive_number(self.capacity, "capacity")
+        _whole_number(self.stride, "stride", 1)
         if self.time_unit not in TIME_UNITS:
             raise ValueError(f"time_unit must be one of {TIME_UNITS}")
         if self.time_window is not None:

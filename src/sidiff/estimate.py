@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import CLIP_EPS, x_to_y
+from .rates import _whole_number
 from .simulate import PathSet, TimeGrid
 from .spline import NaturalSpline
 
@@ -129,10 +130,7 @@ def fit_moment_curves(
     least four observations (nu has one knot fewer than mu).  Returns
     the mean curve and the covariance curve, two `NaturalSpline`s.
     """
-    if not isinstance(stride, (int, np.integer)) or isinstance(stride, bool):
-        raise ValueError(f"stride must be an integer, not {stride!r}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    _whole_number(stride, "stride", 1)
     times = grid.times
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)

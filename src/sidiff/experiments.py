@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimate import estimate_pipeline
-from .rates import RatePair, constant, exp_saturating, sinusoid
-from .model import y_to_x
+from .rates import RatePair, _whole_number, constant, exp_saturating, sinusoid
+from .model import _check_state, y_to_x
 from .simulate import DRIFT_CORRECTIONS, TimeGrid, _em_replicates, _exact_replicates
 
 __all__ = [
@@ -91,24 +91,14 @@ class ExperimentConfig:
     em_drift_correction: str = "state"
 
     def __post_init__(self) -> None:
-        for name in ("n_paths", "replicates", "master_seed", "stride"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.n_paths < 2:
-            raise ValueError("n_paths must be >= 2 (lagged covariance needs two paths)")
+        # n_paths >= 2: the lagged covariance needs two paths
+        for name, least in (("n_paths", 2), ("replicates", 1), ("master_seed", 0), ("stride", 1)):
+            _whole_number(getattr(self, name), name, least)
         if self.simulator not in SIMULATORS:
             raise ValueError(f"simulator must be one of {SIMULATORS}")
         if self.em_drift_correction not in DRIFT_CORRECTIONS:
             raise ValueError(f"em_drift_correction must be one of {DRIFT_CORRECTIONS}")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if not (0.0 < self.x0 < self.rates.capacity):
-            raise ValueError("x0 must lie strictly inside (0, capacity)")
+        _check_state(self.x0, self.rates.capacity, "x0")
 
     @property
     def methods(self) -> tuple[str, ...]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import RateFunction, RatePair, constant, cumulative, evaluate, integrate
+from .rates import RateFunction, RatePair, _whole_number, constant, cumulative, evaluate, integrate
 
 __all__ = [
     "DegenerateTimeError",
@@ -185,8 +185,9 @@ def _bisect(f, a: float, b: float) -> float:
 
 
 def _check_state(x, capacity, name="x"):
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= capacity):
+    # numbers only: a float dtype would take the string "20" and the bool True
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf" or np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= capacity):
         raise ValueError(f"{name} must lie strictly inside (0, {capacity})")
 
 
@@ -343,10 +344,10 @@ def conditional_moment(law: TransitionLaw, m: int, t: float) -> float:
     if level 10 still does not meet it.  Checked against a quadrature
     split at the knee to 1e-13 relative for growths up to 50 in
     magnitude, x0 / K from 5e-5 to 0.995 and variances from 1e-14 to
-    1e6, in at most three array passes.
+    1e6, in at most three array passes.  The order m must be an int or
+    numpy integer >= 1; a bool is refused.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError("moment order m must be an integer >= 1")
+    _whole_number(m, "moment order m", 1)
     lam_int, var_int = law.accumulated(t)
     k = law.rates.capacity
     shift = math.log((k - law.x0) / law.x0) - lam_int

@@ -122,16 +122,42 @@ class RateFunction:
         return evaluate(self, t)
 
 
-def _finite_number(value, what: str) -> float:
+def _as_float(value) -> float:
     # JSON true/false are ints to Python and a string is not a number here;
     # float() overflows on an int beyond the float range, which JSON allows
     number = math.nan
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):
             number = float(value)
+    return number
+
+
+def _finite_number(value, what: str) -> float:
+    number = _as_float(value)
     if not math.isfinite(number):
         raise ValueError(f"{what} must be a finite number, not {value!r}")
     return number
+
+
+def _positive_number(value, what: str) -> float:
+    """value as a float; refused unless it is a positive, finite number."""
+    number = _as_float(value)
+    if not (math.isfinite(number) and number > 0.0):
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+    return number
+
+
+def _whole_number(value, what: str, least: int = 0):
+    """value, refused unless it is an int or numpy integer >= least.
+
+    Bools are refused: JSON true/false are ints to Python, and int()
+    would truncate 2.7.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return value
 
 
 def constant(value: float) -> RateFunction:
@@ -273,9 +299,7 @@ class RatePair:
     capacity: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "capacity", _finite_number(self.capacity, "capacity"))
-        if self.capacity <= 0.0:
-            raise ValueError("capacity must be positive")
+        object.__setattr__(self, "capacity", _positive_number(self.capacity, "capacity"))
 
     def validate_window(self, t0: float, t_end: float, n: int) -> None:
         check_window(self.transmission, t0, t_end, n)

@@ -35,8 +35,8 @@ from functools import cached_property
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .model import CLIP_EPS, y_to_x
-from .rates import RatePair, evaluate, increment_table
+from .model import CLIP_EPS, _check_state, y_to_x
+from .rates import RatePair, _finite_number, _positive_number, _whole_number, evaluate, increment_table
 
 __all__ = [
     "TimeGrid",
@@ -65,14 +65,9 @@ class TimeGrid:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"grid size n must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise ValueError("grid needs at least two points")
-        if not (math.isfinite(self.t0) and math.isfinite(self.delta)):
-            raise ValueError("grid start and step must be finite")
-        if not self.delta > 0.0:
-            raise ValueError("grid step must be positive")
+        _whole_number(self.n, "grid size n", 2)
+        _finite_number(self.t0, "grid start")
+        _positive_number(self.delta, "grid step")
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -85,10 +80,9 @@ class TimeGrid:
     @classmethod
     def from_span(cls, t0: float, t_end: float, delta: float) -> "TimeGrid":
         """Grid covering [t0, t_end]; t_end must be a whole number of steps away."""
-        if not (math.isfinite(t0) and math.isfinite(t_end)):
-            raise ValueError("grid start and end must be finite")
-        if not (math.isfinite(delta) and delta > 0.0):
-            raise ValueError(f"grid step must be positive and finite, got {delta!r}")
+        _finite_number(t0, "grid start")
+        _finite_number(t_end, "grid end")
+        _positive_number(delta, "grid step")
         n_steps = (t_end - t0) / delta
         n_round = round(n_steps)
         if abs(n_steps - n_round) > 1e-8 * max(1.0, abs(n_steps)):
@@ -117,33 +111,34 @@ class PathSet:
         return self.values.shape[0]
 
     def validate(self) -> None:
-        if not (math.isfinite(self.capacity) and self.capacity > 0.0):
-            raise ValueError(f"capacity must be positive and finite, got {self.capacity!r}")
+        _positive_number(self.capacity, "capacity")
         if self.space not in ("X", "Y"):
             raise ValueError(f"space must be 'X' or 'Y', got {self.space!r}")
         if self.values.ndim != 2 or self.values.shape[1] != self.grid.n:
             raise ValueError("values must have shape (n_paths, grid.n)")
         if self.values.shape[0] < 1:
             raise ValueError("need at least one path")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("path values must be finite")
-        if self.space == "X":
-            if np.any(self.values <= 0.0) or np.any(self.values >= self.capacity):
-                raise ValueError("X-space paths must stay strictly inside (0, capacity)")
-        else:
-            if np.any(self.values[:, 0] != 0.0):
-                raise ValueError("Y-space paths must start at exactly zero")
+        lo, hi = float(self.values.min()), float(self.values.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"path values must be finite, got {hi if math.isfinite(lo) else lo!r}")
+        if self.space == "X" and (lo <= 0.0 or hi >= self.capacity):
+            worst = lo if lo <= 0.0 else hi
+            raise ValueError(f"X-space paths must stay strictly inside (0, {self.capacity!r}), got {worst!r}")
+        if self.space == "Y" and np.any(self.values[:, 0] != 0.0):
+            raise ValueError("Y-space paths must start at exactly zero")
 
 
 def derive_path_seed(master_seed: int, replicate: int, path: int) -> SeedSequence:
     """Independent, reproducible stream key for one path of one replicate.
 
     The (replicate, path) pair goes into the spawn key, so the mapping
-    is stable across runs, platforms and parallel schedules.
+    is stable across runs, platforms and parallel schedules.  Each
+    argument must be a nonnegative int or numpy integer; bools are
+    refused.
     """
-    for name, v in (("master_seed", master_seed), ("replicate", replicate), ("path", path)):
-        if not isinstance(v, (int, np.integer)) or v < 0:
-            raise ValueError(f"{name} must be a nonnegative integer")
+    _whole_number(master_seed, "master_seed")
+    _whole_number(replicate, "replicate")
+    _whole_number(path, "path")
     return SeedSequence(int(master_seed), spawn_key=(int(replicate), int(path)))
 
 
@@ -182,10 +177,8 @@ def _exact_replicates(
     The checks and increment tables run once, on the first `next`; path
     i of replicate r draws from its own stream into row i."""
     k = rates.capacity
-    if not (0.0 < x0 < k):
-        raise ValueError(f"x0 must lie strictly inside (0, {k})")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    _check_state(x0, k, "x0")
+    _whole_number(n_paths, "n_paths", 1)
     rates.validate_window(grid.t0, grid.end, grid.n)
     mean_inc = increment_table(rates.transmission, grid)
     var_inc = increment_table(rates.noise, grid)
@@ -233,7 +226,8 @@ def simulate_em(
     """Euler-Maruyama paths of the state equation, observed on `grid`.
 
     The integrator runs at internal step delta/refine and records every
-    refine-th iterate.  Iterates are clamped into
+    refine-th iterate; refine is an int or numpy integer >= 1, and a
+    bool is refused.  Iterates are clamped into
     [CLIP_EPS K, (1 - CLIP_EPS) K], the edges to which
     estimate.transform_paths clips (CLIP_EPS = 1e-9, from sidiff.model);
     clamp hits are counted in meta["clamp_count"].  A path that goes
@@ -280,8 +274,7 @@ def _em_replicates(
     when its turn comes, so callers that interleave other work per
     replicate see failures in replicate order.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    _whole_number(n_paths, "n_paths", 1)
     size = max(1, EM_BATCH_BYTES // (8 * n_paths * grid.n))
     for lo in range(0, len(replicates), size):
         batch = replicates[lo : lo + size]
@@ -340,15 +333,13 @@ def _em_batch(
     last column.
     """
     k = rates.capacity
-    if not (0.0 < x0 < k):
-        raise ValueError(f"x0 must lie strictly inside (0, {k})")
+    _check_state(x0, k, "x0")
     if k > EM_MAX_CAPACITY:
         raise ValueError(
             f"capacity {k:g} is above {EM_MAX_CAPACITY:.4g}, where the Euler-Maruyama drift "
             '(K - x) x overflows; use simulator="exact"'
         )
-    if not isinstance(refine, (int, np.integer)) or refine < 1:
-        raise ValueError("refine must be an integer >= 1")
+    _whole_number(refine, "refine", 1)
     if drift_correction not in DRIFT_CORRECTIONS:
         raise ValueError(f"drift_correction must be one of {DRIFT_CORRECTIONS}")
     rates.validate_window(grid.t0, grid.end, grid.n)

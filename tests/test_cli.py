@@ -105,6 +105,15 @@ def test_bad_json_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_malformed_config_json_is_a_config_error_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "exp.json"
+    bad.write_text('{"rows": [')
+    out_dir = tmp_path / "o"
+    assert main(["experiment", "--config", str(bad), "--out-dir", str(out_dir)]) == 1
+    assert f"sidiff: config error: {bad}: Expecting value: line 1 column 11" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_missing_file_is_an_io_error(tmp_path, capsys):
     rc = main(["estimate", "--in", str(tmp_path / "nope.csv"), "--K", "200",
                "--out", str(tmp_path / "o.csv")])
@@ -142,6 +151,21 @@ def test_malformed_rate_params_are_data_errors_naming_the_key(tmp_path, capsys, 
     assert rc == 1
     err = capsys.readouterr().err
     assert "data error:" in err and named in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--refine", "0"], ["--drift-correction", "constant"], ["--refine", "2", "--drift-correction", "state"]],
+    ids=["refine", "drift-correction", "both"],
+)
+def test_simulate_refuses_euler_maruyama_flags_without_the_em_simulator(tmp_path, capsys, flags):
+    cfg = _write_json(tmp_path / "rates.json", RATES_JSON)
+    out = tmp_path / "o.csv"
+    rc = main(["simulate", "--config", cfg, "--x0", "20", "--K", "200",
+               "--T", "1", "--delta", "0.1", "--out", str(out), *flags])
+    assert rc == 1
+    assert "data error: --refine and --drift-correction apply to --simulator em only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -206,6 +230,32 @@ def test_estimate_refuses_a_sidecar_master_seed_that_is_not_a_nonnegative_intege
     assert main(["estimate", "--in", paths_csv, "--K", "200", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "data error:" in err and "paths.csv.meta.json" in err and "'master_seed'" in err
+    assert not out.exists()
+
+
+def test_estimate_refuses_a_sidecar_that_is_not_json_naming_it(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "rates.json", RATES_JSON)
+    paths_csv = str(tmp_path / "paths.csv")
+    assert main(["simulate", "--config", cfg, "--x0", "20", "--K", "200",
+                 "--T", "1", "--delta", "0.1", "--paths", "4", "--out", paths_csv]) == 0
+    Path(paths_csv + ".meta.json").write_text('{"capacity": 200,\n')
+    capsys.readouterr()
+    assert main(["estimate", "--in", paths_csv, "--K", "200", "--out", str(tmp_path / "e.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"sidiff: data error: {paths_csv}.meta.json: malformed JSON (Expecting property name" in err
+
+
+def test_estimate_refuses_a_capacity_below_the_paths_naming_the_bundle(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "rates.json", RATES_JSON)
+    paths_csv = str(tmp_path / "paths.csv")
+    assert main(["simulate", "--config", cfg, "--x0", "20", "--K", "200",
+                 "--T", "1", "--delta", "0.1", "--paths", "4", "--out", paths_csv]) == 0
+    top = float(load_paths(paths_csv).values.max())
+    capsys.readouterr()
+    out = tmp_path / "e.csv"
+    assert main(["estimate", "--in", paths_csv, "--K", "20", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"data error: {paths_csv}: X-space paths must stay strictly inside (0, 20.0), got {top!r}" in err
     assert not out.exists()
 
 
@@ -309,6 +359,26 @@ def test_experiment_run_bytes_are_pinned(tmp_path):
     assert main(["experiment", "--config", cfg, "--out-dir", str(out_dir)]) == 0
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out_dir.iterdir())}
     assert got == PINNED_RUN_SHA256
+
+
+def test_experiment_rows_run_the_exact_sampler_when_asked(tmp_path, monkeypatch, capsys):
+    def no_em(*args, **kwargs):
+        raise AssertionError("an exact row ran the Euler-Maruyama sampler")
+
+    monkeypatch.setattr("sidiff.experiments._em_replicates", no_em)
+    cfg = _write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, "cases": [], "row_simulator": "exact"})
+    out_dir = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    assert sorted(os.listdir(out_dir)) == ["boxplot.csv", "kde.csv", "table1.csv"]
+    assert "EM clamps: 0," in capsys.readouterr().out
+
+
+def test_experiment_refuses_an_unknown_row_simulator(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, "row_simulator": "rk4"})
+    out_dir = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out-dir", str(out_dir)]) == 1
+    assert "data error: simulator must be one of ('exact', 'em')" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_experiment_refuses_a_negative_seed_before_creating_the_directory(tmp_path, capsys):

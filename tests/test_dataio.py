@@ -118,6 +118,22 @@ def test_path_set_refuses_a_capacity_that_is_not_positive_and_finite(capacity):
         ps.validate()
 
 
+@pytest.mark.parametrize(
+    "rows, capacity, message",
+    [
+        ("0.0,20.0\n0.1,nan\n", K, r"bad\.csv: path values must be finite, got nan$"),
+        ("0.0,20.0\n0.1,45.5\n", 30.0, r"bad\.csv: X-space paths must stay strictly inside \(0, 30\.0\), got 45\.5$"),
+        ("0.0,20.0\n0.1,-0.5\n", K, r"bad\.csv: X-space paths must stay strictly inside \(0, 200\.0\), got -0\.5$"),
+    ],
+    ids=["nan-cell", "above-capacity", "negative"],
+)
+def test_load_paths_refusals_name_the_file_the_capacity_and_the_value(tmp_path, rows, capacity, message):
+    f = tmp_path / "bad.csv"
+    f.write_text("t,path_1\n" + rows)
+    with pytest.raises(ValueError, match=message):
+        load_paths(str(f), capacity=capacity)
+
+
 def test_load_paths_reports_line_numbers(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("t,path_1\n0.0,20.0\n0.1,oops\n")
