@@ -296,7 +296,8 @@ def _read_sidecar(path: str) -> dict:
     if not isinstance(sidecar.get("meta", {}), dict):
         raise ValueError(f"{path}: 'meta' must be an object, not {sidecar['meta']!r}")
     if sidecar.get("capacity") is not None:
-        sidecar["capacity"] = _finite_number(sidecar["capacity"], f"{path}: 'capacity'")
+        what = f"{path}: 'capacity'"
+        sidecar["capacity"] = _positive_number(_finite_number(sidecar["capacity"], what), what)
     return sidecar
 
 

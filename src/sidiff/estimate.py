@@ -50,6 +50,11 @@ def transform_paths(paths: PathSet) -> PathSet:
     to those edges before the log, and the number of clipped entries
     replaces meta["clip_count"].
     """
+    return _transform_paths(paths)
+
+
+def _transform_paths(paths: PathSet, out: np.ndarray | None = None) -> PathSet:
+    """`transform_paths`, written into `out` (which may be paths.values) when given."""
     if paths.space != "X":
         raise ValueError("transform_paths expects X-space paths")
     k = paths.capacity
@@ -58,9 +63,10 @@ def transform_paths(paths: PathSet) -> PathSet:
         raise ValueError("path values outside [0, capacity]")
     lo, hi = CLIP_EPS * k, (1.0 - CLIP_EPS) * k
     n_clipped = int(np.count_nonzero((x < lo) | (x > hi)))
-    # the transform is written over the clipped copy, so the result and
-    # the transform's denominator are the only full-size arrays made
-    y = np.clip(x, lo, hi)
+    # the transform is written over the clipped values, so the result
+    # (none with `out`) and the transform's denominator are the only
+    # full-size arrays made
+    y = np.clip(x, lo, hi, out=out)
     x0 = y[:, :1].copy()  # per-path reference point
     x_to_y(y, x0, k, out=y)
     return PathSet(

@@ -15,13 +15,15 @@ The exact stream checks the rate window and builds its increment
 tables once, then draws each replicate in the Gaussian coordinate,
 where it stays from draw to estimate.  The Euler-Maruyama stream
 integrates replicates in batches of simulate.EM_BATCH_BYTES of path
-values (four 50 x 5001 replicates in 8 MiB), since a wider batch takes
+values (five 50 x 5001 replicates in 10 MiB), since a wider batch takes
 fewer Python steps per replicate.  Estimation is per replicate, and
 each replicate's row is written straight into the report's arrays, so
 every output is the same as simulating and estimating each replicate
-on its own.  A run's peak memory is one Euler-Maruyama batch (or one
-exact replicate) plus one replicate's estimate, which holds the
-transformed paths and one other array of their size at a time.
+on its own.  A run's peak memory is one Euler-Maruyama batch with its
+noise buffers (or one exact replicate) plus one replicate's estimate,
+which holds the transformed paths and one other array of their size at
+a time; an Euler-Maruyama replicate is transformed over its own rows of
+the batch, so only the other array is new.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimate import estimate_pipeline
+from .estimate import _transform_paths, estimate_pipeline
 from .rates import RatePair, _whole_number, constant, exp_saturating, sinusoid
 from .model import _check_state, y_to_x
 from .simulate import DRIFT_CORRECTIONS, TimeGrid, _em_replicates, _exact_replicates
@@ -167,6 +169,13 @@ def _run_replicate(config: ExperimentConfig, r: int, simulations, report: Experi
         started = time.perf_counter()
         paths = next(simulations)
         simulated = time.perf_counter()
+        if paths.space == "X":
+            saturation = np.mean(paths.values[:, -1] > 0.99 * k)
+            # an Euler-Maruyama replicate's rows of its batch are not read
+            # again, so its transformed paths are written over them
+            paths = _transform_paths(paths, out=paths.values)
+        else:
+            saturation = np.mean(y_to_x(paths.values[:, -1], config.x0, k) > 0.99 * k)
         result = estimate_pipeline(paths, stride=config.stride, with_mle=with_mle)
         report.timings["simulate"] += simulated - started
         report.timings["estimate"] += time.perf_counter() - simulated
@@ -182,8 +191,7 @@ def _run_replicate(config: ExperimentConfig, r: int, simulations, report: Experi
     for name in ("clip_count", "negative_noise_fraction", "low_confidence_boundary"):
         per_rep[name][r] = result.diagnostics[name]
     per_rep["clamp_count"][r] = paths.meta.get("clamp_count", 0)
-    last = paths.values[:, -1] if paths.space == "X" else y_to_x(paths.values[:, -1], config.x0, k)
-    per_rep["saturation_fraction"][r] = np.mean(last > 0.99 * k)
+    per_rep["saturation_fraction"][r] = saturation
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -12,10 +12,12 @@ the one pure-Python loop left here, so it runs once for a whole batch
 of paths: each internal step is a few vector operations over every
 path of every replicate in the batch (`simulate_em` is the batch of one
 replicate; a run integrates as many replicates at a time as fit
-EM_BATCH_BYTES of path values).  Noise is
+EM_BATCH_BYTES of path values, five 50 x 5001 replicates in 10 MiB).
+The argument checks, the per-step rate tables and the step's scalar
+operands, held as 0-d float64 arrays, are made once per run.  Noise is
 drawn per path in blocks of EM_NOISE_BLOCK steps, never as one
-(paths, steps) array, so a batch holds its path values plus a small
-noise buffer.  A step does only the arithmetic of the scheme and the
+(paths, steps) array, so a batch holds its path values plus two small
+noise buffers.  A step does only the arithmetic of the scheme and the
 clamp, and writes its unclamped iterate over the noise it has used;
 once per block, one vectorised pass over that buffer counts the clamp
 hits, clips the iterates and stores those at the observation times.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -47,9 +50,9 @@ __all__ = [
 ]
 
 EM_NOISE_BLOCK = 512  # internal steps of noise drawn per path at a time
-# path values per Euler-Maruyama batch of replicates (four of 50 x 5001);
+# path values per Euler-Maruyama batch of replicates (five of 50 x 5001);
 # wider batches step faster but raise the peak memory of a run
-EM_BATCH_BYTES = 8 * 2**20
+EM_BATCH_BYTES = 10 * 2**20
 # largest capacity whose Euler-Maruyama drift term (K - x) x stays finite
 EM_MAX_CAPACITY = math.sqrt(np.finfo(float).max)
 
@@ -266,20 +269,22 @@ def _em_replicates(
 ):
     """Yield the `simulate_em` PathSet of each replicate, in order.
 
-    Replicates are integrated together, as many as fit EM_BATCH_BYTES
-    of path values (at least one), on the `next` that reaches the first
-    of them.  A batch's paths are the rows of one array, each yielded
-    PathSet holds a view of its rows, and the batch is dropped before
-    the next one is integrated.  A replicate with a NaN path raises
-    when its turn comes, so callers that interleave other work per
-    replicate see failures in replicate order.
+    The checks and the step operands (`_em_scheme`) run once, on the
+    first `next`.  Replicates are integrated together, as many as fit
+    EM_BATCH_BYTES of path values (at least one), on the `next` that
+    reaches the first of them.  A batch's paths are the rows of one
+    array, each yielded PathSet holds a view of its rows, and the batch
+    is dropped before the next one is integrated.  A replicate with a
+    NaN path raises when its turn comes, so callers that interleave
+    other work per replicate see failures in replicate order.
     """
     _whole_number(n_paths, "n_paths", 1)
+    scheme = _em_scheme(rates, x0, grid, refine, drift_correction)
     size = max(1, EM_BATCH_BYTES // (8 * n_paths * grid.n))
     for lo in range(0, len(replicates), size):
         batch = replicates[lo : lo + size]
         seeds = [derive_path_seed(master_seed, r, i) for r in batch for i in range(n_paths)]
-        values, clamps = _em_batch(rates, x0, grid, seeds, refine=refine, drift_correction=drift_correction)
+        values, clamps = _em_batch(seeds, x0, grid, scheme)
         for j, r in enumerate(batch):
             rows = slice(j * n_paths, (j + 1) * n_paths)
             nan_paths = np.flatnonzero(np.isnan(values[rows, -1]))
@@ -305,33 +310,32 @@ def _em_replicates(
         del values, clamps
 
 
-def _em_batch(
-    rates: RatePair,
-    x0: float,
-    grid: TimeGrid,
-    seeds: list[SeedSequence],
-    *,
-    refine: int,
-    drift_correction: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maruyama kernel: one vector step per internal step for all paths.
+class _EMScheme(NamedTuple):
+    """Operands of one run's Euler-Maruyama steps.
 
-    Path i draws its noise from `seeds[i]`, EM_NOISE_BLOCK steps at a
-    time; consecutive draws from one generator continue its stream, so
-    the noise equals one draw of the full length.  The block is held as
-    a (steps, paths) array, one row per step: a step reads its row,
-    writes its iterate there before the clamp, and clamps x with
-    np.maximum and np.minimum.  After the block, one pass counts the
-    rows outside the clamp edges, clips them (the same values the
-    clamped x took) and copies every refine-th row, transposed, into
-    the path values, so the block's buffer is the only one needed.
-    Every operation is elementwise, so a path's values do not depend
-    on which other paths share the batch.  Returns the (len(seeds),
-    grid.n) values and the clamp hits per path.  A NaN iterate stays
-    NaN through the step and the clamp and is never counted as a
-    clamp, so NaN paths are left in and found by the caller from the
-    last column.
+    lam, s2 and sd are the transmission (with the constant correction
+    folded in), the noise and its square root at the left end of each
+    internal step.  The scalars are 0-d float64 arrays, which a ufunc
+    takes with less overhead than Python floats; the values, and so
+    the iterates, are the same.
     """
+
+    refine: int
+    state_drift: bool
+    lam: np.ndarray
+    s2: np.ndarray
+    sd: np.ndarray
+    k: np.ndarray
+    two_k: np.ndarray
+    two: np.ndarray
+    h: np.ndarray
+    sqrt_h: np.ndarray
+    lo: np.ndarray  # clamp edges CLIP_EPS K and (1 - CLIP_EPS) K
+    hi: np.ndarray
+
+
+def _em_scheme(rates: RatePair, x0: float, grid: TimeGrid, refine: int, drift_correction: str) -> _EMScheme:
+    """Check an Euler-Maruyama run's arguments and build its step operands."""
     k = rates.capacity
     _check_state(x0, k, "x0")
     if k > EM_MAX_CAPACITY:
@@ -345,8 +349,7 @@ def _em_batch(
     rates.validate_window(grid.t0, grid.end, grid.n)
 
     h = grid.delta / refine
-    total_steps = (grid.n - 1) * refine
-    t_left = grid.t0 + h * np.arange(total_steps)  # left endpoint of each internal step
+    t_left = grid.t0 + h * np.arange((grid.n - 1) * refine)  # left endpoint of each internal step
     lam_vals = np.asarray(evaluate(rates.transmission, t_left), dtype=float)
     s2_vals = np.asarray(evaluate(rates.noise, t_left), dtype=float)
     if np.any(s2_vals < 0.0):
@@ -354,12 +357,40 @@ def _em_batch(
     sd_vals = np.sqrt(s2_vals)
     if drift_correction == "constant":
         lam_vals = lam_vals + 0.5 * s2_vals
+    scalars = (k, 2.0 * k, 2.0, h, math.sqrt(h), CLIP_EPS * k, (1.0 - CLIP_EPS) * k)
+    return _EMScheme(int(refine), drift_correction == "state", lam_vals, s2_vals, sd_vals, *map(np.array, scalars))
 
+
+def _zero_d(values: np.ndarray) -> list[np.ndarray]:
+    """The entries of a 1-d array as 0-d array views."""
+    return [values[j, ...] for j in range(values.shape[0])]
+
+
+def _em_batch(seeds: list[SeedSequence], x0: float, grid: TimeGrid, scheme: _EMScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-Maruyama kernel: one vector step per internal step for all paths.
+
+    Path i draws its noise from `seeds[i]`, EM_NOISE_BLOCK steps at a
+    time; consecutive draws from one generator continue its stream, so
+    the noise equals one draw of the full length.  Each block is copied
+    into one reused (steps, paths) buffer, one row per step, and its
+    per-step rates are taken as 0-d views: a step reads its row, writes
+    its iterate there before the clamp, and clamps x with np.maximum
+    and np.minimum.  After the block, one pass counts the rows outside
+    the clamp edges, clips them (the same values the clamped x took)
+    and copies every refine-th row, transposed, into the path values,
+    so no buffer of iterates is needed besides the block's.
+    Every operation is elementwise, so a path's values do not depend
+    on which other paths share the batch.  Returns the (len(seeds),
+    grid.n) values and the clamp hits per path.  A NaN iterate stays
+    NaN through the step and the clamp and is never counted as a
+    clamp, so NaN paths are left in and found by the caller from the
+    last column.
+    """
+    s = scheme
+    k, two_k, two, h, sqrt_h, lo, hi = s.k, s.two_k, s.two, s.h, s.sqrt_h, s.lo, s.hi
+    refine, state_drift, total_steps = s.refine, s.state_drift, s.lam.shape[0]
     rngs = [default_rng(seed) for seed in seeds]
     n_paths = len(rngs)
-    lo, hi = CLIP_EPS * k, (1.0 - CLIP_EPS) * k
-    two_k = 2.0 * k
-    sqrt_h = math.sqrt(h)
     x = np.full(n_paths, float(x0))
     values = np.empty((n_paths, grid.n))
     values[:, 0] = x
@@ -369,29 +400,29 @@ def _em_batch(
     # are bit-identical to evaluating it directly
     logistic, drift, shock = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
     draws = np.empty((n_paths, min(EM_NOISE_BLOCK, total_steps)))
+    steps_by_paths = np.empty(draws.shape[::-1])
     for start in range(0, total_steps, EM_NOISE_BLOCK):
         stop = min(start + EM_NOISE_BLOCK, total_steps)
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=draws[i, : stop - start])
-        block = draws[:, : stop - start].T.copy()  # one contiguous row per step
-        lam_b = lam_vals[start:stop].tolist()
-        s2_b = s2_vals[start:stop].tolist()
-        sd_b = sd_vals[start:stop].tolist()
-        for j, row in enumerate(block):
+        block = steps_by_paths[: stop - start]  # one contiguous row per step
+        block[...] = draws[:, : stop - start].T
+        steps = zip(block, _zero_d(s.lam[start:stop]), _zero_d(s.s2[start:stop]), _zero_d(s.sd[start:stop]))
+        for row, lam, s2, sd in steps:
             np.subtract(k, x, out=logistic)
             logistic *= x
             logistic /= k
-            if drift_correction == "state":
-                np.multiply(x, 2.0, out=drift)
+            if state_drift:
+                np.multiply(x, two, out=drift)
                 np.subtract(k, drift, out=drift)
-                drift *= s2_b[j]
+                drift *= s2
                 drift /= two_k
-                drift += lam_b[j]
+                drift += lam
                 drift *= logistic
             else:
-                np.multiply(logistic, lam_b[j], out=drift)
+                np.multiply(logistic, lam, out=drift)
             drift *= h
-            np.multiply(logistic, sd_b[j], out=shock)
+            np.multiply(logistic, sd, out=shock)
             shock *= sqrt_h
             shock *= row
             x += drift

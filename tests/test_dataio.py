@@ -111,6 +111,16 @@ def test_load_paths_refuses_a_nan_sidecar_capacity(tmp_path):
         load_paths(f)
 
 
+@pytest.mark.parametrize("capacity", [0.0, -K], ids=["zero", "minus-K"])
+def test_load_paths_refuses_a_sidecar_capacity_that_is_not_positive(tmp_path, capacity):
+    f = str(tmp_path / "paths.csv")
+    save_paths(_small_run(), f)
+    Path(f + ".meta.json").write_text(json.dumps({"capacity": capacity}))
+    message = rf"paths\.csv\.meta\.json: 'capacity' must be positive and finite, got {re.escape(repr(capacity))}$"
+    with pytest.raises(ValueError, match=message):
+        load_paths(f)
+
+
 @pytest.mark.parametrize("capacity", [0.0, -K, float("inf"), float("nan")])
 def test_path_set_refuses_a_capacity_that_is_not_positive_and_finite(capacity):
     ps = PathSet(TimeGrid(0.0, 1.0, 2), np.array([[0.0, 1.0]]), "Y", capacity)

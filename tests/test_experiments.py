@@ -311,7 +311,7 @@ def _em_config(**changes):
 
 
 STANDARD_BATCH_BYTES = simulate.EM_BATCH_BYTES
-# two replicates of 6 paths x 101 points; the standard 8 MiB batch
+# two replicates of 6 paths x 101 points; the standard 10 MiB batch
 # holds every replicate of these small runs
 TWO_REPLICATE_BATCH_BYTES = 2 * 8 * 6 * 101
 
@@ -326,9 +326,9 @@ def _record_em_batches(monkeypatch, n_paths):
     sizes = []
     em_batch = simulate._em_batch
 
-    def recording(rates, x0, grid, seeds, **kwargs):
+    def recording(seeds, *args):
         sizes.append(len(seeds) // n_paths)
-        return em_batch(rates, x0, grid, seeds, **kwargs)
+        return em_batch(seeds, *args)
 
     monkeypatch.setattr(simulate, "_em_batch", recording)
     return sizes
@@ -360,6 +360,32 @@ def test_exact_run_tabulates_increments_once(monkeypatch):
     assert tables == ["sinusoid", "exp_saturating"]
     assert batches == []
     assert report.diagnostics["replicates"] == 20
+
+
+def test_em_run_checks_the_window_and_tabulates_steps_once(two_replicate_batches, monkeypatch):
+    # three batches from one stream: the window check and the per-step
+    # rate tables are made once per run, not once per batch
+    windows, tables = [], []
+    validate_window = RatePair.validate_window
+    evaluate_rate = simulate.evaluate
+
+    def checking(rates, *window):
+        windows.append(window)
+        return validate_window(rates, *window)
+
+    def tabulating(rate, t):
+        tables.append(rate.kind)
+        return evaluate_rate(rate, t)
+
+    monkeypatch.setattr(RatePair, "validate_window", checking)
+    monkeypatch.setattr(simulate, "evaluate", tabulating)
+    batches = _record_em_batches(monkeypatch, 6)
+    cfg = _em_config()
+    report = run_experiment(cfg)
+    assert batches == [2, 2, 1]
+    assert windows == [(cfg.grid.t0, cfg.grid.end, cfg.grid.n)]
+    assert tables == ["sinusoid", "constant"]
+    assert report.diagnostics["replicates"] == cfg.replicates
 
 
 def test_exact_run_ignores_the_em_batch_budget(two_replicate_batches):
@@ -421,6 +447,21 @@ def test_em_run_holds_one_batch_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 4.6 * bundle
+
+
+def test_em_run_at_the_standard_budget_peaks_under_eight_bundles():
+    # 20 standard-grid replicates at the standard batch budget: one
+    # batch, its noise buffer and one replicate's estimate must stay
+    # within eight 50 x 5001 bundles, so a wider batch cannot creep in
+    cfg = table1_config(0.4, 0.1, replicates=20)
+    bundle = 8 * cfg.n_paths * cfg.grid.n
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * bundle
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
