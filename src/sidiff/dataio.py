@@ -156,7 +156,11 @@ def _grid_from_times(times: np.ndarray) -> TimeGrid:
     # times themselves, which grows with their magnitude
     tol = GRID_UNIFORM_RTOL * delta + 4 * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
     if np.any(np.abs(diffs - delta) > tol):
-        raise ValueError("times are not uniformly spaced")
+        # name the first step off the median step, else the one furthest off the mean
+        off = np.abs(diffs - np.partition(diffs, diffs.size // 2)[diffs.size // 2]) > tol
+        i = int(np.argmax(off if off.any() else np.abs(diffs - delta)))
+        a, b = times[i : i + 2].tolist()
+        raise ValueError(f"times are not uniformly spaced: first uneven step {a!r} -> {b!r}")
     return TimeGrid(t0=float(times[0]), delta=delta, n=int(times.size))
 
 
@@ -549,7 +553,7 @@ def cumulate_normalize(
     the time window where it has cases.
 
     time_unit "index" numbers the kept columns 0, 1, 2, ...; "calendar"
-    keeps the table's own times (which must be uniformly spaced).
+    keeps the table's own times.  Both need uniformly spaced times.
     Rates are in units of one over the chosen time unit.
     """
     table.validate()
@@ -566,6 +570,7 @@ def cumulate_normalize(
         # the moments in another order; C order keeps a windowed estimate
         # bit for bit that of the whole path's slice
         times, values = times[keep], np.ascontiguousarray(values[:, keep])
+    grid = _grid_from_times(times)
     lo = CLIP_EPS * capacity
     start = values[:, 0]
     refused = {
@@ -588,7 +593,7 @@ def cumulate_normalize(
         )
 
     ps = PathSet(
-        grid=TimeGrid(0.0, 1.0, int(times.size)) if time_unit == "index" else _grid_from_times(times),
+        grid=TimeGrid(0.0, 1.0, grid.n) if time_unit == "index" else grid,
         values=values,
         space="X",
         capacity=float(capacity),

@@ -16,19 +16,22 @@ tables once, then draws each replicate in the Gaussian coordinate,
 where it stays from draw to estimate.  The Euler-Maruyama stream
 integrates replicates in batches of simulate.EM_BATCH_BYTES of path
 values (five 50 x 5001 replicates in 10 MiB), since a wider batch takes
-fewer Python steps per replicate.  Estimation is per replicate, and
-each replicate's row is written straight into the report's arrays, so
-every output is the same as simulating and estimating each replicate
-on its own.  A run's peak memory is one Euler-Maruyama batch with its
-noise buffers (or one exact replicate) plus one replicate's estimate,
-which holds the transformed paths and one other array of their size at
-a time; an Euler-Maruyama replicate is transformed over its own rows of
-the batch, so only the other array is new.
+fewer Python steps per replicate.  Estimation is per replicate: it
+writes the replicate's two curve rows into the report's arrays, which
+are allocated once, and returns a record of its scalars, which the run
+stacks and folds once at the end.  So every output is the same as
+simulating and estimating each replicate on its own.  A run's peak
+memory is one Euler-Maruyama batch with its noise buffers (or one exact
+replicate) plus one replicate's estimate, which holds the transformed
+paths and one other array of their size at a time; an Euler-Maruyama
+replicate is transformed over its own rows of the batch, so only the
+other array is new.
 """
 
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +67,19 @@ KDE_MIN_VALUES = 10  # kde's minimum; boxplot_stats needs only 5
 BAND_MIN_REPLICATES = 2  # pointwise_band's minimum
 KDE_CHUNK = 512
 STAGES = ("simulate", "estimate")
+# the report's per-replicate (lambda, sigma2) columns of each method
+METHOD_COLUMNS = {"GMM": ("scalar_lambda", "scalar_sigma2"), "MLE": ("mle_lambda", "mle_sigma2")}
+# each per-replicate diagnostic: its report.diagnostics total and the fold that makes it
+DIAGNOSTIC_TOTALS = {
+    "clip_count": ("clip_count_total", lambda v: int(v.sum())),
+    "clamp_count": ("clamp_count_total", lambda v: int(v.sum())),
+    "negative_noise_fraction": ("negative_noise_fraction_mean", lambda v: float(v.mean())),
+    "low_confidence_boundary": ("low_confidence_replicates", lambda v: int(np.count_nonzero(v))),
+    "saturation_fraction": ("saturation_fraction_mean", lambda v: float(v.mean())),
+}
+# one replicate's scalars; the MLE pair is None where the run does not fit it
+_Record = namedtuple("_Record", [*DIAGNOSTIC_TOTALS, *STAGES, *METHOD_COLUMNS["GMM"], *METHOD_COLUMNS["MLE"]],
+                     defaults=(None, None))
 
 # standard synthetic setup shared by the error-table and band runs
 STANDARD_CAPACITY = 200.0
@@ -124,12 +140,12 @@ class ExperimentReport:
 
     Curves are raw spline derivatives sampled on the observation grid,
     one row per replicate.  Scalar columns come from endpoint
-    differences of the integral fits over the scalar window; mle_*
-    exist only when both true rates are constant (`config.methods`).
-    `scalar_estimates` pairs each method with its columns.
-    elapsed_seconds and timings (seconds spent per stage, "simulate"
-    and "estimate", summed over replicates) are informational and never
-    written to data files.
+    differences of the integral fits over the scalar window; mle_* exist
+    only when both true rates are constant (`config.methods`).  The
+    scalar columns, the `diagnostics` folds (DIAGNOSTIC_TOTALS) and the
+    timings (seconds per stage, summed over replicates) are stacked from
+    the replicates' records once the run ends.  elapsed_seconds and
+    timings are informational and never written to data files.
     """
 
     config: ExperimentConfig
@@ -146,8 +162,7 @@ class ExperimentReport:
 
     def scalar_estimates(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per-replicate (lambda, sigma2) estimates of each method, in `config.methods` order."""
-        columns = {"GMM": (self.scalar_lambda, self.scalar_sigma2), "MLE": (self.mle_lambda, self.mle_sigma2)}
-        return {method: columns[method] for method in self.config.methods}
+        return {method: tuple(getattr(self, c) for c in METHOD_COLUMNS[method]) for method in self.config.methods}
 
 
 def _simulations(config: ExperimentConfig):
@@ -158,13 +173,12 @@ def _simulations(config: ExperimentConfig):
     return _em_replicates(*args, refine=EM_REFINE, drift_correction=config.em_drift_correction)
 
 
-def _run_replicate(config: ExperimentConfig, r: int, simulations, report: ExperimentReport, per_rep: dict) -> None:
+def _run_replicate(config: ExperimentConfig, r: int, simulations, lambda_curves, sigma2_curves) -> _Record:
     """Draw replicate r from `simulations` and estimate it.  Writes row
-    r of the report's arrays and of `per_rep`'s diagnostics, and adds
-    the stage times to report.timings.  The replicate's paths are freed
-    when this returns, before the next replicate is drawn."""
+    r of the two curve arrays and returns the replicate's record.  The
+    replicate's paths are freed when this returns, before the next
+    replicate is drawn."""
     k = config.rates.capacity
-    with_mle = "MLE" in config.methods
     try:
         started = time.perf_counter()
         paths = next(simulations)
@@ -176,22 +190,19 @@ def _run_replicate(config: ExperimentConfig, r: int, simulations, report: Experi
             paths = _transform_paths(paths, out=paths.values)
         else:
             saturation = np.mean(y_to_x(paths.values[:, -1], config.x0, k) > 0.99 * k)
-        result = estimate_pipeline(paths, stride=config.stride, with_mle=with_mle)
-        report.timings["simulate"] += simulated - started
-        report.timings["estimate"] += time.perf_counter() - simulated
+        result = estimate_pipeline(paths, stride=config.stride, with_mle="MLE" in config.methods)
+        seconds = {"simulate": simulated - started, "estimate": time.perf_counter() - simulated}
     except Exception as exc:
         raise RuntimeError(f"replicate {r} failed: {exc}") from exc
     a, b = config.resolved_scalar_window()
-    report.lambda_curves[r] = result.lambda_grid
-    report.sigma2_curves[r] = result.sigma2_grid
-    report.scalar_lambda[r] = result.avg_lambda_hat(a, b)
-    report.scalar_sigma2[r] = result.avg_sigma2_hat(a, b)
-    if with_mle:
-        report.mle_lambda[r], report.mle_sigma2[r] = result.mle
-    for name in ("clip_count", "negative_noise_fraction", "low_confidence_boundary"):
-        per_rep[name][r] = result.diagnostics[name]
-    per_rep["clamp_count"][r] = paths.meta.get("clamp_count", 0)
-    per_rep["saturation_fraction"][r] = saturation
+    lambda_curves[r] = result.lambda_grid
+    sigma2_curves[r] = result.sigma2_grid
+    estimates = {"GMM": (result.avg_lambda_hat(a, b), result.avg_sigma2_hat(a, b)), "MLE": result.mle}
+    found = {**result.diagnostics, "clamp_count": paths.meta.get("clamp_count", 0), "saturation_fraction": saturation}
+    record = {name: found[name] for name in DIAGNOSTIC_TOTALS} | seconds
+    for method in config.methods:
+        record.update(zip(METHOD_COLUMNS[method], estimates[method]))
+    return _Record(**record)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -203,39 +214,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     failing replicate.
     """
     started = time.perf_counter()
-    count, n = config.replicates, config.grid.n
-    with_mle = "MLE" in config.methods
-    report = ExperimentReport(
+    shape = (config.replicates, config.grid.n)
+    lambda_curves, sigma2_curves = np.empty(shape), np.empty(shape)
+    simulations = _simulations(config)
+    records = [_run_replicate(config, r, simulations, lambda_curves, sigma2_curves) for r in range(config.replicates)]
+    columns = dict(zip(_Record._fields, zip(*records)))
+    totals = {total: fold(np.array(columns[name])) for name, (total, fold) in DIAGNOSTIC_TOTALS.items()}
+    return ExperimentReport(
         config=config,
         times=config.grid.times,
-        lambda_curves=np.empty((count, n)),
-        sigma2_curves=np.empty((count, n)),
-        scalar_lambda=np.empty(count),
-        scalar_sigma2=np.empty(count),
-        mle_lambda=np.empty(count) if with_mle else None,
-        mle_sigma2=np.empty(count) if with_mle else None,
-        timings=dict.fromkeys(STAGES, 0.0),
+        lambda_curves=lambda_curves,
+        sigma2_curves=sigma2_curves,
+        **{column: np.array(columns[column]) for method in config.methods for column in METHOD_COLUMNS[method]},
+        diagnostics=totals | {"replicates": config.replicates},
+        elapsed_seconds=time.perf_counter() - started,
+        timings={stage: sum(columns[stage]) for stage in STAGES},
     )
-    per_rep = {
-        "clip_count": np.empty(count, dtype=np.int64),
-        "clamp_count": np.empty(count, dtype=np.int64),
-        "negative_noise_fraction": np.empty(count),
-        "low_confidence_boundary": np.empty(count, dtype=bool),
-        "saturation_fraction": np.empty(count),
-    }
-    simulations = _simulations(config)
-    for r in range(count):
-        _run_replicate(config, r, simulations, report, per_rep)
-    report.diagnostics = {
-        "clip_count_total": int(per_rep["clip_count"].sum()),
-        "clamp_count_total": int(per_rep["clamp_count"].sum()),
-        "negative_noise_fraction_mean": float(per_rep["negative_noise_fraction"].mean()),
-        "low_confidence_replicates": int(per_rep["low_confidence_boundary"].sum()),
-        "saturation_fraction_mean": float(per_rep["saturation_fraction"].mean()),
-        "replicates": config.replicates,
-    }
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
 
 
 def mre(estimates, truth: float) -> float:
@@ -428,7 +422,7 @@ def table1_config(
 def homogeneous_error_rows(report: ExperimentReport) -> list[dict]:
     """Error-table rows (one per enabled method) for a constant-rate run."""
     config = report.config
-    if config.rates.transmission.kind != "constant" or config.rates.noise.kind != "constant":
+    if "MLE" not in config.methods:
         raise ValueError("error-table rows need constant-rate truth")
     lam = config.rates.transmission.params["value"]
     s2 = config.rates.noise.params["value"]

@@ -190,13 +190,13 @@ def _exact_replicates(
     sd_inc = np.sqrt(var_inc)
 
     for r in replicates:
-        z = np.empty((n_paths, grid.n - 1))
+        values = np.zeros((n_paths, grid.n))
+        z = values[:, 1:]  # steps drawn and summed in place: no second path-sized array is held
         for i in range(n_paths):
             default_rng(derive_path_seed(master_seed, r, i)).standard_normal(out=z[i])
         z *= sd_inc
         z += mean_inc
-        values = np.zeros((n_paths, grid.n))
-        np.cumsum(z, axis=1, out=values[:, 1:])
+        np.cumsum(z, axis=1, out=z)
         yield PathSet(grid, values, "Y", k, seed={"master_seed": int(master_seed), "replicate": int(r)})
 
 
@@ -375,13 +375,14 @@ def _em_batch(seeds: list[SeedSequence], x0: float, grid: TimeGrid, scheme: _EMS
     into one reused (steps, paths) buffer, one row per step, and its
     per-step rates are taken as 0-d views: a step reads its row, writes
     its iterate there before the clamp, and clamps x with np.maximum
-    and np.minimum.  After the block, one pass counts the rows outside
-    the clamp edges, clips them (the same values the clamped x took)
-    and copies every refine-th row, transposed, into the path values,
-    so no buffer of iterates is needed besides the block's.
-    Every operation is elementwise, so a path's values do not depend
-    on which other paths share the batch.  Returns the (len(seeds),
-    grid.n) values and the clamp hits per path.  A NaN iterate stays
+    and np.minimum.  After the block, its cells below and above the
+    clamp edges are counted (one boolean array of the block at a time),
+    clipped (the same values the clamped x took), and every refine-th
+    row is copied, transposed, into the path values, so no buffer of
+    iterates is needed besides the block's.  Every operation is
+    elementwise, so a path's values do not depend on which other paths
+    share the batch.  Returns the (len(seeds), grid.n) values and the
+    clamp hits per path.  A NaN iterate stays
     NaN through the step and the clamp and is never counted as a
     clamp, so NaN paths are left in and found by the caller from the
     last column.
@@ -430,7 +431,7 @@ def _em_batch(seeds: list[SeedSequence], x0: float, grid: TimeGrid, scheme: _EMS
             # maximum and minimum keep NaN, as np.clip does
             np.maximum(row, lo, out=x)
             np.minimum(x, hi, out=x)
-        clamps += np.count_nonzero((block < lo) | (block > hi), axis=0)
+        clamps += np.count_nonzero(block < lo, axis=0) + np.count_nonzero(block > hi, axis=0)
         np.clip(block, lo, hi, out=block)
         first = (refine - 1 - start) % refine  # first row that ends an observation step
         kept = block[first::refine]

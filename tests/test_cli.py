@@ -611,6 +611,23 @@ def test_analyze_refuses_zero_first_counts(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("time_unit", ["index", "calendar"])
+def test_analyze_refuses_a_gap_in_the_times_naming_it(tmp_path, capsys, time_unit):
+    # index mode numbers the columns 0, 1, 2, ..., so a gap would pass as
+    # one step; both units check the spacing first
+    table = measles_like_table()
+    keep = (table.times < 100.0) | (table.times > 109.0)
+    gapped = RawSeriesTable(table.times[keep], table.locations, table.counts[:, keep], table.populations)
+    cf, pf = str(tmp_path / "counts.csv"), str(tmp_path / "pops.csv")
+    save_raw_series(gapped, cf, pf)
+    out = tmp_path / "est.csv"
+    args = ["analyze", "--in", cf, "--pop", pf, "--K", "0.25", "--time-unit", time_unit, "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "data error: times are not uniformly spaced: first uneven step 99.0 -> 110.0" in err
+    assert not out.exists()
+
+
 def test_analyze_capacity_too_small_is_a_data_error(tmp_path, capsys):
     cf, pf = _raw_series_files(tmp_path)
     rc = main(["analyze", "--in", cf, "--pop", pf, "--K", "1e-4",

@@ -165,6 +165,19 @@ def test_uneven_grids_with_small_steps_are_refused(tmp_path, times):
         cumulate_normalize(table, 0.25, time_unit="calendar")
 
 
+@pytest.mark.parametrize("time_unit", ["index", "calendar"])
+@pytest.mark.parametrize(
+    "times, step", [((0.0, 5.0, 6.0, 7.0), "0.0 -> 5.0"), ((0.0, 1.0, 2.0, 4.0, 5.0), "2.0 -> 4.0")]
+)
+def test_uneven_count_tables_are_refused_in_both_time_units(times, step, time_unit):
+    # the named step is the first one off the median step
+    table = _table(times=times, counts=(2.0, 3.0, 5.0, 8.0, 13.0)[: len(times)])
+    with pytest.raises(ValueError, match=f"^times are not uniformly spaced: first uneven step {step}$"):
+        cumulate_normalize(table, 1.0, time_unit=time_unit)
+    # a window that leaves the gap out is uniform
+    cumulate_normalize(table, 1.0, time_unit=time_unit, window=(times[-2], times[-1]))
+
+
 def test_grids_far_from_zero_load(tmp_path):
     # each step carries the rounding of times near 1e9, which is far more
     # than a relative 1e-8 of a 1e-3 step
