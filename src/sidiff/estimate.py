@@ -59,10 +59,13 @@ def _transform_paths(paths: PathSet, out: np.ndarray | None = None) -> PathSet:
         raise ValueError("transform_paths expects X-space paths")
     k = paths.capacity
     x = np.asarray(paths.values, dtype=float)
-    if np.any(x < 0.0) or np.any(x > k):
+    # fmin and fmax skip NaN, as comparisons do; a range inside the clip
+    # edges, as the EM clamp leaves it, needs no count
+    x_min, x_max = np.fmin.reduce(x, axis=None, initial=np.inf), np.fmax.reduce(x, axis=None, initial=-np.inf)
+    if x_min < 0.0 or x_max > k:
         raise ValueError("path values outside [0, capacity]")
     lo, hi = CLIP_EPS * k, (1.0 - CLIP_EPS) * k
-    n_clipped = int(np.count_nonzero((x < lo) | (x > hi)))
+    n_clipped = 0 if lo <= x_min and x_max <= hi else int(np.count_nonzero((x < lo) | (x > hi)))
     # the transform is written over the clipped values, so the result
     # (none with `out`) and the transform's denominator are the only
     # full-size arrays made

@@ -185,10 +185,17 @@ def _bisect(f, a: float, b: float) -> float:
 
 
 def _check_state(x, capacity, name="x"):
-    # numbers only: a float dtype would take the string "20" and the bool True
+    # numbers only: a float dtype would take the string "20" and the bool True.
+    # numpy's min and max decide, under numpy's comparison rules; NaN passes
+    # through both and fails lo > 0, and "not >=" lets a NaN capacity pass
     arr = np.asarray(x)
-    if arr.dtype.kind not in "iuf" or np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= capacity):
-        raise ValueError(f"{name} must lie strictly inside (0, {capacity})")
+    if arr.dtype.kind in "iuf":
+        if not arr.size:
+            return
+        lo, hi = (arr[()],) * 2 if arr.ndim == 0 else (arr.min(), arr.max())
+        if lo > 0.0 and math.isfinite(hi) and not hi >= capacity:
+            return
+    raise ValueError(f"{name} must lie strictly inside (0, {capacity})")
 
 
 def x_to_y(x, x0: float, capacity: float, out=None):

@@ -17,10 +17,11 @@ The argument checks, the per-step rate tables and the step's scalar
 operands, held as 0-d float64 arrays, are made once per run.  Noise is
 drawn per path in blocks of EM_NOISE_BLOCK steps, never as one
 (paths, steps) array, so a batch holds its path values plus two small
-noise buffers.  A step does only the arithmetic of the scheme and the
-clamp, and writes its unclamped iterate over the noise it has used;
-once per block, one vectorised pass over that buffer counts the clamp
-hits, clips the iterates and stores those at the observation times.
+noise buffers.  A step is one ufunc call per operation of the scheme
+plus one clip call for the clamp, and writes its unclamped iterate over
+the noise it has used; once per block, one vectorised pass over that
+buffer counts the clamp hits, clips the iterates and stores those at
+the observation times.
 
 Random numbers: every (replicate, path) pair gets its own stream,
 derived from the master seed by a counter-based key.  Serial, parallel
@@ -37,6 +38,11 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
+
+try:  # the ufunc np.clip calls after its checks; keeps NaN, as np.clip does
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip as _clip
 
 from .model import CLIP_EPS, _check_state, y_to_x
 from .rates import RatePair, _finite_number, _positive_number, _whole_number, evaluate, increment_table
@@ -374,8 +380,8 @@ def _em_batch(seeds: list[SeedSequence], x0: float, grid: TimeGrid, scheme: _EMS
     the noise equals one draw of the full length.  Each block is copied
     into one reused (steps, paths) buffer, one row per step, and its
     per-step rates are taken as 0-d views: a step reads its row, writes
-    its iterate there before the clamp, and clamps x with np.maximum
-    and np.minimum.  After the block, its cells below and above the
+    its iterate there before the clamp, and clamps x with the ufunc
+    behind np.clip.  After the block, its cells below and above the
     clamp edges are counted (one boolean array of the block at a time),
     clipped (the same values the clamped x took), and every refine-th
     row is copied, transposed, into the path values, so no buffer of
@@ -398,7 +404,9 @@ def _em_batch(seeds: list[SeedSequence], x0: float, grid: TimeGrid, scheme: _EMS
     clamps = np.zeros(n_paths, dtype=np.int64)
     # the step is x + drift h + sd logistic sqrt(h) z written in place,
     # with every operation in that expression's order, so the iterates
-    # are bit-identical to evaluating it directly
+    # are bit-identical to evaluating it directly; local ufuncs with
+    # positional outputs are the cheapest calls
+    add, sub, mul, div, clip = np.add, np.subtract, np.multiply, np.true_divide, _clip
     logistic, drift, shock = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
     draws = np.empty((n_paths, min(EM_NOISE_BLOCK, total_steps)))
     steps_by_paths = np.empty(draws.shape[::-1])
@@ -410,29 +418,27 @@ def _em_batch(seeds: list[SeedSequence], x0: float, grid: TimeGrid, scheme: _EMS
         block[...] = draws[:, : stop - start].T
         steps = zip(block, _zero_d(s.lam[start:stop]), _zero_d(s.s2[start:stop]), _zero_d(s.sd[start:stop]))
         for row, lam, s2, sd in steps:
-            np.subtract(k, x, out=logistic)
-            logistic *= x
-            logistic /= k
+            sub(k, x, logistic)
+            mul(logistic, x, logistic)
+            div(logistic, k, logistic)
             if state_drift:
-                np.multiply(x, two, out=drift)
-                np.subtract(k, drift, out=drift)
-                drift *= s2
-                drift /= two_k
-                drift += lam
-                drift *= logistic
+                mul(x, two, drift)
+                sub(k, drift, drift)
+                mul(drift, s2, drift)
+                div(drift, two_k, drift)
+                add(drift, lam, drift)
+                mul(drift, logistic, drift)
             else:
-                np.multiply(logistic, lam, out=drift)
-            drift *= h
-            np.multiply(logistic, sd, out=shock)
-            shock *= sqrt_h
-            shock *= row
-            x += drift
-            np.add(x, shock, out=row)
-            # maximum and minimum keep NaN, as np.clip does
-            np.maximum(row, lo, out=x)
-            np.minimum(x, hi, out=x)
+                mul(logistic, lam, drift)
+            mul(drift, h, drift)
+            mul(logistic, sd, shock)
+            mul(shock, sqrt_h, shock)
+            mul(shock, row, shock)
+            add(x, drift, x)
+            add(x, shock, row)
+            clip(row, lo, hi, x)
         clamps += np.count_nonzero(block < lo, axis=0) + np.count_nonzero(block > hi, axis=0)
-        np.clip(block, lo, hi, out=block)
+        clip(block, lo, hi, block)
         first = (refine - 1 - start) % refine  # first row that ends an observation step
         kept = block[first::refine]
         col = (start + first + 1) // refine

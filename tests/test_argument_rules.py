@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sidiff import (
     AnalysisConfig,
@@ -27,6 +29,7 @@ from sidiff import (
     simulate_exact,
 )
 from sidiff.estimate import fit_moment_curves
+from sidiff.model import _check_state
 
 K = 200.0
 PAIR = RatePair(constant(0.4), constant(0.1), K)
@@ -106,3 +109,92 @@ def test_capacities_and_steps_are_positive_and_finite(call, name):
 def test_x0_lies_strictly_inside_zero_and_capacity(call):
     with pytest.raises(ValueError, match=r"^x0 must lie strictly inside \(0, 200\.0\)$"):
         call()
+
+
+def _reference_check_state(x, capacity, name="x"):
+    # the rule as it stood before the min/max form: four elementwise
+    # passes and three np.any calls
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf" or np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= capacity):
+        raise ValueError(f"{name} must lie strictly inside (0, {capacity})")
+
+
+def _verdict(check, x, capacity):
+    try:
+        check(x, capacity, "x0")
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _assert_same_verdict(x, capacity=K):
+    assert _verdict(_check_state, x, capacity) == _verdict(_reference_check_state, x, capacity)
+
+
+SPECIAL_STATES = [0.0, -0.0, K, -1.0, math.nan, math.inf, -math.inf, 1e-300, 20.0, math.nextafter(K, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        *SPECIAL_STATES,
+        0, 20, -3, 200, 199, 2**70,
+        *(np.float64(v) for v in SPECIAL_STATES),
+        np.float32(K), np.float32(199.99999), np.int64(20), np.int64(0), np.uint8(200), np.int8(-1),
+        *(np.array(v) for v in SPECIAL_STATES),
+        np.array(20), np.array(200), np.array(0, dtype=np.uint64),
+        np.array([20.0, 50.0]), np.array([20.0, math.nan]), np.array([math.nan, -1.0]),
+        np.array([[20.0, 50.0], [1.0, K]]), np.array([[20.0, 50.0], [1.0, math.inf]]),
+        np.array([[20, 50], [1, 199]]), np.array([[20, 50], [0, 199]]), np.array([5, 250], dtype=np.int16),
+        np.full((3, 4), math.nan), np.array([-math.inf, 20.0]),
+        True, False, np.bool_(True), np.array([True, True]),
+        "20", np.array(["20"]), b"20", None, 1j, np.array([20.0 + 0j]),
+        np.array([]), np.empty((0, 3)), np.empty((2, 0), dtype=np.int64), np.array([], dtype=str), [],
+    ],
+    ids=repr,
+)
+def test_state_check_matches_the_elementwise_rule(x):
+    _assert_same_verdict(x)
+
+
+@pytest.mark.parametrize("capacity", [1.0, 200, math.inf, math.nan, -5.0])
+@pytest.mark.parametrize("x", [0.5, 20.0, 199.0, math.inf, math.nan, np.array([0.5, 20.0]), np.array([0.5, math.inf])])
+def test_state_check_matches_the_elementwise_rule_at_any_capacity(x, capacity):
+    _assert_same_verdict(x, capacity)
+
+
+@pytest.mark.parametrize(
+    "x, capacity",
+    [
+        # float32 compares against the capacity rounded to float32, which
+        # for 0.7 lies below it
+        (np.float32(0.7), 0.7),
+        (np.array(0.7, dtype=np.float32), 0.7),
+        (np.array([0.5, 0.7], dtype=np.float32), 0.7),
+        # int64 against an int capacity compares exactly, with no rounding to float
+        (np.int64(2**53 + 3), 2**53 + 4),
+        (np.array(2**53 + 3), 2**53 + 4),
+        (2**53 + 3, 2**53 + 4),
+    ],
+)
+def test_state_check_keeps_numpy_comparison_rules(x, capacity):
+    _assert_same_verdict(x, capacity)
+
+
+_states = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_STATES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _states,
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        hnp.arrays(
+            st.sampled_from([np.float64, np.float32, np.int64, np.int32, np.uint16]),
+            hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+        ),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=4), elements=_states),
+    )
+)
+def test_state_check_matches_the_elementwise_rule_on_random_states(x):
+    _assert_same_verdict(x)

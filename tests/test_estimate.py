@@ -100,6 +100,48 @@ def test_transform_rejects_values_outside_interval():
         transform_paths(_ypaths([[0.0, 1.0]]))
 
 
+def _xpaths(values):
+    values = np.asarray(values, dtype=float)
+    return PathSet(TimeGrid(0.0, 1.0, values.shape[1]), values, "X", K)
+
+
+def test_transform_counts_no_clip_at_the_clip_edges():
+    lo, hi = CLIP_EPS * K, (1.0 - CLIP_EPS) * K
+    y = transform_paths(_xpaths([[20.0, lo, hi], [hi, 100.0, lo]]))
+    assert y.meta["clip_count"] == 0
+    assert np.all(np.isfinite(y.values))
+
+
+@pytest.mark.parametrize(
+    "row, n_clipped",
+    [
+        ([20.0, 0.5 * CLIP_EPS * K, 100.0], 1),
+        ([20.0, math.nextafter(CLIP_EPS * K, 0.0), math.nextafter((1.0 - CLIP_EPS) * K, K)], 2),
+        ([20.0, 0.0, 100.0], 1),
+        ([20.0, K, 100.0], 1),
+        ([20.0, 0.0, K], 2),
+        ([20.0, 5e-324, K - 1e-12], 2),
+    ],
+)
+def test_transform_counts_values_beyond_the_clip_edges(row, n_clipped):
+    y = transform_paths(_xpaths([row, [20.0, 50.0, 100.0]]))
+    assert y.meta["clip_count"] == n_clipped
+    assert np.all(np.isfinite(y.values))
+
+
+def test_transform_range_check_sees_past_nan():
+    # a negative value is refused as out of range even next to a NaN
+    with pytest.raises(ValueError, match=r"^path values outside \[0, capacity\]$"):
+        transform_paths(_xpaths([[20.0, math.nan, -1.0]]))
+    with pytest.raises(ValueError, match=r"^path values outside \[0, capacity\]$"):
+        transform_paths(_xpaths([[20.0, K + 1.0, math.nan]]))
+    # a NaN on its own passes the range check and is refused as a state
+    with pytest.raises(ValueError, match=r"^x must lie strictly inside \(0, 200\.0\)$"):
+        transform_paths(_xpaths([[20.0, math.nan, 100.0]]))
+    with pytest.raises(ValueError, match=r"^x0 must lie strictly inside \(0, 200\.0\)$"):
+        transform_paths(_xpaths([[math.nan, math.nan]]))
+
+
 # ------------------------------------------------------------- sample moments
 
 

@@ -19,6 +19,7 @@ from sidiff import (
     x_to_y,
     y_to_x,
 )
+from sidiff.model import CLIP_EPS
 from sidiff.simulate import DRIFT_CORRECTIONS, EM_MAX_CAPACITY, EM_NOISE_BLOCK
 
 K = 200.0
@@ -263,6 +264,8 @@ def _reference_em(rates, x0, grid, n_paths, master_seed, refine, replicate, drif
 
 
 SHORT_GRID = TimeGrid(0.0, 0.05, 201)
+# negative transmission: every path falls to the lower clamp and stays there
+FALLING = RatePair(constant(-1.0), constant(0.05), K)
 
 
 @pytest.mark.parametrize("drift_correction", DRIFT_CORRECTIONS)
@@ -275,8 +278,9 @@ SHORT_GRID = TimeGrid(0.0, 0.05, 201)
         # the standard 5001-point grid: ten noise blocks, and paths that
         # reach the upper clamp and stay there
         (RatePair(constant(1.2), constant(0.05), K), 20.0, 1, TimeGrid(0.0, 0.01, 5001), 5),
+        (FALLING, 20.0, 1, TimeGrid(0.0, 0.05, 1001), 5),
     ],
-    ids=["rates0-20.0-1", "rates1-20.0-3", "rates2-100.0-2", "standard_grid"],
+    ids=["rates0-20.0-1", "rates1-20.0-3", "rates2-100.0-2", "standard_grid", "lower_clamp"],
 )
 def test_em_matches_the_reference_loop_bit_for_bit(rates, x0, refine, grid, n_paths, drift_correction):
     # every case ends on a partial noise block
@@ -285,6 +289,10 @@ def test_em_matches_the_reference_loop_bit_for_bit(rates, x0, refine, grid, n_pa
     values, clamp_count = _reference_em(rates, x0, grid, n_paths, 13, refine, 2, drift_correction)
     assert np.array_equal(ps.values, values)
     assert ps.meta["clamp_count"] == clamp_count
+    if rates is FALLING:
+        # the clamp holds the iterates at exactly the lower edge
+        assert clamp_count > 0
+        assert np.any(ps.values == CLIP_EPS * K)
 
 
 def test_block_draws_continue_one_stream():
