@@ -11,12 +11,15 @@ independent of the earlier value.
 
 Fitting smooth curves through the moment sequences and differentiating
 recovers the intensities themselves.  A homogeneous-rates maximum
-likelihood fit on the increments is included as a baseline.
+likelihood fit on the increments is included as a baseline.  X-space
+paths reach the Gaussian coordinate through transform_paths, which
+clips and counts; only experiment runs pass their Euler-Maruyama
+replicates, already inside the clip band, straight to model.x_to_y.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,36 +53,20 @@ def transform_paths(paths: PathSet) -> PathSet:
     to those edges before the log, and the number of clipped entries
     replaces meta["clip_count"].
     """
-    return _transform_paths(paths)
-
-
-def _transform_paths(paths: PathSet, out: np.ndarray | None = None) -> PathSet:
-    """`transform_paths`, written into `out` (which may be paths.values) when given."""
     if paths.space != "X":
         raise ValueError("transform_paths expects X-space paths")
     k = paths.capacity
     x = np.asarray(paths.values, dtype=float)
-    # fmin and fmax skip NaN, as comparisons do; a range inside the clip
-    # edges, as the EM clamp leaves it, needs no count
-    x_min, x_max = np.fmin.reduce(x, axis=None, initial=np.inf), np.fmax.reduce(x, axis=None, initial=-np.inf)
-    if x_min < 0.0 or x_max > k:
+    # fmin and fmax skip NaN, as comparisons do
+    if np.fmin.reduce(x, axis=None, initial=np.inf) < 0.0 or np.fmax.reduce(x, axis=None, initial=-np.inf) > k:
         raise ValueError("path values outside [0, capacity]")
     lo, hi = CLIP_EPS * k, (1.0 - CLIP_EPS) * k
-    n_clipped = 0 if lo <= x_min and x_max <= hi else int(np.count_nonzero((x < lo) | (x > hi)))
+    n_clipped = int(np.count_nonzero((x < lo) | (x > hi)))
     # the transform is written over the clipped values, so the result
-    # (none with `out`) and the transform's denominator are the only
-    # full-size arrays made
-    y = np.clip(x, lo, hi, out=out)
-    x0 = y[:, :1].copy()  # per-path reference point
-    x_to_y(y, x0, k, out=y)
-    return PathSet(
-        grid=paths.grid,
-        values=y,
-        space="Y",
-        capacity=k,
-        seed=paths.seed,
-        meta={**paths.meta, "clip_count": n_clipped},
-    )
+    # and the transform's denominator are the only full-size arrays made
+    y = np.clip(x, lo, hi)
+    x_to_y(y, y[:, :1].copy(), k, out=y)  # each path's first value is its reference point
+    return replace(paths, values=y, space="Y", meta={**paths.meta, "clip_count": n_clipped})
 
 
 def sample_mean(ypaths: PathSet) -> np.ndarray:

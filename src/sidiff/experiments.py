@@ -23,22 +23,22 @@ stacks and folds once at the end.  So every output is the same as
 simulating and estimating each replicate on its own.  A run's peak
 memory is one Euler-Maruyama batch with its noise buffers (or one exact
 replicate) plus one replicate's estimate, which holds the transformed
-paths and one other array of their size at a time; an Euler-Maruyama
-replicate is transformed over its own rows of the batch, so only the
-other array is new.
+paths and one other array of their size at a time.  An Euler-Maruyama
+replicate lies in the clamp band already, so model.x_to_y maps it over
+its own rows of the batch, unclipped, and only the other array is new.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimate import _transform_paths, estimate_pipeline
+from .estimate import estimate_pipeline
 from .rates import RatePair, _whole_number, constant, exp_saturating, sinusoid
-from .model import _check_state, y_to_x
+from .model import _check_state, x_to_y, y_to_x
 from .simulate import DRIFT_CORRECTIONS, TimeGrid, _em_replicates, _exact_replicates
 
 __all__ = [
@@ -184,10 +184,11 @@ def _run_replicate(config: ExperimentConfig, r: int, simulations, lambda_curves,
         paths = next(simulations)
         simulated = time.perf_counter()
         if paths.space == "X":
-            saturation = np.mean(paths.values[:, -1] > 0.99 * k)
-            # an Euler-Maruyama replicate's rows of its batch are not read
-            # again, so its transformed paths are written over them
-            paths = _transform_paths(paths, out=paths.values)
+            x = paths.values
+            saturation = np.mean(x[:, -1] > 0.99 * k)
+            # an Euler-Maruyama replicate lies in the clamp band, where transform_paths
+            # clips nothing; its Y paths go over its rows of the batch, not read again
+            paths = replace(paths, values=x_to_y(x, x[:, :1].copy(), k, out=x), space="Y")
         else:
             saturation = np.mean(y_to_x(paths.values[:, -1], config.x0, k) > 0.99 * k)
         result = estimate_pipeline(paths, stride=config.stride, with_mle="MLE" in config.methods)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import RateFunction, RatePair, _whole_number, constant, cumulative, evaluate, integrate
+from .rates import RateFunction, RatePair, _positive_number, _whole_number, constant, cumulative, evaluate, integrate
 
 __all__ = [
     "DegenerateTimeError",
@@ -45,7 +45,8 @@ BISECT_MAX_ITER = 100
 MOMENT_HALF_WIDTH = 40.0  # standard deviations; the Gaussian mass beyond is below 1e-340
 MOMENT_RTOL = 1e-12
 # relative width of the boundary band: X values within CLIP_EPS * K of 0 or
-# K are clipped by estimate.transform_paths and clamped by the EM integrator
+# K are clipped by estimate.transform_paths and clamped by the EM integrator,
+# which refuses an x0 there
 CLIP_EPS = 1e-9
 
 
@@ -99,11 +100,13 @@ def deterministic_solution(capacity: float, x0: float, transmission, t0: float, 
     """Noise-free logistic solution started from x0 at t0.
 
     `transmission` may be a RateFunction or a plain number.  Vectorized
-    over t.
+    over t, which must be finite and >= t0.
     """
     _check_state(x0, capacity, "x0")
     lam = _as_rate(transmission)
     t_arr = np.asarray(t, dtype=float)
+    if not np.isfinite(t_arr).all():
+        raise ValueError(f"t must be finite, got {t!r}")
     if np.any(t_arr < t0):
         raise ValueError("t must be >= t0")
     ends = cumulative(lam, np.append(float(t0), t_arr.ravel()))
@@ -186,14 +189,16 @@ def _bisect(f, a: float, b: float) -> float:
 
 def _check_state(x, capacity, name="x"):
     # numbers only: a float dtype would take the string "20" and the bool True.
-    # numpy's min and max decide, under numpy's comparison rules; NaN passes
-    # through both and fails lo > 0, and "not >=" lets a NaN capacity pass
+    # numpy's min and max decide, under numpy's comparison rules (NaN fails lo > 0);
+    # a capacity failing the one comparison goes to the capacity rule, which refuses it
+    if not 0.0 < capacity < math.inf:
+        _positive_number(capacity, "capacity")
     arr = np.asarray(x)
     if arr.dtype.kind in "iuf":
         if not arr.size:
             return
         lo, hi = (arr[()],) * 2 if arr.ndim == 0 else (arr.min(), arr.max())
-        if lo > 0.0 and math.isfinite(hi) and not hi >= capacity:
+        if lo > 0.0 and math.isfinite(hi) and hi < capacity:
             return
     raise ValueError(f"{name} must lie strictly inside (0, {capacity})")
 
@@ -274,10 +279,12 @@ class TransitionLaw:
         _check_state(self.x0, self.rates.capacity, "x0")
 
     def accumulated(self, t: float) -> tuple[float, float]:
-        """(growth, variance) integrals over [t0, t].
+        """(growth, variance) integrals over [t0, t], for a finite t.
 
         Raises DegenerateTimeError when the law at t is a point mass.
         """
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
         if t <= self.t0:
             raise DegenerateTimeError(
                 f"law at t={t} <= t0={self.t0} is a point mass at x0", self.x0

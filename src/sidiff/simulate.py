@@ -239,7 +239,9 @@ def simulate_em(
     bool is refused.  Iterates are clamped into
     [CLIP_EPS K, (1 - CLIP_EPS) K], the edges to which
     estimate.transform_paths clips (CLIP_EPS = 1e-9, from sidiff.model);
-    clamp hits are counted in meta["clamp_count"].  A path that goes
+    clamp hits are counted in meta["clamp_count"].  x0 must lie in that
+    band too, so every stored value does; simulate_exact takes any x0
+    in (0, K).  A path that goes
     NaN raises RuntimeError naming the path and the first observation
     time at which it is NaN.
     A capacity above EM_MAX_CAPACITY (about 1.34e154), where the drift
@@ -344,6 +346,9 @@ def _em_scheme(rates: RatePair, x0: float, grid: TimeGrid, refine: int, drift_co
     """Check an Euler-Maruyama run's arguments and build its step operands."""
     k = rates.capacity
     _check_state(x0, k, "x0")
+    lo, hi = CLIP_EPS * k, (1.0 - CLIP_EPS) * k
+    if not lo <= float(x0) <= hi:
+        raise ValueError(f"x0 must lie in the Euler-Maruyama clamp band [{lo!r}, {hi!r}] (CLIP_EPS K from 0 and K)")
     if k > EM_MAX_CAPACITY:
         raise ValueError(
             f"capacity {k:g} is above {EM_MAX_CAPACITY:.4g}, where the Euler-Maruyama drift "
@@ -363,7 +368,7 @@ def _em_scheme(rates: RatePair, x0: float, grid: TimeGrid, refine: int, drift_co
     sd_vals = np.sqrt(s2_vals)
     if drift_correction == "constant":
         lam_vals = lam_vals + 0.5 * s2_vals
-    scalars = (k, 2.0 * k, 2.0, h, math.sqrt(h), CLIP_EPS * k, (1.0 - CLIP_EPS) * k)
+    scalars = (k, 2.0 * k, 2.0, h, math.sqrt(h), lo, hi)
     return _EMScheme(int(refine), drift_correction == "state", lam_vals, s2_vals, sd_vals, *map(np.array, scalars))
 
 

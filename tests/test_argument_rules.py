@@ -25,8 +25,12 @@ from sidiff import (
     constant,
     cumulate_normalize,
     derive_path_seed,
+    deterministic_solution,
     simulate_em,
     simulate_exact,
+    threshold_time,
+    x_to_y,
+    y_to_x,
 )
 from sidiff.estimate import fit_moment_curves
 from sidiff.model import _check_state
@@ -91,6 +95,24 @@ def test_counts_accept_numpy_integers():
 def test_capacities_and_steps_are_positive_and_finite(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
         call()
+
+
+@pytest.mark.parametrize("capacity", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: x_to_y(5.0, 1.0, k),
+        lambda k: y_to_x(0.0, 1.0, k),
+        lambda k: deterministic_solution(k, 20.0, 0.4, 0.0, 1.0),
+        lambda k: threshold_time(k, 20.0, 0.4, 100.0),
+        # the law's rate pair refuses the capacity before the law is made
+        lambda k: TransitionLaw(RatePair(constant(0.4), constant(0.1), k), 20.0, 0.0),
+    ],
+    ids=["x-to-y", "y-to-x", "deterministic-solution", "threshold-time", "transition-law"],
+)
+def test_state_functions_refuse_a_capacity_that_is_not_finite(call, capacity):
+    with pytest.raises(ValueError, match=f"^capacity must be positive and finite, got {capacity!r}$"):
+        call(capacity)
 
 
 @pytest.mark.parametrize(
@@ -160,7 +182,12 @@ def test_state_check_matches_the_elementwise_rule(x):
 @pytest.mark.parametrize("capacity", [1.0, 200, math.inf, math.nan, -5.0])
 @pytest.mark.parametrize("x", [0.5, 20.0, 199.0, math.inf, math.nan, np.array([0.5, 20.0]), np.array([0.5, math.inf])])
 def test_state_check_matches_the_elementwise_rule_at_any_capacity(x, capacity):
-    _assert_same_verdict(x, capacity)
+    # the reference rule lets an infinite or NaN capacity through; _check_state
+    # refuses a capacity that is not positive and finite first, whatever x is
+    if 0.0 < capacity < math.inf:
+        _assert_same_verdict(x, capacity)
+    else:
+        assert _verdict(_check_state, x, capacity) == f"capacity must be positive and finite, got {capacity!r}"
 
 
 @pytest.mark.parametrize(

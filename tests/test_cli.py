@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict
 from pathlib import Path
@@ -11,6 +12,7 @@ from sidiff import RawSeriesTable, load_paths
 from sidiff.cli import _experiment_configs, main
 from sidiff.dataio import save_raw_series
 from sidiff.experiments import BAND_MIN_REPLICATES, KDE_MIN_VALUES, case_config, run_experiment, table1_config
+from sidiff.model import CLIP_EPS
 from sidiff.synthetic import measles_like_table
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -80,6 +82,20 @@ def test_simulate_em_variant(tmp_path):
     assert rc == 0
     sidecar = json.loads(Path(out + ".meta.json").read_text())
     assert sidecar["meta"]["refine"] == 5
+
+
+@pytest.mark.parametrize("x0", [math.nextafter(CLIP_EPS * 200.0, 0.0), math.nextafter((1.0 - CLIP_EPS) * 200.0, 200.0)],
+                         ids=["below", "above"])
+def test_simulate_em_refuses_an_x0_outside_the_clamp_band(tmp_path, capsys, x0):
+    cfg = _write_json(tmp_path / "rates.json", RATES_JSON)
+    out = tmp_path / "o.csv"
+    args = ["simulate", "--config", cfg, "--x0", repr(x0), "--K", "200", "--T", "1", "--delta", "0.1",
+            "--out", str(out)]
+    assert main([*args, "--simulator", "em"]) == 1
+    assert "data error: x0 must lie in the Euler-Maruyama clamp band" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args) == 0  # the exact sampler takes it
+    assert load_paths(str(out)).values[0, 0] == x0
 
 
 # ------------------------------------------------------------------ exit codes

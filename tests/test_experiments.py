@@ -30,6 +30,7 @@ from sidiff import (
     x_to_y,
     y_to_x,
 )
+from sidiff.model import CLIP_EPS
 from sidiff.simulate import _exact_replicates
 
 K = 200.0
@@ -422,18 +423,27 @@ def test_exact_run_ignores_the_em_batch_budget(two_replicate_batches):
     assert report.diagnostics == _in_one_batch(exact).diagnostics
 
 
-@pytest.mark.parametrize("drift_correction", ["state", "constant"])
-def test_em_batches_match_per_replicate_composition(two_replicate_batches, monkeypatch, drift_correction):
+@pytest.mark.parametrize(
+    "transmission, drift_correction",
+    [(0.4, "state"), (0.4, "constant"), (-1.0, "state"), (-1.0, "constant")],
+    # a falling transmission, as FALLING in test_simulate, holds paths at the lower clamp
+    ids=["state", "constant", "lower_clamp-state", "lower_clamp-constant"],
+)
+def test_em_batches_match_per_replicate_composition(two_replicate_batches, monkeypatch, transmission, drift_correction):
+    # the run maps each replicate to Y without the clip, which the replicate
+    # run alone goes through: the two agree at the clamp edges
     cfg = _em_config(
-        rates=RatePair(constant(0.4), constant(3.0), K), em_drift_correction=drift_correction)
+        rates=RatePair(constant(transmission), constant(3.0), K), em_drift_correction=drift_correction)
     batches = _record_em_batches(monkeypatch, cfg.n_paths)
     report = run_experiment(cfg)
     assert batches == [2, 2, 1]
     a, b = cfg.resolved_scalar_window()
     alone = []
+    edge, at_edge = (CLIP_EPS * K if transmission < 0.0 else (1.0 - CLIP_EPS) * K), 0
     for r in range(cfg.replicates):
         ps = simulate_em(cfg.rates, cfg.x0, cfg.grid, cfg.n_paths, cfg.master_seed, replicate=r,
                          drift_correction=drift_correction)
+        at_edge += np.count_nonzero(ps.values == edge)
         est = estimate_pipeline(ps, stride=4)
         alone.append((est, ps.meta["clamp_count"], ps.values[:, -1]))
         assert np.array_equal(report.lambda_curves[r], est.lambda_hat(cfg.grid.times))
@@ -442,7 +452,18 @@ def test_em_batches_match_per_replicate_composition(two_replicate_batches, monke
         assert report.scalar_sigma2[r] == est.avg_sigma2_hat(a, b)
         assert (report.mle_lambda[r], report.mle_sigma2[r]) == est.mle
     assert report.diagnostics["clamp_count_total"] > 0
+    assert at_edge > 0
     _assert_totals(report, alone)
+
+
+@pytest.mark.parametrize(
+    "x0", [math.nextafter(CLIP_EPS * K, 0.0), math.nextafter((1.0 - CLIP_EPS) * K, K)], ids=["below", "above"])
+def test_em_run_refuses_an_x0_outside_the_clamp_band(x0):
+    # the run maps Euler-Maruyama replicates to Y unclipped, so their x0 must lie in the band
+    with pytest.raises(RuntimeError, match=r"^replicate 0 failed: x0 must lie in the Euler-Maruyama clamp band"):
+        run_experiment(_em_config(x0=x0))
+    report = run_experiment(_em_config(x0=x0, simulator="exact", replicates=2))
+    assert np.all(np.isfinite(report.lambda_curves))
 
 
 def test_em_report_does_not_depend_on_the_schedule(two_replicate_batches, monkeypatch):

@@ -434,6 +434,25 @@ def test_degenerate_time_errors_carry_the_atom():
     )
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda law, t: law.accumulated(t),
+        lambda law, t: conditional_moment(law, 1, t),
+        lambda law, t: transition_cdf(law, 50.0, t),
+        lambda law, t: transition_pdf(law, 50.0, t),
+        lambda law, t: conditional_median(law, t),
+        lambda law, t: deterministic_solution(K, X0, 0.4, 0.0, [1.0, t]),
+    ],
+    ids=["accumulated", "conditional-moment", "transition-cdf", "transition-pdf", "conditional-median",
+         "deterministic-solution"],
+)
+def test_transition_law_refuses_a_time_that_is_not_finite(call, t):
+    with pytest.raises(ValueError, match="^t must be finite, got "):
+        call(TransitionLaw(_pair(0.4, 0.1), X0, 0.0), t)
+
+
 def test_transition_law_validates_start_state():
     with pytest.raises(ValueError):
         TransitionLaw(_pair(0.4, 0.1), 0.0, 0.0)

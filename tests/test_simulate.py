@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,20 @@ def test_em_matches_the_reference_loop_bit_for_bit(rates, x0, refine, grid, n_pa
         # the clamp holds the iterates at exactly the lower edge
         assert clamp_count > 0
         assert np.any(ps.values == CLIP_EPS * K)
+
+
+@pytest.mark.parametrize(
+    "outside, edge",
+    [(math.nextafter(CLIP_EPS * K, 0.0), CLIP_EPS * K), (math.nextafter((1.0 - CLIP_EPS) * K, K), (1.0 - CLIP_EPS) * K)],
+    ids=["below", "above"],
+)
+def test_em_refuses_an_x0_outside_the_clamp_band(outside, edge):
+    # the band [CLIP_EPS K, (1 - CLIP_EPS) K] holds every stored Euler-Maruyama value, x0 included
+    band = re.escape(f"[{CLIP_EPS * K!r}, {(1.0 - CLIP_EPS) * K!r}]")
+    with pytest.raises(ValueError, match=f"^x0 must lie in the Euler-Maruyama clamp band {band} "):
+        simulate_em(PAIR, outside, SHORT_GRID, 3, 1)
+    assert simulate_exact(PAIR, outside, SHORT_GRID, 3, 1).values[0, 0] == outside
+    assert simulate_em(PAIR, edge, SHORT_GRID, 3, 1).values[0, 0] == edge
 
 
 def test_block_draws_continue_one_stream():
