@@ -35,6 +35,7 @@ from .experiments import (
     BAND_MIN_REPLICATES,
     KDE_MIN_VALUES,
     SIMULATORS,
+    STANDARD_RUN,
     case_config,
     homogeneous_error_rows,
     run_experiment,
@@ -46,8 +47,9 @@ from .simulate import DRIFT_CORRECTIONS, TimeGrid, simulate_em, simulate_exact
 __all__ = ["main", "build_parser"]
 
 OUT_DIR_ENV = "SIDIFF_OUT_DIR"
-COUNT_DEFAULTS = {"n_paths": 50, "replicates": 100, "master_seed": 0, "stride": 10}
-EXPERIMENT_KEYS = frozenset({*COUNT_DEFAULTS, *"rows cases t0 T delta row_simulator row_drift_correction".split()})
+COUNT_KEYS = ("n_paths", "replicates", "master_seed", "stride")
+ROW_SCHEME_KEYS = {"row_simulator": "simulator", "row_drift_correction": "em_drift_correction"}
+EXPERIMENT_KEYS = frozenset({*COUNT_KEYS, *ROW_SCHEME_KEYS, *"rows cases t0 T delta".split()})
 RATE_KEYS = frozenset({"transmission", "noise"})  # of an experiment row and of a simulate rates file
 
 
@@ -188,11 +190,10 @@ def _refuse_unknown_keys(entry: dict, known: frozenset, where: str) -> None:
 def _experiment_configs(cfg: dict, seed_override: int | None):
     _refuse_unknown_keys(cfg, EXPERIMENT_KEYS, "experiment config")
     counts = cfg if seed_override is None else {**cfg, "master_seed": seed_override}
-    # only the type here: ExperimentConfig checks the ranges, naming the field
-    shared = {
-        key: _whole_number(counts.get(key, default), f"config key {key!r}", -math.inf)
-        for key, default in COUNT_DEFAULTS.items()
-    }
+    # the keys the config names, the rest from the standard run; only the
+    # type here: ExperimentConfig checks the ranges, naming the field
+    shared = {key: _whole_number(counts[key], f"config key {key!r}", -math.inf) for key in COUNT_KEYS if key in counts}
+    run = STANDARD_RUN | shared
     if any(key in cfg for key in ("t0", "T", "delta")):
         for key in ("T", "delta"):
             if key not in cfg:
@@ -205,7 +206,7 @@ def _experiment_configs(cfg: dict, seed_override: int | None):
     for key, value, least in (("rows", rows, KDE_MIN_VALUES), ("cases", cases, BAND_MIN_REPLICATES)):
         if not isinstance(value, list):
             raise ValueError(f"experiment config key {key!r} must be a list, not {type(value).__name__}")
-        if value and shared["replicates"] < least:
+        if value and run["replicates"] < least:
             raise ValueError(f"config key 'replicates' must be at least {least} for {key}")
     if not rows and not cases:
         raise ValueError("experiment config needs a nonempty 'rows' or 'cases' entry")
@@ -221,18 +222,10 @@ def _experiment_configs(cfg: dict, seed_override: int | None):
         if transmission == 0.0:
             raise ValueError("config key 'transmission' must be nonzero: relative errors divide by it")
         row_rates.append((transmission, _positive_number(row["noise"], "config key 'noise'")))
-    row_configs = [
-        table1_config(
-            transmission,
-            noise,
-            simulator=cfg.get("row_simulator", "em"),
-            em_drift_correction=cfg.get("row_drift_correction", "constant"),
-            **shared,
-        )
-        for transmission, noise in row_rates
-    ]
+    scheme = {name: cfg[key] for key, name in ROW_SCHEME_KEYS.items() if key in cfg}
+    row_configs = [table1_config(transmission, noise, **scheme, **shared) for transmission, noise in row_rates]
     case_configs = [case_config(str(name), **shared) for name in cases]
-    return row_configs, case_configs, shared["master_seed"]
+    return row_configs, case_configs, run["master_seed"]
 
 
 def _cmd_experiment(args) -> int:
@@ -269,8 +262,8 @@ def _cmd_experiment(args) -> int:
 def _print_done(report) -> None:
     d = report.diagnostics
     print(
-        f"{report.config.label}: {d['replicates']} replicates done (clipped cells: {d['clip_count_total']}, "
-        f"EM clamps: {d['clamp_count_total']}, paths above 0.99K at the end: {d['saturation_fraction_mean']:.3g})"
+        f"{report.config.label}: {d['replicates']} replicates done (EM clamps: {d['clamp_count_total']}, "
+        f"paths above 0.99K at the end: {d['saturation_fraction_mean']:.3g})"
     )
 
 

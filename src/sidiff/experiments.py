@@ -5,6 +5,10 @@ intensity curves on each replicate, and aggregates: error tables,
 pointwise mean/sd bands, box-plot statistics and kernel density
 summaries of the estimates.
 
+The paper's simulation studies are one standard run, STANDARD_RUN, on
+constant rates (table1_config: GMM against the MLE) and on periodic
+ones (case_config: bands); `sidiff experiment` builds with those two.
+
 Replicates are independent by construction (per-replicate seed streams
 derived from the master seed), and the aggregation is a deterministic
 fold in replicate order, so the output does not depend on how the
@@ -39,7 +43,7 @@ import numpy as np
 from .estimate import estimate_pipeline
 from .rates import RatePair, _whole_number, constant, exp_saturating, sinusoid
 from .model import _check_state, x_to_y, y_to_x
-from .simulate import DRIFT_CORRECTIONS, TimeGrid, _em_replicates, _exact_replicates
+from .simulate import DRIFT_CORRECTIONS, TimeGrid, _check_em_start, _em_replicates, _exact_replicates
 
 __all__ = [
     "ExperimentConfig",
@@ -71,7 +75,6 @@ STAGES = ("simulate", "estimate")
 METHOD_COLUMNS = {"GMM": ("scalar_lambda", "scalar_sigma2"), "MLE": ("mle_lambda", "mle_sigma2")}
 # each per-replicate diagnostic: its report.diagnostics total and the fold that makes it
 DIAGNOSTIC_TOTALS = {
-    "clip_count": ("clip_count_total", lambda v: int(v.sum())),
     "clamp_count": ("clamp_count_total", lambda v: int(v.sum())),
     "negative_noise_fraction": ("negative_noise_fraction_mean", lambda v: float(v.mean())),
     "low_confidence_boundary": ("low_confidence_replicates", lambda v: int(np.count_nonzero(v))),
@@ -81,10 +84,11 @@ DIAGNOSTIC_TOTALS = {
 _Record = namedtuple("_Record", [*DIAGNOSTIC_TOTALS, *STAGES, *METHOD_COLUMNS["GMM"], *METHOD_COLUMNS["MLE"]],
                      defaults=(None, None))
 
-# standard synthetic setup shared by the error-table and band runs
+# the standard run of the error-table rows and the band cases
 STANDARD_CAPACITY = 200.0
 STANDARD_X0 = 20.0
 STANDARD_GRID = TimeGrid(t0=0.0, delta=0.01, n=5001)
+STANDARD_RUN = dict(x0=STANDARD_X0, grid=STANDARD_GRID, n_paths=50, replicates=100, master_seed=20260819, stride=10)
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,8 @@ class ExperimentConfig:
     `methods` is not set but derived from the true rates: the
     homogeneous MLE runs next to GMM exactly when both rates are
     constant, the only case where it targets them.  Euler-Maruyama runs
-    step at the observation step (EM_REFINE).
+    step at the observation step (EM_REFINE), and their x0 and capacity
+    are refused here as simulate_em refuses them.
     """
 
     label: str
@@ -117,6 +122,8 @@ class ExperimentConfig:
         if self.em_drift_correction not in DRIFT_CORRECTIONS:
             raise ValueError(f"em_drift_correction must be one of {DRIFT_CORRECTIONS}")
         _check_state(self.x0, self.rates.capacity, "x0")
+        if self.simulator == "em":
+            _check_em_start(self.x0, self.rates.capacity)
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -361,63 +368,42 @@ def case_rates(name: str, capacity: float = STANDARD_CAPACITY) -> RatePair:
     raise ValueError(f"unknown case {name!r}, expected 'a', 'b' or 'c'")
 
 
-def case_config(
-    name: str,
-    *,
-    n_paths: int = 50,
-    replicates: int = 100,
-    master_seed: int = 20260819,
-    stride: int = 10,
-    grid: TimeGrid | None = None,
-) -> ExperimentConfig:
-    """Standard band-figure run for one benchmark case.
+def case_config(name: str, **settings) -> ExperimentConfig:
+    """STANDARD_RUN of one benchmark case; the keywords n_paths, replicates,
+    master_seed, stride and grid (None: the standard grid) replace its own.
 
-    stride=10 keeps one moment knot per 0.1 time units: dense enough
+    Stride 10 keeps one moment knot per 0.1 time units: dense enough
     for the slowest feature (period 2 pi), sparse enough that the
     derivative of the variance fit is not dominated by sampling noise.
     """
-    return ExperimentConfig(
-        label=f"case_{name.lower()}",
-        rates=case_rates(name),
-        x0=STANDARD_X0,
-        grid=grid if grid is not None else STANDARD_GRID,
-        n_paths=n_paths,
-        replicates=replicates,
-        master_seed=master_seed,
-        stride=stride,
-    )
+    return _standard_config(f"case_{name.lower()}", case_rates(name), settings)
 
 
 def table1_config(
-    transmission: float,
-    noise: float,
-    *,
-    n_paths: int = 50,
-    replicates: int = 100,
-    master_seed: int = 20260819,
-    stride: int = 10,
-    simulator: str = "em",
-    em_drift_correction: str = "constant",
-    grid: TimeGrid | None = None,
+    transmission: float, noise: float, *, simulator: str = "em", em_drift_correction: str = "constant", **settings
 ) -> ExperimentConfig:
-    """Homogeneous-rates error-table run for one (transmission, noise) row.
+    """STANDARD_RUN of one constant-rate error-table row; takes case_config's keywords too.
 
     Default simulator is Euler-Maruyama at the observation step with
     the constant Ito correction: the scheme the reference error tables
     were produced with.  Pass simulator="exact" for the unbiased law.
     """
-    return ExperimentConfig(
-        label=f"table1_lam{transmission:g}_s2{noise:g}",
-        rates=RatePair(constant(transmission), constant(noise), STANDARD_CAPACITY),
-        x0=STANDARD_X0,
-        grid=grid if grid is not None else STANDARD_GRID,
-        n_paths=n_paths,
-        replicates=replicates,
-        master_seed=master_seed,
-        stride=stride,
-        simulator=simulator,
-        em_drift_correction=em_drift_correction,
+    rates = RatePair(constant(transmission), constant(noise), STANDARD_CAPACITY)
+    return _standard_config(
+        f"table1_lam{transmission:g}_s2{noise:g}", rates, settings,
+        simulator=simulator, em_drift_correction=em_drift_correction,
     )
+
+
+def _standard_config(label: str, rates: RatePair, settings: dict, **scheme) -> ExperimentConfig:
+    """STANDARD_RUN of `rates`, with `settings` in place of any of its entries but x0."""
+    unexpected = sorted(settings.keys() - (STANDARD_RUN.keys() - {"x0"}))
+    if unexpected:
+        raise TypeError(f"unexpected keyword argument {unexpected[0]!r}")
+    run = STANDARD_RUN | settings
+    if run["grid"] is None:
+        run["grid"] = STANDARD_GRID
+    return ExperimentConfig(label=label, rates=rates, **run, **scheme)
 
 
 def homogeneous_error_rows(report: ExperimentReport) -> list[dict]:

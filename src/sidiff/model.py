@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import RateFunction, RatePair, _positive_number, _whole_number, constant, cumulative, evaluate, integrate
+from .rates import (
+    RateFunction, RatePair, _finite_number, _integral, _positive_number, _whole_number, constant, cumulative, evaluate
+)
 
 __all__ = [
     "DegenerateTimeError",
@@ -100,16 +102,17 @@ def deterministic_solution(capacity: float, x0: float, transmission, t0: float, 
     """Noise-free logistic solution started from x0 at t0.
 
     `transmission` may be a RateFunction or a plain number.  Vectorized
-    over t, which must be finite and >= t0.
+    over t, which must be finite and >= t0; t0 must be finite.
     """
     _check_state(x0, capacity, "x0")
+    t0 = _finite_number(t0, "t0")
     lam = _as_rate(transmission)
     t_arr = np.asarray(t, dtype=float)
     if not np.isfinite(t_arr).all():
         raise ValueError(f"t must be finite, got {t!r}")
     if np.any(t_arr < t0):
         raise ValueError("t must be >= t0")
-    ends = cumulative(lam, np.append(float(t0), t_arr.ravel()))
+    ends = cumulative(lam, np.append(t0, t_arr.ravel()))
     out = y_to_x(ends[1:] - ends[0], x0, capacity)
     if np.ndim(t) == 0:
         return float(out[0])
@@ -131,11 +134,12 @@ def threshold_time(
     is solved by bisection on the accumulated growth (time tolerance
     1e-10).  Bisection rather than Newton: the transmission intensity
     may vanish or change sign inside the window.  The search ends at
-    t_max, or at the last knot of a tabulated transmission if that
-    comes first; a level not reached by then raises ValueError
-    "threshold not reached within [t0, end]".
+    t_max (t0 and t_max must be finite), or at the last knot of a
+    tabulated transmission if that comes first; a level not reached by
+    then raises ValueError "threshold not reached within [t0, end]".
     """
     _check_state(x0, capacity, "x0")
+    t0, t_max = _finite_number(t0, "t0"), _finite_number(t_max, "t_max")
     if not (x0 < level < capacity):
         raise ValueError(f"level must lie in (x0, capacity) = ({x0}, {capacity})")
     lam = _as_rate(transmission)
@@ -251,8 +255,9 @@ def infinitesimal_moments(x, t: float, rates: RatePair):
     Equivalently drift = lam x (K - x) / K + (1/4) d(diffusion)/dx; the
     state-dependent second term is the Ito correction of the inverse
     transform.  Both vanish at x = 0 and x = K, so the boundary is
-    unattainable.  Accepts the closed interval [0, K].
+    unattainable.  Accepts the closed interval [0, K] and a finite t.
     """
+    _finite_number(t, "t")
     x_arr = np.asarray(x, dtype=float)
     k = rates.capacity
     if np.any(x_arr < 0.0) or np.any(x_arr > k):
@@ -269,7 +274,7 @@ def infinitesimal_moments(x, t: float, rates: RatePair):
 
 @dataclass(frozen=True, eq=False)
 class TransitionLaw:
-    """Conditional law of X(t) given X(t0) = x0."""
+    """Conditional law of X(t) given X(t0) = x0, for a finite t0."""
 
     rates: RatePair
     x0: float
@@ -277,6 +282,7 @@ class TransitionLaw:
 
     def __post_init__(self) -> None:
         _check_state(self.x0, self.rates.capacity, "x0")
+        _finite_number(self.t0, "t0")
 
     def accumulated(self, t: float) -> tuple[float, float]:
         """(growth, variance) integrals over [t0, t], for a finite t.
@@ -289,8 +295,9 @@ class TransitionLaw:
             raise DegenerateTimeError(
                 f"law at t={t} <= t0={self.t0} is a point mass at x0", self.x0
             )
-        lam_int = integrate(self.rates.transmission, self.t0, t)
-        var_int = integrate(self.rates.noise, self.t0, t)
+        # both ends are checked: t0 when the law was built, t here
+        lam_int = _integral(self.rates.transmission, self.t0, t)
+        var_int = _integral(self.rates.noise, self.t0, t)
         if var_int <= 0.0:
             atom = y_to_x(lam_int, self.x0, self.rates.capacity)
             raise DegenerateTimeError(

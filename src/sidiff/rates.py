@@ -240,11 +240,17 @@ def cumulative(f: RateFunction, times) -> np.ndarray:
 
 
 def integrate(f: RateFunction, t0: float, t: float) -> float:
-    """Integral of the rate over [t0, t].  Requires t >= t0."""
+    """Integral of the rate over [t0, t].  Requires finite t0 <= t."""
+    t0, t = _finite_number(t0, "t0"), _finite_number(t, "t")
     if t < t0:
         raise ValueError(f"integration endpoint t={t} precedes t0={t0}")
     if t == t0:
         return 0.0
+    return _integral(f, t0, t)
+
+
+def _integral(f: RateFunction, t0: float, t: float) -> float:
+    """`integrate` for finite t0 < t, unchecked."""
     ends = cumulative(f, np.array([t0, t], dtype=float))
     return float(ends[1] - ends[0])
 
@@ -252,13 +258,13 @@ def integrate(f: RateFunction, t0: float, t: float) -> float:
 def increment_table(f: RateFunction, grid) -> np.ndarray:
     """Per-step integrals: entry j-1 is integrate(f, t_{j-1}, t_j).
 
-    `grid` may be a TimeGrid or any 1-d array of increasing times.
+    `grid` may be a TimeGrid or any 1-d array of finite, increasing times.
     """
     times = np.asarray(getattr(grid, "times", grid), dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need at least two grid times")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("grid times must be strictly increasing")
+    if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
+        raise ValueError("grid times must be finite and strictly increasing")
     return np.diff(cumulative(f, times))
 
 
@@ -272,9 +278,10 @@ def check_window(
 ) -> None:
     """Dense-sample validation of a rate over [t0, t_end].
 
-    Samples 10*n points.  Raises ValueError on non-finite values and on
-    sign violations.
+    Samples 10*n points.  Raises ValueError on non-finite ends or values
+    and on sign violations.
     """
+    t0, t_end = _finite_number(t0, "t0"), _finite_number(t_end, "t_end")
     if t_end < t0:
         raise ValueError("t_end must be >= t0")
     sample = np.linspace(t0, t_end, max(2, 10 * int(n)))

@@ -346,14 +346,7 @@ def _em_scheme(rates: RatePair, x0: float, grid: TimeGrid, refine: int, drift_co
     """Check an Euler-Maruyama run's arguments and build its step operands."""
     k = rates.capacity
     _check_state(x0, k, "x0")
-    lo, hi = CLIP_EPS * k, (1.0 - CLIP_EPS) * k
-    if not lo <= float(x0) <= hi:
-        raise ValueError(f"x0 must lie in the Euler-Maruyama clamp band [{lo!r}, {hi!r}] (CLIP_EPS K from 0 and K)")
-    if k > EM_MAX_CAPACITY:
-        raise ValueError(
-            f"capacity {k:g} is above {EM_MAX_CAPACITY:.4g}, where the Euler-Maruyama drift "
-            '(K - x) x overflows; use simulator="exact"'
-        )
+    lo, hi = _check_em_start(x0, k)
     _whole_number(refine, "refine", 1)
     if drift_correction not in DRIFT_CORRECTIONS:
         raise ValueError(f"drift_correction must be one of {DRIFT_CORRECTIONS}")
@@ -370,6 +363,19 @@ def _em_scheme(rates: RatePair, x0: float, grid: TimeGrid, refine: int, drift_co
         lam_vals = lam_vals + 0.5 * s2_vals
     scalars = (k, 2.0 * k, 2.0, h, math.sqrt(h), lo, hi)
     return _EMScheme(int(refine), drift_correction == "state", lam_vals, s2_vals, sd_vals, *map(np.array, scalars))
+
+
+def _check_em_start(x0: float, k: float) -> tuple[float, float]:
+    """The clamp band's edges; refuses an x0 in (0, K) outside them and a K above EM_MAX_CAPACITY."""
+    lo, hi = CLIP_EPS * k, (1.0 - CLIP_EPS) * k
+    if not lo <= float(x0) <= hi:
+        raise ValueError(f"x0 must lie in the Euler-Maruyama clamp band [{lo!r}, {hi!r}] (CLIP_EPS K from 0 and K)")
+    if k > EM_MAX_CAPACITY:
+        raise ValueError(
+            f"capacity {k:g} is above {EM_MAX_CAPACITY:.4g}, where the Euler-Maruyama drift "
+            '(K - x) x overflows; use simulator="exact"'
+        )
+    return lo, hi
 
 
 def _zero_d(values: np.ndarray) -> list[np.ndarray]:

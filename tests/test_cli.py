@@ -514,21 +514,39 @@ def test_experiment_refuses_too_few_replicates_before_any_run(tmp_path, capsys, 
     _experiment_configs({**payload, "replicates": least}, None)  # the minimum itself is accepted
 
 
-def test_experiment_prints_clip_clamp_and_saturation_totals(tmp_path, capsys):
+def test_experiment_prints_clamp_and_saturation_totals(tmp_path, capsys):
     # a fast-growing Euler-Maruyama row hits the clamp and saturates by
-    # T = 5; exact case a draws in the Gaussian coordinate and clips nothing
+    # T = 5; exact case a draws in the Gaussian coordinate, with no clamp
     payload = {**EXPERIMENT_CFG, "rows": [{"transmission": 6.0, "noise": 0.1}], "replicates": 10}
     cfg = _write_json(tmp_path / "exp.json", payload)
     assert main(["experiment", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
     done = [line for line in capsys.readouterr().out.splitlines() if "replicates done" in line]
     assert done == [
-        "table1_lam6_s20.1: 10 replicates done (clipped cells: 0, EM clamps: 2829, paths above 0.99K at the end: 1)",
-        "case_a: 10 replicates done (clipped cells: 0, EM clamps: 0, paths above 0.99K at the end: 0)",
+        "table1_lam6_s20.1: 10 replicates done (EM clamps: 2829, paths above 0.99K at the end: 1)",
+        "case_a: 10 replicates done (EM clamps: 0, paths above 0.99K at the end: 0)",
     ]
     row_configs, case_configs, _ = _experiment_configs(payload, None)
     row, case = (run_experiment(c).diagnostics for c in row_configs + case_configs)
     assert row["clamp_count_total"] == 2829 and row["saturation_fraction_mean"] == 1.0
-    assert case["clip_count_total"] == case["clamp_count_total"] == 0
+    assert case["clamp_count_total"] == 0
+    # no run can clip: exact replicates stay in Y and EM replicates lie in the clamp band
+    assert "clip_count_total" not in row and "clip_count_total" not in case
+
+
+def test_a_config_that_names_no_setting_builds_the_standard_run():
+    # the CLI keeps no defaults of its own: what a config leaves out, the
+    # master seed included, comes from the helpers' standard run
+    bare = {"rows": [{"transmission": 0.4, "noise": 0.1}], "cases": ["a"], "replicates": 10}
+    built = _experiment_configs(bare, None)
+    seeded = _experiment_configs({**bare, "master_seed": SEED}, None)
+    helpers = ([table1_config(0.4, 0.1, replicates=10)], [case_config("a", replicates=10)], SEED)
+    for other in (seeded, helpers):
+        assert [asdict(c) for c in built[0] + built[1]] == [asdict(c) for c in other[0] + other[1]]
+        assert built[2] == other[2] == SEED
+    assert _experiment_configs(bare, 3)[2] == 3
+    # without 'replicates' the standard 100 meets both minimums
+    row_configs, case_configs, _ = _experiment_configs({"rows": bare["rows"], "cases": ["c"]}, None)
+    assert [c.replicates for c in row_configs + case_configs] == [100, 100]
 
 
 def test_shipped_configs_build_the_reference_runs():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -178,6 +179,45 @@ def test_standard_configs():
     assert t1.methods == ("GMM", "MLE")
 
 
+# each keyword the helpers take, set away from the standard run
+HELPER_KEYWORDS = [("n_paths", 7), ("replicates", 3), ("master_seed", 11), ("stride", 4),
+                   ("grid", TimeGrid(0.0, 0.05, 101)), ("grid", None)]
+SCHEME_KEYWORDS = [("simulator", "exact"), ("em_drift_correction", "state")]
+
+
+def _spelled_out(label, rates, **changes):
+    """The standard run written out field by field, as the helpers once did."""
+    fields = dict(label=label, rates=rates, x0=20.0, grid=TimeGrid(0.0, 0.01, 5001), n_paths=50,
+                  replicates=100, master_seed=20260819, stride=10)
+    fields.update({key: value for key, value in changes.items() if value is not None})
+    return asdict(ExperimentConfig(**fields))
+
+
+@pytest.mark.parametrize("keyword, value", HELPER_KEYWORDS)
+def test_case_config_builds_the_standard_run_with_each_keyword(keyword, value):
+    built = case_config("B", **{keyword: value})
+    assert asdict(built) == _spelled_out("case_b", case_rates("b"), **{keyword: value})
+
+
+@pytest.mark.parametrize("keyword, value", HELPER_KEYWORDS + SCHEME_KEYWORDS)
+def test_table1_config_builds_the_standard_run_with_each_keyword(keyword, value):
+    built = table1_config(0.4, 0.05, **{keyword: value})
+    scheme = {"simulator": "em", "em_drift_correction": "constant", keyword: value}
+    assert asdict(built) == _spelled_out("table1_lam0.4_s20.05", RatePair(constant(0.4), constant(0.05), K), **scheme)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: case_config("a", simulator="em"), lambda: case_config("a", x0=5.0), lambda: case_config("a", 5),
+     lambda: table1_config(0.4, 0.1, x0=5.0), lambda: table1_config(0.4, 0.1, label="t"),
+     lambda: table1_config(0.4, 0.1, "em")],
+    ids=["case-simulator", "case-x0", "case-positional", "table1-x0", "table1-label", "table1-positional"],
+)
+def test_standard_configs_take_no_other_keyword(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 # ---------------------------------------------------------------- experiment
 
 
@@ -211,7 +251,7 @@ def test_exact_experiment_paths_are_the_transform_of_simulate_exact():
 def test_exact_cases_are_unbiased_where_x_saturates(case):
     # by t = 40 most paths of cases a and b sit within 1e-9 K of K; the
     # Gaussian coordinate carries no such limit, so the late band stays
-    # on the truth and nothing is clipped
+    # on the truth
     report = run_experiment(case_config(case, replicates=20))
     rates = report.config.rates
     late = (report.times >= 40.0) & (report.times <= 48.0)
@@ -220,7 +260,6 @@ def test_exact_cases_are_unbiased_where_x_saturates(case):
     s2_bias = np.mean(pointwise_band(report.sigma2_curves)[0][late] - evaluate(rates.noise, times))
     assert abs(lam_bias) < 0.01
     assert abs(s2_bias) < 0.05
-    assert report.diagnostics["clip_count_total"] == 0
 
 
 def _assert_totals(report, alone):
@@ -228,7 +267,6 @@ def _assert_totals(report, alone):
     (estimate, clamp count, final X values) of each replicate run alone."""
     k = report.config.rates.capacity
     expected = {
-        "clip_count_total": sum(est.diagnostics["clip_count"] for est, _, _ in alone),
         "clamp_count_total": sum(clamps for _, clamps, _ in alone),
         "negative_noise_fraction_mean": float(
             np.mean([est.diagnostics["negative_noise_fraction"] for est, _, _ in alone])
@@ -311,7 +349,7 @@ def test_report_diagnostics_aggregate():
     report = run_experiment(cfg)
     d = report.diagnostics
     assert d["replicates"] == 3
-    assert d["clip_count_total"] >= 0
+    assert d["clamp_count_total"] == 0  # an exact run has no clamp
     assert 0.0 <= d["saturation_fraction_mean"] <= 1.0
     assert report.elapsed_seconds > 0.0
 
@@ -459,11 +497,21 @@ def test_em_batches_match_per_replicate_composition(two_replicate_batches, monke
 @pytest.mark.parametrize(
     "x0", [math.nextafter(CLIP_EPS * K, 0.0), math.nextafter((1.0 - CLIP_EPS) * K, K)], ids=["below", "above"])
 def test_em_run_refuses_an_x0_outside_the_clamp_band(x0):
-    # the run maps Euler-Maruyama replicates to Y unclipped, so their x0 must lie in the band
-    with pytest.raises(RuntimeError, match=r"^replicate 0 failed: x0 must lie in the Euler-Maruyama clamp band"):
-        run_experiment(_em_config(x0=x0))
+    # the run maps Euler-Maruyama replicates to Y unclipped, so their x0 must
+    # lie in the band; the config refuses it, before any run, as simulate_em does
+    with pytest.raises(ValueError, match=r"^x0 must lie in the Euler-Maruyama clamp band"):
+        _em_config(x0=x0)
     report = run_experiment(_em_config(x0=x0, simulator="exact", replicates=2))
     assert np.all(np.isfinite(report.lambda_curves))
+
+
+@pytest.mark.parametrize("capacity", [1e200, 1e300])
+def test_em_config_refuses_a_capacity_whose_drift_overflows(capacity):
+    # x (K - x) would overflow; the config refuses it before any run, as simulate_em does
+    rates = RatePair(constant(0.4), constant(0.1), capacity)
+    with pytest.raises(ValueError, match=r'overflows; use simulator="exact"$'):
+        _em_config(rates=rates, x0=capacity / 2.0)
+    assert _em_config(rates=rates, x0=capacity / 2.0, simulator="exact").rates.capacity == capacity
 
 
 def test_em_report_does_not_depend_on_the_schedule(two_replicate_batches, monkeypatch):
@@ -532,10 +580,6 @@ def test_em_failures_name_the_first_failing_replicate(monkeypatch, batch_bytes):
     zero_noise = _em_config(rates=RatePair(constant(0.4), constant(0.0), K))
     with pytest.raises(RuntimeError, match="replicate 0 failed: rate kind"):
         run_experiment(zero_noise)
-    # x (K - x) would overflow at this capacity
-    huge = _em_config(rates=RatePair(constant(0.4), constant(0.1), 1e300), x0=5e299)
-    with pytest.raises(RuntimeError, match=r"replicate 0 failed: capacity 1e\+300 is above"):
-        run_experiment(huge)
     # noise this large overflows both the drift and the shock, and the
     # step turns to inf - inf
     wild = _em_config(

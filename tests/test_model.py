@@ -10,6 +10,7 @@ from scipy.optimize import bisect
 from scipy.special import erf, expit
 
 from sidiff import model
+from sidiff.rates import check_window, increment_table, integrate
 from sidiff import (
     DegenerateTimeError,
     RatePair,
@@ -451,6 +452,34 @@ def test_degenerate_time_errors_carry_the_atom():
 def test_transition_law_refuses_a_time_that_is_not_finite(call, t):
     with pytest.raises(ValueError, match="^t must be finite, got "):
         call(TransitionLaw(_pair(0.4, 0.1), X0, 0.0), t)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        (lambda t: TransitionLaw(_pair(0.4, 0.1), X0, t), "t0 must be a finite number"),
+        (lambda t: deterministic_solution(K, X0, 0.4, t, 1.0), "t0 must be a finite number"),
+        (lambda t: threshold_time(K, X0, 0.4, 100.0, t0=t), "t0 must be a finite number"),
+        (lambda t: threshold_time(K, X0, sinusoid(0.4, 1.0, 1.0), 100.0, t_max=t), "t_max must be a finite number"),
+        (lambda t: threshold_time(K, X0, sinusoid(0.0, 0.0, 1.0), 100.0, t_max=t), "t_max must be a finite number"),
+        (lambda t: integrate(constant(0.4), t, 1.0), "t0 must be a finite number"),
+        (lambda t: integrate(constant(0.4), 0.0, t), "t must be a finite number"),
+        (lambda t: increment_table(constant(0.4), [0.0, t, 2.0]), "grid times must be finite"),
+        (lambda t: increment_table(constant(0.4), [0.0, 1.0, t]), "grid times must be finite"),
+        (lambda t: check_window(constant(0.4), t, 1.0, 10), "t0 must be a finite number"),
+        (lambda t: check_window(constant(0.4), 0.0, t, 10), "t_end must be a finite number"),
+        (lambda t: infinitesimal_moments(X0, t, _pair(0.4, 0.1)), "t must be a finite number"),
+    ],
+    ids=["law-t0", "deterministic-solution-t0", "threshold-time-t0", "threshold-time-t-max",
+         "threshold-time-t-max-zero-rate", "integrate-t0", "integrate-t", "increment-table-inside",
+         "increment-table-end", "check-window-t0", "check-window-t-end", "infinitesimal-moments"],
+)
+def test_times_that_are_not_finite_are_refused(call, refusal, t):
+    # each of these returned nan, a wrong number or passed before: every
+    # comparison with NaN is False, and an infinite end is no bound
+    with pytest.raises(ValueError, match=f"^{refusal}"):
+        call(t)
 
 
 def test_transition_law_validates_start_state():
