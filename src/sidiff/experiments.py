@@ -106,10 +106,10 @@ class ExperimentConfig:
     rates: RatePair
     x0: float
     grid: TimeGrid
-    n_paths: int = 50
-    replicates: int = 100
-    master_seed: int = 0
-    stride: int = 1
+    n_paths: int = STANDARD_RUN["n_paths"]
+    replicates: int = STANDARD_RUN["replicates"]
+    master_seed: int = STANDARD_RUN["master_seed"]
+    stride: int = STANDARD_RUN["stride"]
     simulator: str = "exact"
     em_drift_correction: str = "state"
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import (
-    RateFunction, RatePair, _finite_number, _integral, _positive_number, _whole_number, constant, cumulative, evaluate
+    RateFunction, RatePair, _finite_number, _positive_number, _whole_number, constant, cumulative, evaluate, integrate
 )
 
 __all__ = [
@@ -274,7 +274,7 @@ def infinitesimal_moments(x, t: float, rates: RatePair):
 
 @dataclass(frozen=True, eq=False)
 class TransitionLaw:
-    """Conditional law of X(t) given X(t0) = x0, for a finite t0."""
+    """Conditional law of X(t) given X(t0) = x0, for a finite t0 (kept as a float)."""
 
     rates: RatePair
     x0: float
@@ -282,7 +282,8 @@ class TransitionLaw:
 
     def __post_init__(self) -> None:
         _check_state(self.x0, self.rates.capacity, "x0")
-        _finite_number(self.t0, "t0")
+        # a float t0 takes the quick path of integrate's checks on every call
+        object.__setattr__(self, "t0", _finite_number(self.t0, "t0"))
 
     def accumulated(self, t: float) -> tuple[float, float]:
         """(growth, variance) integrals over [t0, t], for a finite t.
@@ -295,9 +296,8 @@ class TransitionLaw:
             raise DegenerateTimeError(
                 f"law at t={t} <= t0={self.t0} is a point mass at x0", self.x0
             )
-        # both ends are checked: t0 when the law was built, t here
-        lam_int = _integral(self.rates.transmission, self.t0, t)
-        var_int = _integral(self.rates.noise, self.t0, t)
+        lam_int = integrate(self.rates.transmission, self.t0, t)
+        var_int = integrate(self.rates.noise, self.t0, t)
         if var_int <= 0.0:
             atom = y_to_x(lam_int, self.x0, self.rates.capacity)
             raise DegenerateTimeError(

@@ -133,6 +133,8 @@ def _as_float(value) -> float:
 
 
 def _finite_number(value, what: str) -> float:
+    if isinstance(value, float) and math.isfinite(value):  # floats and numpy float64, without _as_float's checks
+        return float(value)
     number = _as_float(value)
     if not math.isfinite(number):
         raise ValueError(f"{what} must be a finite number, not {value!r}")
@@ -246,13 +248,8 @@ def integrate(f: RateFunction, t0: float, t: float) -> float:
         raise ValueError(f"integration endpoint t={t} precedes t0={t0}")
     if t == t0:
         return 0.0
-    return _integral(f, t0, t)
-
-
-def _integral(f: RateFunction, t0: float, t: float) -> float:
-    """`integrate` for finite t0 < t, unchecked."""
-    ends = cumulative(f, np.array([t0, t], dtype=float))
-    return float(ends[1] - ends[0])
+    start, end = cumulative(f, np.array([t0, t], dtype=float)).tolist()
+    return end - start
 
 
 def increment_table(f: RateFunction, grid) -> np.ndarray:

@@ -7,21 +7,22 @@ cumulative sum.  No discretization error enters anywhere.
 
 An Euler-Maruyama integrator on the original state equation is kept as
 an independent cross-check.  It carries O(step) weak bias and a
-boundary clamp, and is not meant for production runs.  Its step loop is
-the one pure-Python loop left here, so it runs once for a whole batch
-of paths: each internal step is a few vector operations over every
-path of every replicate in the batch (`simulate_em` is the batch of one
+boundary clamp, and is not meant for production runs.  It runs once
+for a whole batch of paths: every path of every replicate in the batch
+takes each internal step together (`simulate_em` is the batch of one
 replicate; a run integrates as many replicates at a time as fit
 EM_BATCH_BYTES of path values, five 50 x 5001 replicates in 10 MiB).
 The argument checks, the per-step rate tables and the step's scalar
 operands, held as 0-d float64 arrays, are made once per run.  Noise is
 drawn per path in blocks of EM_NOISE_BLOCK steps, never as one
 (paths, steps) array, so a batch holds its path values plus two small
-noise buffers.  A step is one ufunc call per operation of the scheme
-plus one clip call for the clamp, and writes its unclamped iterate over
-the noise it has used; once per block, one vectorised pass over that
-buffer counts the clamp hits, clips the iterates and stores those at
-the observation times.
+noise buffers.  The steps of a block run in one call of the C kernel
+`sidiff_em_steps` (see sidiff._kernels), or, where it cannot be built,
+in `_em_steps`, one ufunc call per operation of the scheme; the two do
+the same operations in the same order and give the same bytes.  A step
+writes its unclamped iterate over the noise it has used; once per
+block, one vectorised pass over that buffer counts the clamp hits,
+clips the iterates and stores those at the observation times.
 
 Random numbers: every (replicate, path) pair gets its own stream,
 derived from the master seed by a counter-based key.  Serial, parallel
@@ -44,6 +45,7 @@ try:  # the ufunc np.clip calls after its checks; keeps NaN, as np.clip does
 except ImportError:  # numpy 1.x
     from numpy.core.umath import clip as _clip
 
+from . import _kernels
 from .model import CLIP_EPS, _check_state, y_to_x
 from .rates import RatePair, _finite_number, _positive_number, _whole_number, evaluate, increment_table
 
@@ -384,41 +386,35 @@ def _zero_d(values: np.ndarray) -> list[np.ndarray]:
 
 
 def _em_batch(seeds: list[SeedSequence], x0: float, grid: TimeGrid, scheme: _EMScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maruyama kernel: one vector step per internal step for all paths.
+    """Euler-Maruyama paths of one batch: each internal step for all paths at once.
 
     Path i draws its noise from `seeds[i]`, EM_NOISE_BLOCK steps at a
     time; consecutive draws from one generator continue its stream, so
     the noise equals one draw of the full length.  Each block is copied
     into one reused (steps, paths) buffer, one row per step, and its
-    per-step rates are taken as 0-d views: a step reads its row, writes
-    its iterate there before the clamp, and clamps x with the ufunc
-    behind np.clip.  After the block, its cells below and above the
+    steps run in one call of the C kernel `sidiff_em_steps` or, where
+    it cannot be built, of `_em_steps`: a step reads its row, writes its
+    iterate there before the clamp, and clamps x into [lo, hi] as
+    np.clip does.  After the block, its cells below and above the
     clamp edges are counted (one boolean array of the block at a time),
     clipped (the same values the clamped x took), and every refine-th
     row is copied, transposed, into the path values, so no buffer of
     iterates is needed besides the block's.  Every operation is
     elementwise, so a path's values do not depend on which other paths
     share the batch.  Returns the (len(seeds), grid.n) values and the
-    clamp hits per path.  A NaN iterate stays
-    NaN through the step and the clamp and is never counted as a
-    clamp, so NaN paths are left in and found by the caller from the
-    last column.
+    clamp hits per path.  A NaN iterate stays NaN through the step and
+    the clamp and is never counted as a clamp, so NaN paths are left in
+    and found by the caller from the last column.
     """
     s = scheme
-    k, two_k, two, h, sqrt_h, lo, hi = s.k, s.two_k, s.two, s.h, s.sqrt_h, s.lo, s.hi
-    refine, state_drift, total_steps = s.refine, s.state_drift, s.lam.shape[0]
+    refine, total_steps = s.refine, s.lam.shape[0]
     rngs = [default_rng(seed) for seed in seeds]
     n_paths = len(rngs)
     x = np.full(n_paths, float(x0))
     values = np.empty((n_paths, grid.n))
     values[:, 0] = x
     clamps = np.zeros(n_paths, dtype=np.int64)
-    # the step is x + drift h + sd logistic sqrt(h) z written in place,
-    # with every operation in that expression's order, so the iterates
-    # are bit-identical to evaluating it directly; local ufuncs with
-    # positional outputs are the cheapest calls
-    add, sub, mul, div, clip = np.add, np.subtract, np.multiply, np.true_divide, _clip
-    logistic, drift, shock = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
+    lib = _kernels.library()
     draws = np.empty((n_paths, min(EM_NOISE_BLOCK, total_steps)))
     steps_by_paths = np.empty(draws.shape[::-1])
     for start in range(0, total_steps, EM_NOISE_BLOCK):
@@ -427,31 +423,54 @@ def _em_batch(seeds: list[SeedSequence], x0: float, grid: TimeGrid, scheme: _EMS
             rng.standard_normal(out=draws[i, : stop - start])
         block = steps_by_paths[: stop - start]  # one contiguous row per step
         block[...] = draws[:, : stop - start].T
-        steps = zip(block, _zero_d(s.lam[start:stop]), _zero_d(s.s2[start:stop]), _zero_d(s.sd[start:stop]))
-        for row, lam, s2, sd in steps:
-            sub(k, x, logistic)
-            mul(logistic, x, logistic)
-            div(logistic, k, logistic)
-            if state_drift:
-                mul(x, two, drift)
-                sub(k, drift, drift)
-                mul(drift, s2, drift)
-                div(drift, two_k, drift)
-                add(drift, lam, drift)
-                mul(drift, logistic, drift)
-            else:
-                mul(logistic, lam, drift)
-            mul(drift, h, drift)
-            mul(logistic, sd, shock)
-            mul(shock, sqrt_h, shock)
-            mul(shock, row, shock)
-            add(x, drift, x)
-            add(x, shock, row)
-            clip(row, lo, hi, x)
-        clamps += np.count_nonzero(block < lo, axis=0) + np.count_nonzero(block > hi, axis=0)
-        clip(block, lo, hi, block)
+        rates = s.lam[start:stop], s.s2[start:stop], s.sd[start:stop]
+        if lib is None:
+            _em_steps(block, x, *rates, s)
+        else:
+            scalars = map(float, (s.k, s.two_k, s.h, s.sqrt_h, s.lo, s.hi))
+            lib.sidiff_em_steps(stop - start, n_paths, *rates, *scalars, s.state_drift, x, block)
+        clamps += np.count_nonzero(block < s.lo, axis=0) + np.count_nonzero(block > s.hi, axis=0)
+        _clip(block, s.lo, s.hi, block)
         first = (refine - 1 - start) % refine  # first row that ends an observation step
         kept = block[first::refine]
         col = (start + first + 1) // refine
         values[:, col : col + kept.shape[0]] = kept.T
     return values, clamps
+
+
+def _em_steps(block: np.ndarray, x: np.ndarray, lams: np.ndarray, s2s: np.ndarray, sds: np.ndarray,
+              scheme: _EMScheme) -> None:
+    """The steps of one noise block, one ufunc call per operation; the
+    reference for, and the fallback of, the C kernel `sidiff_em_steps`.
+
+    Step j reads the draws in block[j], writes its iterate there before
+    the clamp, and clamps x with the ufunc behind np.clip.
+    """
+    s = scheme
+    k, two_k, two, h, sqrt_h, lo, hi, state_drift = s.k, s.two_k, s.two, s.h, s.sqrt_h, s.lo, s.hi, s.state_drift
+    # the step is x + drift h + sd logistic sqrt(h) z written in place,
+    # with every operation in that expression's order, so the iterates
+    # are bit-identical to evaluating it directly; local ufuncs with
+    # positional outputs are the cheapest calls
+    add, sub, mul, div, clip = np.add, np.subtract, np.multiply, np.true_divide, _clip
+    logistic, drift, shock = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
+    for row, lam, s2, sd in zip(block, _zero_d(lams), _zero_d(s2s), _zero_d(sds)):
+        sub(k, x, logistic)
+        mul(logistic, x, logistic)
+        div(logistic, k, logistic)
+        if state_drift:
+            mul(x, two, drift)
+            sub(k, drift, drift)
+            mul(drift, s2, drift)
+            div(drift, two_k, drift)
+            add(drift, lam, drift)
+            mul(drift, logistic, drift)
+        else:
+            mul(logistic, lam, drift)
+        mul(drift, h, drift)
+        mul(logistic, sd, shock)
+        mul(shock, sqrt_h, shock)
+        mul(shock, row, shock)
+        add(x, drift, x)
+        add(x, shock, row)
+        clip(row, lo, hi, x)

@@ -21,13 +21,17 @@ theirs bit for bit:
 - an antiderivative divides row j by k - j, then sets each piece's
   constant to the previous piece's value at their common knot.
 
-One cache keeps a fit fast.  The row interchanges and elimination
-factors of the solve depend only on the knot spacing, so they are
-worked out once per knot layout, as the Python floats the solve reads,
-and the _LAYOUTS_KEPT most recently used layouts are kept (about 112
-bytes per knot each, up to about 140 where rows are interchanged); a
-fit then runs the elimination on its right-hand side alone.  An entry
-is a function of its key alone, so no result depends on what is cached.
+The solve runs in the C kernel `sidiff_spline_solve` (see
+sidiff._kernels), which does dgtsv whole on each fit.  Where the kernel
+cannot be built, `_solve` replays it in Python, with the same bytes,
+and one cache keeps that fit fast.  The row interchanges and
+elimination factors of the solve depend only on the knot spacing, so
+they are worked out once per knot layout, as the Python floats the
+solve reads, and the _LAYOUTS_KEPT most recently used layouts are kept
+(about 112 bytes per knot each, up to about 140 where rows are
+interchanged); a fit then runs the elimination on its right-hand side
+alone.  An entry is a function of its key alone, so no result depends
+on what is cached.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from . import _kernels
 
 __all__ = ["NaturalSpline"]
 
@@ -72,7 +78,13 @@ class NaturalSpline:
         rhs[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
         rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         rhs[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
-        s = np.array(_solve(_layout(x.tobytes()), rhs.tolist()), dtype=float)
+        lib = _kernels.library()
+        if lib is None:
+            s = np.array(_solve(_layout(x.tobytes()), rhs.tolist()), dtype=float)
+        elif lib.sidiff_spline_solve(x.size, dx, rhs, np.empty(3 * x.size)):
+            raise ValueError("singular spline system")
+        else:
+            s = rhs
         # cubic Hermite map from the knot slopes to the coefficients
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x

@@ -276,7 +276,7 @@ def _write_every_file_kind(d):
     spread = np.arange(10.0)[:, None]
     row_cfg = ExperimentConfig(
         label="row", rates=PAIR, x0=20.0, grid=grid, n_paths=2, replicates=10,
-        master_seed=7,
+        master_seed=7, stride=1,
     )
     scalars = 0.4 + 0.01 * np.array([0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.5, -1.5, 30.0])
     row = ExperimentReport(

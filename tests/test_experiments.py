@@ -31,6 +31,7 @@ from sidiff import (
     x_to_y,
     y_to_x,
 )
+from sidiff.experiments import STANDARD_GRID, STANDARD_X0
 from sidiff.model import CLIP_EPS
 from sidiff.simulate import _exact_replicates
 
@@ -177,6 +178,11 @@ def test_standard_configs():
     assert t1.simulator == "em"
     assert t1.em_drift_correction == "constant"
     assert t1.methods == ("GMM", "MLE")
+
+
+def test_a_config_of_rates_x0_and_grid_alone_is_the_standard_run():
+    bare = ExperimentConfig(label="case_a", rates=case_rates("a"), x0=STANDARD_X0, grid=STANDARD_GRID)
+    assert asdict(bare) == asdict(case_config("a"))
 
 
 # each keyword the helpers take, set away from the standard run
@@ -358,7 +364,7 @@ def test_replicate_failure_is_attributed():
     # zero-noise rates reach the simulator inside the run and fail there
     cfg = ExperimentConfig(
         label="bad", rates=RatePair(constant(0.4), constant(0.0), K), x0=20.0,
-        grid=TimeGrid(0.0, 0.05, 101), n_paths=4, replicates=2, master_seed=3)
+        grid=TimeGrid(0.0, 0.05, 101), n_paths=4, replicates=2, master_seed=3, stride=1)
     with pytest.raises(RuntimeError, match="replicate 0"):
         run_experiment(cfg)
 
@@ -467,31 +473,35 @@ def test_exact_run_ignores_the_em_batch_budget(two_replicate_batches):
     # a falling transmission, as FALLING in test_simulate, holds paths at the lower clamp
     ids=["state", "constant", "lower_clamp-state", "lower_clamp-constant"],
 )
-def test_em_batches_match_per_replicate_composition(two_replicate_batches, monkeypatch, transmission, drift_correction):
+def test_em_batches_match_per_replicate_composition(
+    two_replicate_batches, monkeypatch, kernel_states, transmission, drift_correction
+):
     # the run maps each replicate to Y without the clip, which the replicate
     # run alone goes through: the two agree at the clamp edges
     cfg = _em_config(
         rates=RatePair(constant(transmission), constant(3.0), K), em_drift_correction=drift_correction)
     batches = _record_em_batches(monkeypatch, cfg.n_paths)
-    report = run_experiment(cfg)
-    assert batches == [2, 2, 1]
-    a, b = cfg.resolved_scalar_window()
-    alone = []
-    edge, at_edge = (CLIP_EPS * K if transmission < 0.0 else (1.0 - CLIP_EPS) * K), 0
-    for r in range(cfg.replicates):
-        ps = simulate_em(cfg.rates, cfg.x0, cfg.grid, cfg.n_paths, cfg.master_seed, replicate=r,
-                         drift_correction=drift_correction)
-        at_edge += np.count_nonzero(ps.values == edge)
-        est = estimate_pipeline(ps, stride=4)
-        alone.append((est, ps.meta["clamp_count"], ps.values[:, -1]))
-        assert np.array_equal(report.lambda_curves[r], est.lambda_hat(cfg.grid.times))
-        assert np.array_equal(report.sigma2_curves[r], est.sigma2_hat_raw(cfg.grid.times))
-        assert report.scalar_lambda[r] == est.avg_lambda_hat(a, b)
-        assert report.scalar_sigma2[r] == est.avg_sigma2_hat(a, b)
-        assert (report.mle_lambda[r], report.mle_sigma2[r]) == est.mle
-    assert report.diagnostics["clamp_count_total"] > 0
-    assert at_edge > 0
-    _assert_totals(report, alone)
+    for _ in kernel_states:
+        batches.clear()
+        report = run_experiment(cfg)
+        assert batches == [2, 2, 1]
+        a, b = cfg.resolved_scalar_window()
+        alone = []
+        edge, at_edge = (CLIP_EPS * K if transmission < 0.0 else (1.0 - CLIP_EPS) * K), 0
+        for r in range(cfg.replicates):
+            ps = simulate_em(cfg.rates, cfg.x0, cfg.grid, cfg.n_paths, cfg.master_seed, replicate=r,
+                             drift_correction=drift_correction)
+            at_edge += np.count_nonzero(ps.values == edge)
+            est = estimate_pipeline(ps, stride=4)
+            alone.append((est, ps.meta["clamp_count"], ps.values[:, -1]))
+            assert np.array_equal(report.lambda_curves[r], est.lambda_hat(cfg.grid.times))
+            assert np.array_equal(report.sigma2_curves[r], est.sigma2_hat_raw(cfg.grid.times))
+            assert report.scalar_lambda[r] == est.avg_lambda_hat(a, b)
+            assert report.scalar_sigma2[r] == est.avg_sigma2_hat(a, b)
+            assert (report.mle_lambda[r], report.mle_sigma2[r]) == est.mle
+        assert report.diagnostics["clamp_count_total"] > 0
+        assert at_edge > 0
+        _assert_totals(report, alone)
 
 
 @pytest.mark.parametrize(

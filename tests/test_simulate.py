@@ -20,6 +20,8 @@ from sidiff import (
     x_to_y,
     y_to_x,
 )
+import sidiff.simulate as simulate
+from sidiff import _kernels
 from sidiff.model import CLIP_EPS
 from sidiff.simulate import DRIFT_CORRECTIONS, EM_MAX_CAPACITY, EM_NOISE_BLOCK
 
@@ -214,14 +216,15 @@ def test_em_drift_corrections_differ_as_designed():
     assert ct.meta["drift_correction"] == "constant"
 
 
-def test_em_clamp_counter():
-    wild = RatePair(constant(0.0), constant(25.0), K)
-    ps = simulate_em(wild, 100.0, TimeGrid(0.0, 0.1, 51), 20, 99)
-    assert ps.meta["clamp_count"] > 0
-    ps.validate()
+def test_em_clamp_counter(kernel_states):
+    for _ in kernel_states:
+        wild = RatePair(constant(0.0), constant(25.0), K)
+        ps = simulate_em(wild, 100.0, TimeGrid(0.0, 0.1, 51), 20, 99)
+        assert ps.meta["clamp_count"] > 0
+        ps.validate()
 
-    calm = simulate_em(PAIR, 20.0, TimeGrid(0.0, 0.1, 11), 10, 7)
-    assert calm.meta["clamp_count"] == 0
+        calm = simulate_em(PAIR, 20.0, TimeGrid(0.0, 0.1, 11), 10, 7)
+        assert calm.meta["clamp_count"] == 0
 
 
 def test_em_records_refine():
@@ -283,17 +286,18 @@ FALLING = RatePair(constant(-1.0), constant(0.05), K)
     ],
     ids=["rates0-20.0-1", "rates1-20.0-3", "rates2-100.0-2", "standard_grid", "lower_clamp"],
 )
-def test_em_matches_the_reference_loop_bit_for_bit(rates, x0, refine, grid, n_paths, drift_correction):
+def test_em_matches_the_reference_loop_bit_for_bit(rates, x0, refine, grid, n_paths, drift_correction, kernel_states):
     # every case ends on a partial noise block
     assert (grid.n - 1) * refine % EM_NOISE_BLOCK != 0
-    ps = simulate_em(rates, x0, grid, n_paths, 13, refine=refine, replicate=2, drift_correction=drift_correction)
     values, clamp_count = _reference_em(rates, x0, grid, n_paths, 13, refine, 2, drift_correction)
-    assert np.array_equal(ps.values, values)
-    assert ps.meta["clamp_count"] == clamp_count
+    for _ in kernel_states:
+        ps = simulate_em(rates, x0, grid, n_paths, 13, refine=refine, replicate=2, drift_correction=drift_correction)
+        assert np.array_equal(ps.values, values)
+        assert ps.meta["clamp_count"] == clamp_count
     if rates is FALLING:
         # the clamp holds the iterates at exactly the lower edge
         assert clamp_count > 0
-        assert np.any(ps.values == CLIP_EPS * K)
+        assert np.any(values == CLIP_EPS * K)
 
 
 @pytest.mark.parametrize(
@@ -324,12 +328,35 @@ def test_block_draws_continue_one_stream():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_em_nan_names_the_path_and_the_time():
+def test_em_nan_names_the_path_and_the_time(kernel_states):
     # noise this large overflows both the drift and the shock, and the
     # step turns to inf - inf
     wild = RatePair(constant(0.4), constant(1e308), 1e154)
-    with pytest.raises(RuntimeError, match=r"Euler-Maruyama path 1 went NaN by t=100\.0;"):
-        simulate_em(wild, 2.5e153, TimeGrid(0.0, 100.0, 5), 3, 0)
+    for _ in kernel_states:
+        with pytest.raises(RuntimeError, match=r"Euler-Maruyama path 1 went NaN by t=100\.0;"):
+            simulate_em(wild, 2.5e153, TimeGrid(0.0, 100.0, 5), 3, 0)
+
+
+@pytest.mark.parametrize(
+    "transmission, drift_correction",
+    [(0.4, "state"), (0.4, "constant"), (1.2, "constant"), (6.0, "state"), (-1.0, "constant")],
+)
+def test_em_kernel_gives_the_bytes_of_the_numpy_loop(built_kernels, monkeypatch, transmission, drift_correction):
+    # lambda 1.2 and 6.0 hold paths at the upper clamp, -1.0 at the lower one;
+    # five replicates of one batch, over two noise blocks
+    rates = RatePair(constant(transmission), constant(0.1), K)
+    grid = TimeGrid(0.0, 0.05, 1001)
+    scheme = simulate._em_scheme(rates, 20.0, grid, 1, drift_correction)
+    seeds = [derive_path_seed(17, r, i) for r in range(5) for i in range(10)]
+    values, clamps = simulate._em_batch(seeds, 20.0, grid, scheme)
+    monkeypatch.setattr(_kernels, "library", lambda: None)
+    numpy_values, numpy_clamps = simulate._em_batch(seeds, 20.0, grid, scheme)
+    assert values.tobytes() == numpy_values.tobytes()
+    assert clamps.tobytes() == numpy_clamps.tobytes()
+    if transmission > 1.0:
+        assert clamps.sum() > 0 and np.any(values == (1.0 - CLIP_EPS) * K)
+    if transmission < 0.0:
+        assert clamps.sum() > 0 and np.any(values == CLIP_EPS * K)
 
 
 @pytest.mark.filterwarnings("error")

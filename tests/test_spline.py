@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from sidiff import (
@@ -17,6 +17,7 @@ from sidiff import (
     simulate_exact,
     transform_paths,
 )
+from sidiff import _kernels
 from sidiff.experiments import STANDARD_GRID, STANDARD_X0, case_rates
 from sidiff.spline import _layout
 from sidiff.synthetic import measles_like_rates
@@ -65,6 +66,20 @@ def _layouts(draw):
 def test_spline_matches_scipy_on_drawn_layouts(layout, seed):
     x, y = layout
     _assert_matches_scipy(x, y, _times(x, np.random.default_rng(seed)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=_layouts())
+@example(layout=(np.linspace(0.0, 50.0, 5001), np.sin(np.linspace(0.0, 50.0, 5001))))
+@example(layout=(np.array([0.0, 1.0, 3.5, 12.0, 40.0]), np.array([1.0, -2.0, 0.5, 3.0, -1.0])))
+def test_kernel_solve_gives_the_bytes_of_the_python_replay(built_kernels, layout):
+    # the last example interchanges every row
+    x, y = layout
+    kernel = NaturalSpline(x, y)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernels, "library", lambda: None)
+        replay = NaturalSpline(x, y)
+    assert kernel.c.tobytes() == replay.c.tobytes()
 
 
 @pytest.mark.parametrize("x", [[0.0, 1.0], [0.0, 1.0, 3.5], [-2.0, 0.5, 0.75]])
@@ -137,10 +152,11 @@ def test_scalar_and_array_times_give_the_same_values():
     assert np.array_equal(values, spline(np.linspace(0.05, 0.95, 19)))
 
 
-def test_layout_cache_holds_under_concurrent_fits():
+def test_layout_cache_holds_under_concurrent_fits(monkeypatch):
     # threads share the layout cache and fit more layouts than it keeps,
     # so it evicts while other threads read; every result must still
-    # equal scipy's
+    # equal scipy's.  Only the Python solve reads the cache.
+    monkeypatch.setattr(_kernels, "library", lambda: None)
     maxsize = _layout.cache_info().maxsize
     layouts = [np.linspace(0.0, 1.0 + k, 40 + k) for k in range(2 * maxsize + 2)]
     times = np.linspace(0.0, 1.0, 101)
