@@ -1,13 +1,20 @@
-/* The two loops of sidiff that step one element at a time, in plain C.
+/* The loops of sidiff that step one element at a time, in plain C.
 
-   Each function does its Python twin's floating-point operations in the
-   same order, one rounding per operation, so its results are the same
-   bytes: sidiff._kernels builds this file with -ffp-contract=off (no
-   fused multiply-add) and -fno-fast-math, and the twins stay as the
-   fallback and the reference.  Nothing here allocates. */
+   The Euler-Maruyama steps and the spline solve do their Python twins'
+   floating-point operations in the same order, one rounding per
+   operation, so their results are the same bytes: sidiff._kernels
+   builds this file with -ffp-contract=off (no fused multiply-add) and
+   -fno-fast-math, and the twins stay as the fallback and the reference.
+   The CSV float formatter writes the bytes of Python's repr, through
+   Grisu3 digits, and hands the doubles Grisu3 cannot decide to
+   CPython's own formatter.  Only those hand-offs allocate, and they
+   need the GIL: sidiff._kernels calls the formatter through a
+   ctypes.PyDLL handle, which keeps it. */
 
 #include <float.h>
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 /* x87 arithmetic rounds to a wider type first; such a build fails, and the
    Python loops run instead */
@@ -98,4 +105,243 @@ int sidiff_spline_solve(long n, const double *dx, double *b, double *work)
         b[i] = xi;
     }
     return 0;
+}
+
+/* Shortest round-trip formatting of doubles: Grisu3 (Loitsch, "Printing
+   floating-point numbers quickly and accurately with integers", PLDI
+   2010), as in the double-conversion library, laid out by the rules of
+   Python's repr.
+
+   A DiyFp f * 2^e holds a 64-bit significand.  Grisu3 scales the double
+   and its two rounding boundaries by a cached power of ten into the
+   exponent window [ALPHA, -32], generates the digits of the upper
+   boundary until they fall inside the interval, and weeds the last
+   digit towards the double.  Where the error of the 64-bit arithmetic
+   leaves the shortest or the closest digits undecided, it says so, and
+   the double goes to PyOS_double_to_string, which float.__repr__
+   calls. */
+
+/* CPython's formatter and allocator, resolved in the interpreter's process */
+char *PyOS_double_to_string(double val, char format_code, int precision, int flags, int *type);
+void PyMem_Free(void *ptr);
+#define Py_DTSF_ADD_DOT_0 0x02
+
+#define ALPHA (-60) /* the scaled exponent window is [ALPHA, -32] */
+#define LOG10_2 0.30102999566398114 /* as double-conversion rounds 1 / log2(10) */
+#define MAX_DIGITS 17 /* the longest shortest round-trip digits of a double */
+
+typedef struct {
+    uint64_t f;
+    int e;
+} diyfp;
+
+/* x * y rounded at bit 64, from 32-bit halves */
+static diyfp multiply(diyfp x, diyfp y)
+{
+    const uint64_t m32 = 0xFFFFFFFFu;
+    uint64_t a = x.f >> 32, b = x.f & m32, c = y.f >> 32, d = y.f & m32;
+    uint64_t ac = a * c, bc = b * c, ad = a * d, bd = b * d;
+    uint64_t mid = (bd >> 32) + (ad & m32) + (bc & m32) + (1ULL << 31);
+    diyfp r = {ac + (ad >> 32) + (bc >> 32) + (mid >> 32), x.e + y.e + 64};
+    return r;
+}
+
+/* x shifted until its top bit is set; x.f is not zero */
+static diyfp normalize(diyfp x)
+{
+    while (!(x.f & 0xFFC0000000000000ULL)) {
+        x.f <<= 10;
+        x.e -= 10;
+    }
+    while (!(x.f & 0x8000000000000000ULL)) {
+        x.f <<= 1;
+        x.e -= 1;
+    }
+    return x;
+}
+
+/* The decimal exponent k of the cached power 10^k that scales a
+   normalized DiyFp of binary exponent e into [ALPHA, -32] */
+static int power_for(int e)
+{
+    double x = (ALPHA - 1 - e) * LOG10_2;
+    int k = (int)x; /* truncation, so a ceiling for x > 0 only */
+    return k + (x > k);
+}
+
+/* The k the formatter looks up: normalized doubles and their boundaries
+   have binary exponents from that of DBL_MAX down to that of 5e-324 */
+void sidiff_power_range(int *first, int *last)
+{
+    *first = power_for(DBL_MAX_EXP - 64);
+    *last = power_for(DBL_MIN_EXP - DBL_MANT_DIG - 63);
+}
+
+/* Moves the last digit towards the scaled double w while it stays inside
+   the interval; 1 when the digits are then known to be the closest and
+   safely inside, 0 when the error of the scaled values leaves it open */
+static int round_weed(char *digits, int length, uint64_t distance_too_high_w, uint64_t unsafe_interval,
+                      uint64_t rest, uint64_t ten_kappa, uint64_t unit)
+{
+    uint64_t small_distance = distance_too_high_w - unit, big_distance = distance_too_high_w + unit;
+    while (rest < small_distance && unsafe_interval - rest >= ten_kappa &&
+           (rest + ten_kappa < small_distance || small_distance - rest >= rest + ten_kappa - small_distance)) {
+        digits[length - 1]--;
+        rest += ten_kappa;
+    }
+    if (rest < big_distance && unsafe_interval - rest >= ten_kappa &&
+        (rest + ten_kappa < big_distance || big_distance - rest > rest + ten_kappa - big_distance))
+        return 0;
+    return 2 * unit <= rest && rest <= unsafe_interval - 4 * unit;
+}
+
+/* The shortest digits of the scaled upper boundary that land strictly
+   inside (low, high), weeded towards w; *kappa is the power of ten of
+   the last digit.  Returns round_weed's verdict. */
+static int digit_gen(diyfp low, diyfp w, diyfp high, char *digits, int *length, int *kappa)
+{
+    uint64_t unit = 1;
+    uint64_t too_low = low.f - unit, too_high = high.f + unit;
+    uint64_t unsafe_interval = too_high - too_low;
+    int shift = -w.e;
+    uint64_t one = 1ULL << shift, fractionals = too_high & (one - 1);
+    /* at least 4 (high.f >= 2^62, shift <= 60), so the first digit is not 0 */
+    uint32_t integrals = (uint32_t)(too_high >> shift), divisor = 1;
+    *kappa = 1;
+    while (integrals / 10 >= divisor) {
+        divisor *= 10;
+        (*kappa)++;
+    }
+    *length = 0;
+    while (*kappa > 0) {
+        digits[(*length)++] = (char)('0' + integrals / divisor);
+        integrals %= divisor;
+        (*kappa)--;
+        uint64_t rest = ((uint64_t)integrals << shift) + fractionals;
+        if (rest < unsafe_interval)
+            return round_weed(digits, *length, too_high - w.f, unsafe_interval, rest, (uint64_t)divisor << shift,
+                              unit);
+        divisor /= 10;
+    }
+    while (*length < MAX_DIGITS) {
+        fractionals *= 10;
+        unit *= 10;
+        unsafe_interval *= 10;
+        digits[(*length)++] = (char)('0' + (fractionals >> shift));
+        fractionals &= one - 1;
+        (*kappa)--;
+        if (fractionals < unsafe_interval)
+            return round_weed(digits, *length, (too_high - w.f) * unit, unsafe_interval, fractionals, one, unit);
+    }
+    return 0;
+}
+
+/* The shortest digits of a finite, nonzero, positive v, the closest to v
+   among them, with v = 0.digits * 10^decpt; 0 where Grisu3 cannot decide */
+static int grisu3(double v, const uint64_t *pow_f, const int *pow_e, int first, int last, char *digits,
+                  int *length, int *decpt)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    uint64_t fraction = bits & ((1ULL << 52) - 1);
+    int biased = (int)(bits >> 52 & 0x7FF);
+    diyfp w = biased ? (diyfp){fraction | (1ULL << 52), biased - 1075} : (diyfp){fraction, -1074};
+    /* the boundaries halfway to the neighbouring doubles; the lower one is
+       closer at an exact power of two above the smallest normal */
+    diyfp plus = normalize((diyfp){(w.f << 1) + 1, w.e - 1});
+    diyfp minus = fraction == 0 && biased > 1 ? (diyfp){(w.f << 2) - 1, w.e - 2} : (diyfp){(w.f << 1) - 1, w.e - 1};
+    minus.f <<= minus.e - plus.e;
+    minus.e = plus.e;
+    w = normalize(w);
+    int k = power_for(w.e);
+    if (k < first || k > last)
+        return 0;
+    diyfp c = {pow_f[k - first], pow_e[k - first]};
+    int kappa;
+    int ok = digit_gen(multiply(minus, c), multiply(w, c), multiply(plus, c), digits, length, &kappa);
+    *decpt = *length + kappa - k;
+    return ok;
+}
+
+/* v as repr writes it, into out; returns the number of bytes */
+static int repr_digits(double v, const char *digits, int length, int decpt, char *out)
+{
+    char *p = out;
+    if (v < 0)
+        *p++ = '-';
+    if (decpt <= -4 || decpt > 16) {
+        int exponent = decpt - 1;
+        *p++ = digits[0];
+        if (length > 1) {
+            *p++ = '.';
+            memcpy(p, digits + 1, length - 1);
+            p += length - 1;
+        }
+        *p++ = 'e';
+        *p++ = exponent < 0 ? '-' : '+';
+        exponent = exponent < 0 ? -exponent : exponent;
+        if (exponent >= 100)
+            *p++ = (char)('0' + exponent / 100);
+        *p++ = (char)('0' + exponent / 10 % 10);
+        *p++ = (char)('0' + exponent % 10);
+    } else if (decpt <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', -decpt);
+        p += -decpt;
+        memcpy(p, digits, length);
+        p += length;
+    } else if (decpt >= length) {
+        memcpy(p, digits, length);
+        p += length;
+        memset(p, '0', decpt - length);
+        p += decpt - length;
+        *p++ = '.';
+        *p++ = '0';
+    } else {
+        memcpy(p, digits, decpt);
+        p += decpt;
+        *p++ = '.';
+        memcpy(p, digits + decpt, length - decpt);
+        p += length - decpt;
+    }
+    return (int)(p - out);
+}
+
+/* The rows x cols C-order block of values as CSV text: each cell as
+   repr writes it, followed by ',' or, at the end of a row, '\n'.
+
+   out holds at least 25 bytes per cell: the longest repr,
+   -2.2250738585072014e-308, and a separator.  pow_f and pow_e hold
+   the 64-bit significand, rounded to nearest, and the binary exponent of
+   10^k for k from first to last, the range sidiff_power_range reports.
+   ends, when not NULL, receives the offset just past each cell's
+   separator.  *fallbacks is increased by the number of cells handed to
+   PyOS_double_to_string: zeros, infinities, NaNs and the doubles Grisu3
+   leaves undecided.  Returns the number of bytes written, or -1 when
+   CPython's formatter fails, with its Python exception set. */
+long sidiff_format_block(long rows, long cols, const double *values, const uint64_t *pow_f, const int *pow_e,
+                         int first, int last, char *out, int64_t *ends, long *fallbacks)
+{
+    char *p = out, digits[MAX_DIGITS];
+    for (long i = 0; i < rows * cols; i++) {
+        double v = values[i];
+        int length, decpt;
+        if (v != 0 && isfinite(v) && grisu3(fabs(v), pow_f, pow_e, first, last, digits, &length, &decpt)) {
+            p += repr_digits(v, digits, length, decpt, p);
+        } else {
+            char *text = PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+            if (text == NULL)
+                return -1;
+            size_t n = strlen(text);
+            memcpy(p, text, n);
+            p += n;
+            PyMem_Free(text);
+            ++*fallbacks;
+        }
+        *p++ = (i + 1) % cols ? ',' : '\n';
+        if (ends)
+            ends[i] = p - out;
+    }
+    return (long)(p - out);
 }

@@ -9,6 +9,16 @@ the build or the load fails for any reason (no compiler, a read-only
 package directory, a timeout), `library()` returns None and the callers
 run their numpy or Python loops, which give the same bytes.  There is
 nothing to configure.
+
+The CSV float formatter may hand a cell to CPython's own formatter,
+which allocates through the allocator that needs the GIL, so it is
+called through a ctypes.PyDLL handle on the same library file, which
+keeps the GIL; `library()` returns the CDLL with that function in place
+of its own.  Its table of powers of ten, the 64-bit significands of
+10**k rounded to nearest with their binary exponents, is worked out
+with Python integers on the first call of `powers_of_ten()`, not at
+import.  The kernels take raw pointers: each call site checks its
+arrays' dtype and layout once, with `check_arrays`.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ SOURCE = Path(__file__).with_name("_kernels.c")
 # no fused multiply-add and no reassociation: each operation rounds on its own, as numpy's do
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 BUILD_TIMEOUT_S = 60
+CELL_BYTES = 25  # the longest repr of a double, -2.2250738585072014e-308, and a separator
 
 
 @functools.cache
@@ -64,10 +75,81 @@ def _build() -> Path:
 def _load(path: Path) -> ctypes.CDLL:
     """The library at path, with each kernel's argument and result types declared."""
     lib = ctypes.CDLL(str(path))
-    # arrays are checked for dtype and layout on every call
-    array, size, real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"), ctypes.c_long, ctypes.c_double
+    # raw pointers: each call site checks its arrays' dtype and layout itself
+    pointer, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     lib.sidiff_em_steps.restype = None
-    lib.sidiff_em_steps.argtypes = [size, size, array, array, array, *[real] * 6, ctypes.c_int, array, array]
+    lib.sidiff_em_steps.argtypes = [size, size, *[pointer] * 3, *[real] * 6, ctypes.c_int, pointer, pointer]
     lib.sidiff_spline_solve.restype = ctypes.c_int
-    lib.sidiff_spline_solve.argtypes = [size, array, array, array]
+    lib.sidiff_spline_solve.argtypes = [size, *[pointer] * 3]
+    lib.sidiff_power_range.restype = None
+    lib.sidiff_power_range.argtypes = [ctypes.POINTER(ctypes.c_int)] * 2
+    # the formatter may call CPython's allocator, which needs the GIL: a
+    # PyDLL handle on the same file keeps it, and raises the Python error
+    # the formatter leaves set
+    formatter = ctypes.PyDLL(str(path)).sidiff_format_block
+    formatter.restype = size
+    formatter.argtypes = [size, size, *[pointer] * 3, ctypes.c_int, ctypes.c_int, pointer, pointer, ctypes.POINTER(size)]
+    lib.sidiff_format_block = formatter
     return lib
+
+
+def format_block(block: np.ndarray, out: np.ndarray, ends: np.ndarray | None = None) -> tuple[int, int]:
+    """The rows of a 2-d float64 block as CSV text, through the loaded
+    library's `sidiff_format_block`.
+
+    Each cell is written as repr writes it, followed by ',' or, at the
+    end of its row, '\n', into the uint8 array out, which holds at least
+    CELL_BYTES bytes per cell.  ends, a block-shaped int64 array, when
+    given, receives the offset just past each cell's separator.  Returns
+    the number of bytes written and the number of cells handed to
+    CPython's formatter.
+    """
+    check_arrays(block)
+    check_arrays(out, dtype=np.uint8)
+    if block.ndim != 2 or out.size < CELL_BYTES * block.size:
+        raise ValueError(f"need a 2-d block and {CELL_BYTES} bytes of out per cell")
+    if ends is not None:
+        check_arrays(ends, dtype=np.int64)
+        if ends.shape != block.shape:
+            raise ValueError("ends must have the block's shape")
+    first, last, significands, exponents = powers_of_ten()
+    fallbacks = ctypes.c_long()
+    written = library().sidiff_format_block(
+        *block.shape, block.ctypes.data, significands.ctypes.data, exponents.ctypes.data, first, last,
+        out.ctypes.data, None if ends is None else ends.ctypes.data, ctypes.byref(fallbacks),
+    )
+    return written, fallbacks.value
+
+
+def check_arrays(*arrays: np.ndarray, dtype=np.float64) -> None:
+    """Refuses arrays a kernel cannot read through a raw pointer: those not
+    C-contiguous or not of dtype."""
+    for array in arrays:
+        if array.dtype != dtype or not array.flags.c_contiguous:
+            raise TypeError(f"a kernel reads C-contiguous {np.dtype(dtype)} arrays, not {array.dtype} with strides {array.strides}")
+
+
+@functools.cache
+def powers_of_ten() -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(first, last, significands, exponents): 10**k ~ significands[i] * 2**exponents[i]
+    for k = first + i, over the range of k the formatter looks up.
+
+    Each significand is 10**k rounded to nearest to 64 bits, its top bit
+    set, worked out with Python integers on the first call.
+    """
+    first, last = ctypes.c_int(), ctypes.c_int()
+    library().sidiff_power_range(ctypes.byref(first), ctypes.byref(last))
+    table = [_power_of_ten(k) for k in range(first.value, last.value + 1)]
+    significands, exponents = zip(*table)
+    return first.value, last.value, np.array(significands, dtype=np.uint64), np.array(exponents, dtype=np.intc)
+
+
+def _power_of_ten(k: int) -> tuple[int, int]:
+    """(f, e) with 2**63 <= f < 2**64 and f * 2**e the nearest such number to 10**k."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    e = num.bit_length() - den.bit_length() - 64  # 10**k / 2**e lies in [2**63, 2**65)
+    doubled = (num << max(1 - e, 0)) // (den << max(e - 1, 0))  # floor(10**k / 2**(e - 1))
+    if doubled >> 65:
+        e, doubled = e + 1, doubled >> 1
+    f = (doubled + 1) >> 1  # no 10**k lies halfway between two such numbers
+    return (f >> 1, e + 1) if f >> 64 else (f, e)

@@ -1,8 +1,10 @@
 """File formats: path bundles, estimate tables, report CSVs, raw counts.
 
 Everything written here is deterministic: no timestamps, floats
-formatted by shortest round-trip repr, dict keys sorted in JSON
-sidecars, and every CSV opens with one metadata comment line
+formatted by shortest round-trip repr (in the C kernel of
+sidiff._kernels, which writes repr's bytes, or through repr itself where
+it cannot be built), dict keys sorted in JSON sidecars, and every CSV
+opens with one metadata comment line
 
     # config-hash=<12 hex> seed=<int> version=<semver>
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from ._version import __version__
 from .estimate import EstimateResult, estimate_pipeline
 from .experiments import EM_REFINE, ExperimentReport, boxplot_stats, kde, pointwise_band, standardize
@@ -71,8 +75,8 @@ SUGGEST_K_FACTOR = 1.05  # suggest_K's inflation of the largest observation
 SCALAR_PARAMS = ("lambda", "sigma2")  # the order of ExperimentReport.scalar_estimates' pairs
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to a temp file .tmp_<random>.part and rename it onto path.
+def _atomic_write(path: str, data: bytes) -> None:
+    """Write data to a temp file .tmp_<random>.part and rename it onto path.
 
     An exception or a process crash never leaves a partial file at path.
     An existing path is first renamed to .tmp_<random>.old and unlinked
@@ -92,8 +96,8 @@ def _atomic_write(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
     aside = tmp.removesuffix(".part") + ".old"
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         try:
             os.rename(path, aside)
         except FileNotFoundError:
@@ -120,21 +124,56 @@ def _write_csv(
     A list column holds ready-made strings; any other column is a float
     array, written cell by cell as the shortest round-trip repr.
     meta=(payload, seed) puts the metadata comment line first.
+
+    The float columns are stacked into one C-order block, which the C
+    formatter writes as text into one preallocated buffer; a table of
+    floats alone is written from that buffer as it is, and string
+    columns are spliced in row by row.  Where the kernels cannot be
+    built, each float goes through repr, with the same bytes.
     """
-    # float cells are formatted lazily, row by row, so the strings of a
-    # whole table are never alive at once
-    cells = [
-        col if isinstance(col, list) else map(repr, np.asarray(col, dtype=float).tolist())
-        for col in columns
-    ]
+    import locale  # the encoding open() would write text in
+
+    encoding = locale.getpreferredencoding(False)
     lines = [metadata_line(*meta)] if meta is not None else []
     lines.append(",".join(header))
-    lines.extend(map(",".join, zip(*cells)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    head = ("\n".join(lines) + "\n").encode(encoding)
+    floats = [np.asarray(col, dtype=float) for col in columns if not isinstance(col, list)]
+    if _kernels.library() is None or not floats:
+        cells = [
+            col if isinstance(col, list) else map(repr, np.asarray(col, dtype=float).tolist())
+            for col in columns
+        ]
+        rows = ((",".join(row) + "\n").encode(encoding) for row in zip(*cells))
+        _atomic_write(path, b"".join(itertools.chain([head], rows)))
+        return
+    block = np.stack(floats, axis=1)
+    buffer = np.empty(len(head) + _kernels.CELL_BYTES * block.size, dtype=np.uint8)
+    buffer[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    body = buffer[len(head) :]
+    if len(floats) == len(columns):
+        written, _ = _kernels.format_block(block, body)
+        _atomic_write(path, buffer[: len(head) + written].data)
+        return
+    # cell (i, j) of the block is body[starts[i, j] : ends[i, j] - 1], its separator dropped
+    offsets = np.zeros(block.size + 1, dtype=np.int64)
+    starts, ends = offsets[:-1].reshape(block.shape), offsets[1:].reshape(block.shape)
+    _kernels.format_block(block, body, ends)
+    # every cell is made as its row is joined, so only the rows of the table are alive at once
+    view, segments, j = body.data, [], 0
+    for is_float, run in itertools.groupby(columns, key=lambda col: not isinstance(col, list)):
+        run = list(run)
+        if is_float:  # a run of float columns is one slice of each row's text
+            bounds = zip(starts[:, j].tolist(), (ends[:, j + len(run) - 1] - 1).tolist())
+            segments.append(view[a:b] for a, b in bounds)
+            j += len(run)
+        else:
+            segments.extend((cell.encode(encoding) for cell in col) for col in run)
+    rows = (b",".join(row) + b"\n" for row in zip(*segments))
+    _atomic_write(path, b"".join(itertools.chain([head], rows)))
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
 
 
 def config_hash(payload: dict) -> str:

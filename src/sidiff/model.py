@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import (
-    RateFunction, RatePair, _finite_number, _positive_number, _whole_number, constant, cumulative, evaluate, integrate
+    RateFunction, RatePair, _finite_number, _positive_number, _whole_number, constant, cumulative, evaluate
 )
 
 __all__ = [
@@ -282,7 +282,7 @@ class TransitionLaw:
 
     def __post_init__(self) -> None:
         _check_state(self.x0, self.rates.capacity, "x0")
-        # a float t0 takes the quick path of integrate's checks on every call
+        # a float t0 goes into accumulated's integrals as it is
         object.__setattr__(self, "t0", _finite_number(self.t0, "t0"))
 
     def accumulated(self, t: float) -> tuple[float, float]:
@@ -296,8 +296,16 @@ class TransitionLaw:
             raise DegenerateTimeError(
                 f"law at t={t} <= t0={self.t0} is a point mass at x0", self.x0
             )
-        lam_int = integrate(self.rates.transmission, self.t0, t)
-        var_int = integrate(self.rates.noise, self.t0, t)
+        # both integrals over one pair of ends, as integrate takes them: t as
+        # a float (True and Decimal refused), exact zeros where an int t
+        # above t0 rounds onto it
+        end = _finite_number(t, "t")
+        lam_int = var_int = 0.0
+        if end > self.t0:
+            ends = np.array([self.t0, end])
+            lam_0, lam_t = cumulative(self.rates.transmission, ends).tolist()
+            var_0, var_t = cumulative(self.rates.noise, ends).tolist()
+            lam_int, var_int = lam_t - lam_0, var_t - var_0
         if var_int <= 0.0:
             atom = y_to_x(lam_int, self.x0, self.rates.capacity)
             raise DegenerateTimeError(

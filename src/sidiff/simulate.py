@@ -417,6 +417,8 @@ def _em_batch(seeds: list[SeedSequence], x0: float, grid: TimeGrid, scheme: _EMS
     lib = _kernels.library()
     draws = np.empty((n_paths, min(EM_NOISE_BLOCK, total_steps)))
     steps_by_paths = np.empty(draws.shape[::-1])
+    if lib is not None:  # the kernel reads raw pointers; a contiguous array's slices stay contiguous
+        _kernels.check_arrays(s.lam, s.s2, s.sd, x, steps_by_paths)
     for start in range(0, total_steps, EM_NOISE_BLOCK):
         stop = min(start + EM_NOISE_BLOCK, total_steps)
         for i, rng in enumerate(rngs):
@@ -428,7 +430,8 @@ def _em_batch(seeds: list[SeedSequence], x0: float, grid: TimeGrid, scheme: _EMS
             _em_steps(block, x, *rates, s)
         else:
             scalars = map(float, (s.k, s.two_k, s.h, s.sqrt_h, s.lo, s.hi))
-            lib.sidiff_em_steps(stop - start, n_paths, *rates, *scalars, s.state_drift, x, block)
+            pointers = (a.ctypes.data for a in rates)
+            lib.sidiff_em_steps(stop - start, n_paths, *pointers, *scalars, s.state_drift, x.ctypes.data, block.ctypes.data)
         clamps += np.count_nonzero(block < s.lo, axis=0) + np.count_nonzero(block > s.hi, axis=0)
         _clip(block, s.lo, s.hi, block)
         first = (refine - 1 - start) % refine  # first row that ends an observation step

@@ -81,9 +81,11 @@ class NaturalSpline:
         lib = _kernels.library()
         if lib is None:
             s = np.array(_solve(_layout(x.tobytes()), rhs.tolist()), dtype=float)
-        elif lib.sidiff_spline_solve(x.size, dx, rhs, np.empty(3 * x.size)):
-            raise ValueError("singular spline system")
         else:
+            work = np.empty(3 * x.size)
+            _kernels.check_arrays(dx, rhs, work)
+            if lib.sidiff_spline_solve(x.size, dx.ctypes.data, rhs.ctypes.data, work.ctypes.data):
+                raise ValueError("singular spline system")
             s = rhs
         # cubic Hermite map from the knot slopes to the coefficients
         t = (s[:-1] + s[1:] - 2 * slope) / dx

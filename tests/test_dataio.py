@@ -39,7 +39,7 @@ from sidiff import (
     write_kde,
     write_table1,
 )
-from sidiff.dataio import _atomic_write, _parse_cells, _read_lines, _read_table, _split, save_raw_series
+from sidiff.dataio import _atomic_write, _parse_cells, _write_csv, _read_lines, _read_table, _split, save_raw_series
 from sidiff.estimate import CLIP_EPS
 
 K = 200.0
@@ -316,12 +316,29 @@ PINNED_SHA256 = {
 }
 
 
-def test_writer_bytes_are_pinned(tmp_path):
-    _write_every_file_kind(tmp_path)
-    got = {
-        f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())
-    }
-    assert got == PINNED_SHA256
+def test_writer_bytes_are_pinned(tmp_path, kernel_states):
+    for state in kernel_states:  # the C formatter and the repr loop
+        (tmp_path / state).mkdir()
+        _write_every_file_kind(tmp_path / state)
+        got = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted((tmp_path / state).iterdir())
+        }
+        assert got == PINNED_SHA256, state
+
+
+def test_write_csv_edge_tables(tmp_path, kernel_states):
+    for state in kernel_states:  # the C formatter and the repr loop
+        d = tmp_path / state
+        write_kde([], str(d / "kde.csv"), seed=3)  # no reports: zero rows
+        assert (d / "kde.csv").read_text().splitlines()[1:] == ["case,method,param,bandwidth,x,density"]
+        _write_csv(str(d / "one.csv"), ["x"], [np.array([0.1, -2.0, 1e-7, 1e16])])
+        assert (d / "one.csv").read_bytes() == b"x\n0.1\n-2.0\n1e-07\n1e+16\n"
+        # float runs on both sides of a string column, and a name beyond ASCII
+        columns = [["Z\u00fcrich", "b"], np.array([0.5, np.nan]), ["", "s"], np.array([3.0, -0.0]), np.array([1 / 3, 2.0])]
+        _write_csv(str(d / "mixed.csv"), ["name", "x", "note", "y", "z"], columns, meta=({"k": 1}, 5))
+        lines = (d / "mixed.csv").read_text().splitlines()  # in the encoding open() writes
+        assert lines[1:] == ["name,x,note,y,z", "Z\u00fcrich,0.5,,3.0,0.3333333333333333", "b,nan,s,-0.0,2.0"]
+        assert lines[0] == metadata_line({"k": 1}, 5)
 
 
 def test_no_partial_files_left_behind(tmp_path):
@@ -333,9 +350,9 @@ def test_no_partial_files_left_behind(tmp_path):
 
 def test_atomic_write_overwrites_leaving_only_the_target(tmp_path):
     target = tmp_path / "out.csv"
-    _atomic_write(str(target), "new name\n")
+    _atomic_write(str(target), b"new name\n")
     assert target.read_text() == "new name\n"
-    _atomic_write(str(target), "second\n")
+    _atomic_write(str(target), b"second\n")
     assert target.read_text() == "second\n"
     assert os.listdir(tmp_path) == ["out.csv"]
 
@@ -352,7 +369,7 @@ def test_atomic_write_keeps_the_old_bytes_when_the_rename_in_fails(tmp_path, mon
 
     monkeypatch.setattr(os, "rename", failing_rename)
     with pytest.raises(OSError, match="rename refused"):
-        _atomic_write(str(target), "new\n")
+        _atomic_write(str(target), b"new\n")
     assert target.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["out.csv"]
 
@@ -361,7 +378,7 @@ def test_atomic_write_refuses_a_directory_target(tmp_path):
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "kept").write_text("x")
     with pytest.raises(IsADirectoryError):
-        _atomic_write(str(tmp_path / "out"), "new\n")
+        _atomic_write(str(tmp_path / "out"), b"new\n")
     assert os.listdir(tmp_path) == ["out"]
     assert os.listdir(tmp_path / "out") == ["kept"]
 
