@@ -9,7 +9,11 @@
    Grisu3 digits, and hands the doubles Grisu3 cannot decide to
    CPython's own formatter.  Only those hand-offs allocate, and they
    need the GIL: sidiff._kernels calls the formatter through a
-   ctypes.PyDLL handle, which keeps it. */
+   ctypes.PyDLL handle, which keeps it.  The CSV reader parses a block
+   of rows in the grammar the formatter writes, each cell to the double
+   float() gives, by Eisel-Lemire; it calls nothing of CPython, and any
+   block it does not take whole goes back to sidiff.dataio's own
+   reader. */
 
 #include <float.h>
 #include <math.h>
@@ -135,20 +139,42 @@ typedef struct {
     int e;
 } diyfp;
 
-/* x * y rounded at bit 64, from 32-bit halves */
+typedef struct {
+    uint64_t high, low;
+} u128;
+
+/* The 128-bit product of x and y, from 32-bit halves where the compiler
+   has no 128-bit integer */
+static u128 full_multiply(uint64_t x, uint64_t y)
+{
+#ifdef __SIZEOF_INT128__
+    unsigned __int128 p = (unsigned __int128)x * y;
+    return (u128){(uint64_t)(p >> 64), (uint64_t)p};
+#else
+    const uint64_t m32 = 0xFFFFFFFFu;
+    uint64_t a = x >> 32, b = x & m32, c = y >> 32, d = y & m32;
+    uint64_t ac = a * c, bc = b * c, ad = a * d, bd = b * d;
+    uint64_t mid = (bd >> 32) + (ad & m32) + (bc & m32);
+    return (u128){ac + (ad >> 32) + (bc >> 32) + (mid >> 32), (mid << 32) | (bd & m32)};
+#endif
+}
+
+/* x * y rounded at bit 64 */
 static diyfp multiply(diyfp x, diyfp y)
 {
-    const uint64_t m32 = 0xFFFFFFFFu;
-    uint64_t a = x.f >> 32, b = x.f & m32, c = y.f >> 32, d = y.f & m32;
-    uint64_t ac = a * c, bc = b * c, ad = a * d, bd = b * d;
-    uint64_t mid = (bd >> 32) + (ad & m32) + (bc & m32) + (1ULL << 31);
-    diyfp r = {ac + (ad >> 32) + (bc >> 32) + (mid >> 32), x.e + y.e + 64};
+    u128 p = full_multiply(x.f, y.f);
+    diyfp r = {p.high + (p.low >> 63), x.e + y.e + 64};
     return r;
 }
 
 /* x shifted until its top bit is set; x.f is not zero */
 static diyfp normalize(diyfp x)
 {
+#ifdef __GNUC__
+    int zeros = __builtin_clzll(x.f);
+    x.f <<= zeros;
+    x.e -= zeros;
+#else
     while (!(x.f & 0xFFC0000000000000ULL)) {
         x.f <<= 10;
         x.e -= 10;
@@ -157,6 +183,7 @@ static diyfp normalize(diyfp x)
         x.f <<= 1;
         x.e -= 1;
     }
+#endif
     return x;
 }
 
@@ -344,4 +371,143 @@ long sidiff_format_block(long rows, long cols, const double *values, const uint6
             ends[i] = p - out;
     }
     return (long)(p - out);
+}
+
+/* Decimal text to doubles: Eisel-Lemire (Lemire, "Number Parsing at a
+   Gigabyte per Second", Software: Practice and Experience 2021), as
+   fast_float's compute_float does it for binary64.  Mushtak and Lemire
+   ("Fast Number Parsing Without Fallback", SPE 2023) prove that it
+   gives the correctly rounded double of every decimal w * 10^q with
+   0 < w < 2^64 and q from -342 to 308, with no fallback.
+
+   w, shifted to set its top bit, is multiplied by the high 64 bits of
+   the 128-bit significand of 5^q, and by the low 64 bits as well only
+   where the low 9 bits of the product's high word, below the bits that
+   rounding reads, are all ones, so that a carry from the second product
+   could reach those bits.  The significands are fast_float's: 5^q
+   truncated to 128 bits, except that where 5^-q fits in 64 bits (q from
+   -27 to -1) it is rounded up.  The reader takes zeros and the cells of
+   at least the smallest normal double whose double is finite, and
+   hands the others back, so that it needs no subnormal path. */
+
+#define MANTISSA_BITS 52
+
+/* floor(q * log2(10)) for |q| <= 342, with fast_float's 217706 / 2^16
+   for log2(10) */
+static int floor_log2_pow10(int q)
+{
+    int v = 217706 * q;
+    return v >= 0 ? v >> 16 : -((-v + 65535) >> 16);
+}
+
+/* The bits of the positive double nearest w * 10^q, 0 < w < 2^64, into
+   *bits; 0 where w * 10^q is below the smallest normal double or its
+   double is infinite.  powers holds the high and the low word of the
+   significand of 5^q for q from first to last. */
+static int eisel_lemire(uint64_t w, long q, const uint64_t *powers, int first, int last, uint64_t *bits)
+{
+    if (q < first || q > last)
+        return 0;
+    diyfp n = normalize((diyfp){w, 0});
+    const uint64_t *power = powers + 2 * (q - first);
+    u128 product = full_multiply(n.f, power[0]);
+    if ((product.high & 0x1FF) == 0x1FF) {
+        u128 second = full_multiply(n.f, power[1]);
+        product.low += second.high;
+        product.high += product.low < second.high;
+    }
+    int upper = (int)(product.high >> 63), shift = upper + 64 - MANTISSA_BITS - 3;
+    uint64_t mantissa = product.high >> shift; /* 54 bits: the double's 53 and one to round by */
+    int power2 = floor_log2_pow10((int)q) + 63 + upper + n.e + 1023;
+    if (power2 <= 0)
+        return 0;
+    /* an exact half between two doubles, possible only for q from -4
+       to 23 and with nothing but zeros below the rounding bit, rounds to
+       even, not up */
+    if (product.low <= 1 && q >= -4 && q <= 23 && (mantissa & 3) == 1 && mantissa << shift == product.high)
+        mantissa &= ~(uint64_t)1;
+    mantissa = (mantissa + (mantissa & 1)) >> 1;
+    if (mantissa >> (MANTISSA_BITS + 1)) { /* rounded up to the next power of two */
+        mantissa = 1ULL << MANTISSA_BITS;
+        power2++;
+    }
+    if (power2 >= 0x7FF)
+        return 0;
+    *bits = (uint64_t)power2 << MANTISSA_BITS | (mantissa & ((1ULL << MANTISSA_BITS) - 1));
+    return 1;
+}
+
+/* The cell at p, in the grammar -?digits(.digits)?([eE][+-]?digits)?,
+   as the double float() gives, into *value; returns the byte after the
+   cell, or NULL where the cell is not in the grammar, has more than 19
+   significant digits or is one eisel_lemire refuses.  A byte that is no
+   digit, such as the block's final '\n', ends every scan. */
+static const char *parse_cell(const char *p, const uint64_t *powers, int first, int last, double *value)
+{
+    int negative = *p == '-';
+    p += negative;
+    const char *digits = p;
+    uint64_t w = 0;
+    while ((unsigned char)(*p - '0') < 10)
+        w = 10 * w + (uint64_t)(*p++ - '0');
+    if (p == digits)
+        return NULL;
+    long fraction = 0;
+    if (*p == '.') {
+        const char *start = ++p;
+        while ((unsigned char)(*p - '0') < 10)
+            w = 10 * w + (uint64_t)(*p++ - '0');
+        fraction = p - start;
+        if (fraction == 0)
+            return NULL;
+    }
+    /* the significant digits: all but the leading zeros */
+    long count = p - digits - (fraction > 0);
+    for (const char *s = digits; s < p && (*s == '0' || *s == '.'); s++)
+        count -= *s == '0';
+    if (count > 19)
+        return NULL;
+    long exponent = 0;
+    if (*p == 'e' || *p == 'E') {
+        int minus = *++p == '-';
+        p += minus || *p == '+';
+        const char *start = p;
+        for (; (unsigned char)(*p - '0') < 10; p++)
+            if (exponent < 100000) /* far beyond any double, and no overflow */
+                exponent = 10 * exponent + (*p - '0');
+        if (p == start)
+            return NULL;
+        exponent = minus ? -exponent : exponent;
+    }
+    uint64_t bits = 0; /* w == 0: a zero, whatever its exponent */
+    if (w != 0 && !eisel_lemire(w, exponent - fraction, powers, first, last, &bits))
+        return NULL;
+    bits |= (uint64_t)negative << 63;
+    memcpy(value, &bits, sizeof bits);
+    return p;
+}
+
+/* The length bytes at text, rows lines of cols cells, each cell followed
+   by ',' or, at the end of its line, '\n', as the values of a rows x
+   cols C-order block.  powers holds the high and the low word of the
+   128-bit significand of 5^q for q from first to last.  Returns 0, or 1
+   where the text is anything else (another byte, an empty line, a line
+   of another width, a missing final '\n') or a cell is one parse_cell
+   refuses; values then holds nothing of use. */
+int sidiff_parse_block(const char *text, long length, long rows, long cols, const uint64_t *powers, int first,
+                       int last, double *values)
+{
+    const char *p = text, *end = text + length;
+    if (length == 0 || end[-1] != '\n')
+        return 1;
+    for (long i = 0; i < rows; i++) {
+        if (p == end)
+            return 1;
+        for (long j = 0; j < cols; j++) {
+            p = parse_cell(p, powers, first, last, values++);
+            if (p == NULL || *p++ != (j < cols - 1 ? ',' : '\n'))
+                return 1;
+        }
+    }
+    return p != end;
 }

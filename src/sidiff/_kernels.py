@@ -10,15 +10,21 @@ package directory, a timeout), `library()` returns None and the callers
 run their numpy or Python loops, which give the same bytes.  There is
 nothing to configure.
 
-The CSV float formatter may hand a cell to CPython's own formatter,
-which allocates through the allocator that needs the GIL, so it is
-called through a ctypes.PyDLL handle on the same library file, which
-keeps the GIL; `library()` returns the CDLL with that function in place
-of its own.  Its table of powers of ten, the 64-bit significands of
-10**k rounded to nearest with their binary exponents, is worked out
-with Python integers on the first call of `powers_of_ten()`, not at
-import.  The kernels take raw pointers: each call site checks its
-arrays' dtype and layout once, with `check_arrays`.
+The CSV float formatter is the one kernel that calls CPython: it may
+hand a cell to CPython's own formatter, which allocates through the
+allocator that needs the GIL, so it is called through a ctypes.PyDLL
+handle on the same library file, which keeps the GIL; `library()`
+returns the CDLL with that function in place of its own.  The other
+kernels, the CSV reader among them, touch no Python object and run on
+the CDLL, which releases the GIL.
+
+Two tables are worked out with Python integers on first use, not at
+import: the formatter's powers of ten, the 64-bit significands of 10**k
+rounded to nearest with their binary exponents (`powers_of_ten()`), and
+the reader's powers of five, the 128-bit significands of 5**q as
+fast_float tabulates them (`powers_of_five()`).  The kernels take raw
+pointers: each call site checks its arrays' dtype and layout once, with
+`check_arrays`.
 """
 
 from __future__ import annotations
@@ -83,6 +89,8 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.sidiff_spline_solve.argtypes = [size, *[pointer] * 3]
     lib.sidiff_power_range.restype = None
     lib.sidiff_power_range.argtypes = [ctypes.POINTER(ctypes.c_int)] * 2
+    lib.sidiff_parse_block.restype = ctypes.c_int
+    lib.sidiff_parse_block.argtypes = [pointer, size, size, size, pointer, ctypes.c_int, ctypes.c_int, pointer]
     # the formatter may call CPython's allocator, which needs the GIL: a
     # PyDLL handle on the same file keeps it, and raises the Python error
     # the formatter leaves set
@@ -121,6 +129,26 @@ def format_block(block: np.ndarray, out: np.ndarray, ends: np.ndarray | None = N
     return written, fallbacks.value
 
 
+def parse_block(text: bytes, start: int, rows: int, cols: int) -> np.ndarray | None:
+    """text[start:] as a (rows, cols) float64 array, through the loaded
+    library's `sidiff_parse_block`; None where the kernel hands it back.
+
+    The kernel takes exactly rows lines of cols cells in the grammar
+    -?digits(.digits)?([eE][+-]?digits)?, each cell followed by ',' or,
+    at the end of its line, '\n', and gives each cell the double float()
+    gives.  It hands back any other text, a cell of more than 19
+    significant digits, and a cell with a nonzero digit whose double is
+    not a normal finite one.  text is read in place, not copied.
+    """
+    first, last, powers = powers_of_five()
+    values = np.empty((rows, cols))
+    body = np.frombuffer(text, dtype=np.uint8)[start:]
+    refused = library().sidiff_parse_block(
+        body.ctypes.data, body.size, rows, cols, powers.ctypes.data, first, last, values.ctypes.data
+    )
+    return None if refused else values
+
+
 def check_arrays(*arrays: np.ndarray, dtype=np.float64) -> None:
     """Refuses arrays a kernel cannot read through a raw pointer: those not
     C-contiguous or not of dtype."""
@@ -146,10 +174,37 @@ def powers_of_ten() -> tuple[int, int, np.ndarray, np.ndarray]:
 
 def _power_of_ten(k: int) -> tuple[int, int]:
     """(f, e) with 2**63 <= f < 2**64 and f * 2**e the nearest such number to 10**k."""
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    e = num.bit_length() - den.bit_length() - 64  # 10**k / 2**e lies in [2**63, 2**65)
-    doubled = (num << max(1 - e, 0)) // (den << max(e - 1, 0))  # floor(10**k / 2**(e - 1))
-    if doubled >> 65:
-        e, doubled = e + 1, doubled >> 1
+    doubled, e = _leading_bits(*_ratio(10, k), 65)
     f = (doubled + 1) >> 1  # no 10**k lies halfway between two such numbers
-    return (f >> 1, e + 1) if f >> 64 else (f, e)
+    return (f >> 1, e + 2) if f >> 64 else (f, e + 1)
+
+
+@functools.cache
+def powers_of_five() -> tuple[int, int, np.ndarray]:
+    """(first, last, significands): the 128-bit significand of 5**q as
+    its high and low 64-bit words, significands[i], for q = first + i,
+    over the q of every decimal w * 10**q, 0 < w < 2**64, whose double is
+    neither zero nor infinite.
+
+    Each significand is fast_float's, worked out with Python integers on
+    the first call: 5**q truncated to 128 bits, except that where 5**-q
+    fits in 64 bits (q from -27 to -1) it is rounded up.
+    """
+    first, last = -342, 308
+    words = []
+    for q in range(first, last + 1):
+        significand = _leading_bits(*_ratio(5, q), 128)[0] + (-27 <= q < 0)
+        words.append((significand >> 64, significand & (2**64 - 1)))
+    return first, last, np.array(words, dtype=np.uint64)
+
+
+def _ratio(base: int, k: int) -> tuple[int, int]:
+    """base**k as a numerator and a denominator."""
+    return (base**k, 1) if k >= 0 else (1, base**-k)
+
+
+def _leading_bits(num: int, den: int, bits: int) -> tuple[int, int]:
+    """(f, e) with 2**(bits - 1) <= f < 2**bits and f = floor(num / den / 2**e)."""
+    e = num.bit_length() - den.bit_length() - bits  # num / den / 2**e lies in (2**(bits - 1), 2**(bits + 1))
+    f = (num << max(-e, 0)) // (den << max(e, 0))
+    return (f >> 1, e + 1) if f >> bits else (f, e)

@@ -10,6 +10,14 @@ opens with one metadata comment line
 
 so a rerun can be checked byte for byte.
 
+Tables are read back by the C reader of sidiff._kernels, which parses
+the files these writers write, rows of '\n'-ended cells in repr's
+number grammar, to the doubles float() gives.  Any other file (CRLF
+endings, blank or comment lines among the rows, spaces, other number
+spellings, a missing final newline) and any file where the kernels
+cannot be built is read by the text reader, np.loadtxt with a line
+parser behind it, which words every error with its path:line.
+
 Writes go to a temp file in the target directory, .tmp_<random>.part,
 which is then renamed onto the target, so an exception or a process
 crash never leaves a partial file at the target.  An existing target is
@@ -222,7 +230,14 @@ def _read_table(path: str, first_column: str) -> tuple[list[str], list[int], np.
 
     Refuses, naming path:line, a header not starting with first_column
     or of one field, a row of another width and a non-numeric cell.
+
+    The C reader of sidiff._kernels takes the files the writers write;
+    it hands any other file back whole, and the text reader below reads
+    it and words every error.
     """
+    table = _read_table_in_c(path, first_column) if _kernels.library() is not None else None
+    if table is not None:
+        return table
     lines = _read_lines(path)
     if len(lines) < 2:
         raise ValueError(f"{path}: expected a header and at least one data row")
@@ -233,7 +248,8 @@ def _read_table(path: str, first_column: str) -> tuple[list[str], list[int], np.
     # np.loadtxt accepts a subset of what float() accepts, with the same
     # values (it refuses 1_000 and full-width digits); what it refuses goes
     # to the line parser, which loads the rest and words every error.
-    # comments=None keeps an inline '#' a non-numeric cell
+    # comments=None keeps an inline '#' a non-numeric cell.  Where the C
+    # reader runs, only the files it hands back get here
     try:
         cells = np.loadtxt([text for _, text in data], delimiter=",", comments=None, ndmin=2)
     except ValueError:
@@ -241,6 +257,48 @@ def _read_table(path: str, first_column: str) -> tuple[list[str], list[int], np.
     if cells is None or cells.shape[1] != len(header):
         cells = _parse_cells(path, len(header), data)
     return header, [lineno for lineno, _ in data], cells
+
+
+def _read_table_in_c(path: str, first_column: str) -> tuple[list[str], list[int], np.ndarray] | None:
+    """_read_table's result through the C reader, or None where it hands
+    the file back.
+
+    The file is read once as bytes.  The blank and '#' lines before the
+    header are skipped and the header is decoded as _read_lines does;
+    every later byte goes to the C reader, which takes only rows of the
+    header's width in the writers' grammar, each ended by '\n'.  So the
+    data lines follow the header line with no gap.  A '\r' before the
+    body, where text mode would end a line, a header that does not
+    decode, a header _read_table refuses and a file with no data row are
+    handed back, as is every body the C reader refuses.
+    """
+    import locale  # the encoding open() reads text in
+
+    encoding = locale.getpreferredencoding(False)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    start = header_line = 0
+    while True:
+        end = data.find(b"\n", start)
+        if end < 0 or b"\r" in data[start:end]:
+            return None
+        try:
+            text = data[start:end].decode(encoding).strip()
+        except UnicodeDecodeError:
+            return None
+        start, header_line = end + 1, header_line + 1
+        if text and not text.startswith("#"):
+            break
+    header = _split(text)
+    rows = data.count(b"\n", start)
+    # a cell takes at least a digit and a separator, so a body shorter
+    # than that is not whole rows: handed back before any array is made
+    if header[0] != first_column or len(header) < 2 or not 0 < 2 * rows * len(header) <= len(data) - start:
+        return None
+    cells = _kernels.parse_block(data, start, rows, len(header))
+    if cells is None:
+        return None
+    return header, list(range(header_line + 1, header_line + rows + 1)), cells
 
 
 def _parse_cells(path: str, width: int, data: list[tuple[int, str]]) -> np.ndarray:

@@ -39,7 +39,16 @@ from sidiff import (
     write_kde,
     write_table1,
 )
-from sidiff.dataio import _atomic_write, _parse_cells, _write_csv, _read_lines, _read_table, _split, save_raw_series
+from sidiff.dataio import (
+    _atomic_write,
+    _parse_cells,
+    _read_lines,
+    _read_table,
+    _read_table_in_c,
+    _split,
+    _write_csv,
+    save_raw_series,
+)
 from sidiff.estimate import CLIP_EPS
 
 K = 200.0
@@ -452,6 +461,95 @@ def test_path_bundle_round_trip_is_bit_identical(tmp_path):
     back = load_paths(f)
     assert back.values.tobytes() == ps.values.tobytes()
     assert back.grid.times.tobytes() == ps.grid.times.tobytes()
+
+
+def _second_cell(line, cell):
+    fields = line.split(b",")
+    return b",".join([fields[0], cell(fields[1]), *fields[2:]])
+
+
+def _in_row(edit):
+    """An edit of the third data row from the end of a file's lines."""
+    return lambda lines: [*lines[:-4], edit(lines[-4]), *lines[-3:]]
+
+
+NAMES = {"east": "Z\u00fcrich", "path_1": "\u6771\u4eac"}
+
+
+def _non_ascii(text: bytes) -> bytes:
+    import locale
+
+    for old, new in NAMES.items():
+        text = text.replace(old.encode(), new.encode(locale.getpreferredencoding(False)))
+    return text
+
+
+# each edit maps the lines of a written bundle or count table (its last
+# line the empty one after the final newline) to those of another file
+# and says whether the C reader takes the result
+EDITS = {
+    "as-written": (lambda lines: lines, True),
+    "crlf": (lambda lines: [line + b"\r" for line in lines[:-1]] + [b""], False),
+    "blank-line": (lambda lines: [*lines[:-4], b"", *lines[-4:]], False),
+    "comment-line": (lambda lines: [*lines[:-4], b"# note", *lines[-4:]], False),
+    "spaces": (_in_row(lambda row: row.replace(b",", b" , ", 1)), False),
+    "plus": (_in_row(lambda row: _second_cell(row, lambda cell: b"+" + cell)), False),
+    "no-integer-digits": (_in_row(lambda row: _second_cell(row, lambda cell: b".5")), False),
+    "no-fraction-digits": (_in_row(lambda row: _second_cell(row, lambda cell: b"5.")), False),
+    "capital-exponent": (_in_row(lambda row: _second_cell(row, lambda cell: b"1E5")), True),
+    "inf": (_in_row(lambda row: _second_cell(row, lambda cell: b"inf")), False),
+    "nan": (_in_row(lambda row: _second_cell(row, lambda cell: b"nan")), False),
+    "underscore": (_in_row(lambda row: _second_cell(row, lambda cell: b"1_000")), False),
+    "non-numeric": (_in_row(lambda row: _second_cell(row, lambda cell: b"x")), False),
+    "wrong-width": (_in_row(lambda row: row.rsplit(b",", 1)[0]), False),
+    "no-final-newline": (lambda lines: lines[:-1], False),
+    "trailing-blank-line": (lambda lines: [*lines, b""], False),
+    "many-blank-lines": (lambda lines: [*lines, *[b""] * 1000], False),
+    "cr-in-comment": (lambda lines: [b"# one\r# two", *lines], False),
+    "non-ascii-names": (lambda lines: [_non_ascii(line) for line in lines], True),
+}
+
+
+def _reading(read):
+    """read()'s result as comparable values, or the message of its ValueError."""
+    try:
+        result = read()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    if isinstance(result, PathSet):
+        return result.grid, result.capacity, result.values.tobytes()
+    if isinstance(result, RawSeriesTable):
+        return result.locations, result.times.tobytes(), result.counts.tobytes(), result.populations.tobytes()
+    header, lines, cells = result
+    return header, lines, cells.shape, cells.tobytes()
+
+
+@pytest.mark.parametrize("name", EDITS)
+def test_the_c_reader_takes_written_files_and_hands_back_the_rest_to_read_as_before(tmp_path, kernel_states, name):
+    edit, taken = EDITS[name]
+    bundle, counts, populations = (str(tmp_path / file) for file in ("paths.csv", "counts.csv", "pops.csv"))
+    save_paths(_small_run(), bundle)
+    table = _table_of(
+        np.arange(6.0), {"east": np.arange(1.0, 7.0), "west": np.arange(6.0) * 0.5 + 1.0}, {"east": 1e3, "west": 2e3}
+    )
+    save_raw_series(table, counts, populations)
+    for path in (bundle, counts):
+        Path(path).write_bytes(b"\n".join(edit(Path(path).read_bytes().split(b"\n"))))
+    if name == "non-ascii-names":
+        Path(populations).write_bytes(_non_ascii(Path(populations).read_bytes()))
+    readers = [
+        lambda: _read_table(bundle, "t"),
+        lambda: _read_table(counts, "time"),
+        lambda: load_paths(bundle),
+        lambda: load_csv(counts, populations),
+    ]
+    readings = {}
+    for state in kernel_states:  # the C reader, then the text reader alone
+        if state == "kernel":
+            assert (_read_table_in_c(bundle, "t") is not None) == taken
+            assert (_read_table_in_c(counts, "time") is not None) == taken
+        readings[state] = [_reading(read) for read in readers]
+    assert readings.get("kernel", readings["fallback"]) == readings["fallback"]
 
 
 def test_config_hash_tracks_content():

@@ -1,13 +1,14 @@
-"""Building and loading the C kernels, the CSV float formatter, and the
-fallback when the build fails."""
+"""Building and loading the C kernels, the CSV float formatter and
+reader, and the fallback when the build fails."""
 
 import shutil
 
 import numpy as np
 import pytest
 
-from sidiff import NaturalSpline, RatePair, TimeGrid, _kernels, constant, simulate_em
-from sidiff.dataio import _write_csv
+from sidiff import NaturalSpline, RatePair, TimeGrid, _kernels, constant, load_csv, load_paths, save_paths, simulate_em
+from sidiff.dataio import _write_csv, save_raw_series
+from sidiff.synthetic import measles_like_table
 
 
 @pytest.fixture
@@ -23,15 +24,21 @@ def fresh_install(monkeypatch, tmp_path):
 
 
 def _outputs(directory):
-    """Euler-Maruyama paths with clamp hits, a 501-knot spline fit and an
-    all-float and a mixed CSV of both, as bytes."""
+    """Euler-Maruyama paths with clamp hits, a 501-knot spline fit, an
+    all-float and a mixed CSV of both, as bytes, and the arrays of a path
+    bundle and a count table read back."""
     ps = simulate_em(RatePair(constant(1.2), constant(0.1), 200.0), 20.0, TimeGrid(0.0, 0.05, 1001), 6, 3)
     x = np.linspace(0.0, 50.0, 501)
     c = NaturalSpline(x, np.cos(x)).c
     _write_csv(str(directory / "paths.csv"), ["t", "a", "b"], [ps.grid.times, *ps.values[:2]], meta=({}, 3))
     _write_csv(str(directory / "spline.csv"), ["knot", "c0", "c1"], [[f"k{i}" for i in range(500)], *c[:2]])
     csvs = [(directory / name).read_bytes() for name in ("paths.csv", "spline.csv")]
-    return ps.values.tobytes(), ps.meta["clamp_count"], c.tobytes(), *csvs
+    bundle, counts, populations = (str(directory / name) for name in ("bundle.csv", "counts.csv", "pops.csv"))
+    save_paths(ps, bundle)
+    save_raw_series(measles_like_table(master_seed=3), counts, populations)
+    back, table = load_paths(bundle), load_csv(counts, populations)
+    read = [back.grid.times, back.values, table.times, table.counts, table.populations]
+    return ps.values.tobytes(), ps.meta["clamp_count"], c.tobytes(), *csvs, *(array.tobytes() for array in read)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -140,3 +147,152 @@ def test_the_powers_of_ten_are_rounded_to_64_bits(built_kernels):
         f, e = _kernels._power_of_ten(k)
         num, den = (10**k * 2 ** max(-e, 0), 2 ** max(e, 0)) if k >= 0 else (2 ** -e, 10**-k)
         assert 1 << 63 <= f < 1 << 64 and abs(2 * (f * den - num)) <= den
+
+
+def _parsed(cells):
+    """The cells, one per line, as the C reader parses them: a float64
+    array, or None where it hands the block back."""
+    text = "".join(f"{cell}\n" for cell in cells).encode()
+    values = _kernels.parse_block(text, 0, len(cells), 1)
+    return None if values is None else values.ravel()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _assert_parsed_as_float(cells):
+    """The C reader takes every cell whose float() is zero or a normal
+    double above the smallest, and gives float()'s bits; it hands back,
+    one cell at a time, every cell whose float() is subnormal, a zero from
+    nonzero digits or infinite.  The smallest normal double may go either
+    way: a decimal just below it rounds up to it."""
+    expected = np.array([float(cell) for cell in cells])
+    magnitude = np.abs(expected)
+    taken = (magnitude > np.finfo(float).tiny) & np.isfinite(expected)
+    for i in np.flatnonzero(magnitude == 0).tolist():
+        taken[i] = not cells[i].split("e")[0].strip("-0.")  # all its digits zero
+    assert (_bits(_parsed([cells[i] for i in np.flatnonzero(taken)])) == _bits(expected[taken])).all()
+    for i in np.flatnonzero(~taken).tolist():
+        if magnitude[i] == np.finfo(float).tiny:
+            got = _parsed([cells[i]])
+            assert got is None or _bits(got) == _bits(expected[i]), cells[i]
+        else:
+            assert _parsed([cells[i]]) is None, cells[i]
+
+
+def test_the_reader_parses_repr_of_random_doubles_as_float(built_kernels):
+    bits = np.random.default_rng(28).integers(0, 2**64, size=1_010_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:1_000_000]
+    assert values.size == 1_000_000
+    _assert_parsed_as_float([repr(v) for v in values.tolist()])
+
+
+def _random_decimals(rng, size, exponents):
+    """Decimals of 1 to 19 significant digits, some with a sign, leading
+    zeros or a point, with exponents drawn from exponents."""
+    lengths = rng.integers(1, 20, size=size).astype(np.uint64)
+    ten = np.uint64(10)
+    digits = rng.integers(ten ** (lengths - np.uint64(1)), ten**lengths, dtype=np.uint64)
+    columns = zip(
+        digits.tolist(), rng.integers(0, lengths + np.uint64(1)).tolist(), rng.integers(0, 3, size=size).tolist(),
+        rng.random(size).tolist(), rng.integers(*exponents, size=size).tolist(),
+    )
+    cells = []
+    for digits, point, lead, sign, exponent in columns:
+        text = "0" * lead + str(digits)
+        point += lead
+        mantissa = text if point == len(text) else f"{text[:point] or '0'}.{text[point:]}"
+        cells.append(f"{'-' if sign < 0.3 else ''}{mantissa}e{exponent}")
+    return cells
+
+
+def test_the_reader_parses_short_decimals_of_every_exponent_as_float(built_kernels):
+    _assert_parsed_as_float(_random_decimals(np.random.default_rng(29), 200_000, (-350, 321)))
+
+
+def _halfway_cells():
+    """Decimals of at most 19 digits exactly halfway between two adjacent
+    doubles, with their neighbours one unit in the last digit away."""
+    rng = np.random.default_rng(30)
+    cells = []
+    for m in rng.integers(2**52, 2**53, size=40).tolist() + [2**52, 2**53 - 1]:
+        for j in range(-4, 11):  # the half unit is 2**(j - 1)
+            odd = 2 * m + 1
+            digits, exponent = (odd << (j - 1), 0) if j >= 1 else (odd * 5 ** (1 - j), j - 1)
+            for w in (digits - 1, digits, digits + 1):
+                if len(str(w)) <= 19:
+                    cells.append(f"{w}e{exponent}")
+    return cells
+
+
+def test_the_reader_rounds_exact_halves_to_even(built_kernels):
+    spellings = ["9007199254740993", "9007199254740993.0", "9007199254740993.00", "9007199254740993.000"]
+    spellings += ["9.007199254740993e15", "90071992547409930e-1", "0.9007199254740993e16", "1e23", "9007199254740995"]
+    cells = spellings + _halfway_cells()
+    assert len(cells) > 500
+    _assert_parsed_as_float(cells)
+    assert _parsed(spellings[:4]).tolist() == [2.0**53] * 4  # ties to even, not up
+
+
+def test_the_reader_takes_the_edge_values(built_kernels):
+    cells = ["2.2250738585072014e-308", "1.7976931348623157e308", "-0.0", "0.0", "1e-05", "0e999999", "-0", "007.50"]
+    got = _parsed(cells)
+    assert got is not None and (_bits(got) == _bits([float(cell) for cell in cells])).all()
+
+
+@pytest.mark.parametrize(
+    "cell",
+    ["5e-324", "1.7976931348623159e308", "12345678901234567890", "1.0000000000000000000", "1e-400", "1e400",
+     "+1", ".5", "5.", "-", "1e", "1e+", "inf", "nan", "1_000", " 1", "1 ", "0x10", "1.5#", "١"],
+)
+def test_the_reader_hands_back_what_it_does_not_take(built_kernels, cell):
+    assert _parsed(["1.0", cell, "2.0"]) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"1,2\n3,4", b"1,2\n\n3,4\n", b"1,2\n3,4\n\n", b"1,2\r\n3,4\r\n", b"1,2\n3\n", b"1,2\n3,4,5\n", b"1,2,\n3,4\n",
+     b"1,2\n# c\n", b""],
+)
+def test_the_reader_takes_only_whole_rows_of_the_width(built_kernels, text):
+    assert _kernels.parse_block(text, 0, text.count(b"\n"), 2) is None
+
+
+def test_the_reader_reads_from_an_offset_in_place(built_kernels):
+    text = b"t,x\n0.5,-1e-05\n1.0,2.5e+16\n"
+    got = _kernels.parse_block(text, 4, 2, 2)
+    assert got.shape == (2, 2) and got.tolist() == [[0.5, -1e-05], [1.0, 2.5e16]]
+
+
+def test_the_powers_of_five_are_fast_float_s(built_kernels):
+    first, last, words = _kernels.powers_of_five()
+    assert (first, last) == (-342, 308) and words.shape == (last - first + 1, 2) and words.dtype == np.uint64
+    significands = {q: int(hi) << 64 | int(lo) for q, (hi, lo) in zip(range(first, last + 1), words.tolist())}
+    # fast_float's table generator: truncated, but rounded up where 5**-q < 2**64
+    for q, significand in significands.items():
+        power = 5**abs(q)
+        if q >= 0:
+            expected = power << max(128 - power.bit_length(), 0) >> max(power.bit_length() - 128, 0)
+        else:
+            z = power.bit_length()
+            expected = (1 << (z + 127)) // power + 1 if q >= -27 else ((1 << (2 * z + 128)) // power + 1) >> (z + 1)
+            expected >>= max(expected.bit_length() - 128, 0)
+        assert significand == expected, q
+    # 10**-342, 10**-1 and 10**0 as fast_float lists them
+    assert significands[-342] == 0xEEF453D6923BD65A_113FAA2906A13B3F
+    assert significands[-1] == 0xCCCCCCCCCCCCCCCC_CCCCCCCCCCCCCCCD
+    assert significands[0] == 1 << 127
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_the_reader_gives_the_same_doubles_without_a_128_bit_integer(fresh_install, monkeypatch):
+    monkeypatch.setattr(_kernels, "FLAGS", (*_kernels.FLAGS, "-U__SIZEOF_INT128__"))
+    assert _kernels.library() is not None
+    rng = np.random.default_rng(31)
+    values = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    cells = [repr(v) for v in values[np.isfinite(values)].tolist()] + _random_decimals(rng, 50_000, (-350, 321))
+    _assert_parsed_as_float(cells + _halfway_cells())
+    text, _ = _formatted(values[np.isfinite(values)])
+    assert text == _reprs(values[np.isfinite(values)])  # the formatter's rounded product too
