@@ -53,10 +53,10 @@ void sidiff_em_steps(long steps, long n, const double *lam, const double *s2, co
 /* Reference LAPACK dgtsv on the natural spline system of spline.NaturalSpline.
 
    dx holds the n - 1 knot gaps and b the n right-hand sides, which are
-   overwritten by the knot slopes; work holds 3 n doubles.  The system
-   is the one spline._layout builds, and the elimination and back
-   substitution are those of spline._solve, row interchanges and the
-   fill-in term included.  Returns 0, or 1 when a pivot is zero. */
+   overwritten by the knot slopes; work holds 3 n doubles.  The row
+   interchanges and the fill-in term are dgtsv's, and spline._solve is
+   this function line for line in Python.  Returns 0, or 1 when a pivot
+   is zero. */
 int sidiff_spline_solve(long n, const double *dx, double *b, double *work)
 {
     double *d = work, *du = work + n, *dl = work + 2 * n;
@@ -99,7 +99,8 @@ int sidiff_spline_solve(long n, const double *dx, double *b, double *work)
     }
     if (d[n - 1] == 0.0)
         return 1;
-    /* the last two rows subtract zero terms too, as the Python replay does */
+    /* the last two rows subtract zero terms too: v - 0.0 * 0.0 is v, so
+       they come out as dgtsv's shorter formulas give them */
     double x1 = 0.0, x2 = 0.0;
     for (long i = n - 1; i >= 0; i--) {
         double upper = i < n - 1 ? du[i] : 0.0, upper2 = i < n - 2 ? dl[i] : 0.0;
@@ -342,13 +343,12 @@ static int repr_digits(double v, const char *digits, int length, int decpt, char
    -2.2250738585072014e-308, and a separator.  pow_f and pow_e hold
    the 64-bit significand, rounded to nearest, and the binary exponent of
    10^k for k from first to last, the range sidiff_power_range reports.
-   ends, when not NULL, receives the offset just past each cell's
-   separator.  *fallbacks is increased by the number of cells handed to
+   *fallbacks is increased by the number of cells handed to
    PyOS_double_to_string: zeros, infinities, NaNs and the doubles Grisu3
    leaves undecided.  Returns the number of bytes written, or -1 when
    CPython's formatter fails, with its Python exception set. */
 long sidiff_format_block(long rows, long cols, const double *values, const uint64_t *pow_f, const int *pow_e,
-                         int first, int last, char *out, int64_t *ends, long *fallbacks)
+                         int first, int last, char *out, long *fallbacks)
 {
     char *p = out, digits[MAX_DIGITS];
     for (long i = 0; i < rows * cols; i++) {
@@ -367,8 +367,6 @@ long sidiff_format_block(long rows, long cols, const double *values, const uint6
             ++*fallbacks;
         }
         *p++ = (i + 1) % cols ? ',' : '\n';
-        if (ends)
-            ends[i] = p - out;
     }
     return (long)(p - out);
 }

@@ -1,14 +1,15 @@
 """The C kernels of `_kernels.c`, compiled with `cc` on first use.
 
 `library()` builds the shared library into the package's __pycache__
-directory the first time any process asks for it, under a name that
-hashes the source, the compiler flags and the interpreter's cache tag,
-so a changed source builds anew.  The build writes a temporary name and
+directory the first time any process asks for it, under a name of the
+interpreter's cache tag and a hash of the source and the compiler
+flags, so a changed source builds anew and its build then removes the
+older ones of the same tag.  The build writes a temporary name and
 renames it into place, so processes that build at once are safe.  When
 the build or the load fails for any reason (no compiler, a read-only
-package directory, a timeout), `library()` returns None and the callers
-run their numpy or Python loops, which give the same bytes.  There is
-nothing to configure.
+package directory, a timeout), `library()` returns None and each caller
+runs its one Python twin of the kernel, which gives the same bytes.
+There is nothing to configure.
 
 The CSV float formatter is the one kernel that calls CPython: it may
 hand a cell to CPython's own formatter, which allocates through the
@@ -57,9 +58,9 @@ def library() -> ctypes.CDLL | None:
 
 def _build() -> Path:
     """The compiled library's path, compiling it when it is not there yet."""
-    source = SOURCE.read_bytes()
-    key = hashlib.sha256(b"\0".join([source, " ".join(FLAGS).encode(), sys.implementation.cache_tag.encode()]))
-    target = SOURCE.parent / "__pycache__" / f"_kernels-{key.hexdigest()[:16]}.so"
+    key = hashlib.sha256(b"\0".join([SOURCE.read_bytes(), " ".join(FLAGS).encode()])).hexdigest()[:16]
+    tag = sys.implementation.cache_tag
+    target = SOURCE.parent / "__pycache__" / f"_kernels-{tag}-{key}.so"
     if not target.exists():
         import subprocess
 
@@ -75,6 +76,9 @@ def _build() -> Path:
             raise OSError(f"could not build {target.name}") from exc
         finally:
             partial.unlink(missing_ok=True)
+        for old in target.parent.glob(f"_kernels-{tag}-*.so"):
+            if old != target:
+                old.unlink(missing_ok=True)
     return target
 
 
@@ -96,35 +100,29 @@ def _load(path: Path) -> ctypes.CDLL:
     # the formatter leaves set
     formatter = ctypes.PyDLL(str(path)).sidiff_format_block
     formatter.restype = size
-    formatter.argtypes = [size, size, *[pointer] * 3, ctypes.c_int, ctypes.c_int, pointer, pointer, ctypes.POINTER(size)]
+    formatter.argtypes = [size, size, *[pointer] * 3, ctypes.c_int, ctypes.c_int, pointer, ctypes.POINTER(size)]
     lib.sidiff_format_block = formatter
     return lib
 
 
-def format_block(block: np.ndarray, out: np.ndarray, ends: np.ndarray | None = None) -> tuple[int, int]:
+def format_block(block: np.ndarray, out: np.ndarray) -> tuple[int, int]:
     """The rows of a 2-d float64 block as CSV text, through the loaded
     library's `sidiff_format_block`.
 
     Each cell is written as repr writes it, followed by ',' or, at the
     end of its row, '\n', into the uint8 array out, which holds at least
-    CELL_BYTES bytes per cell.  ends, a block-shaped int64 array, when
-    given, receives the offset just past each cell's separator.  Returns
-    the number of bytes written and the number of cells handed to
-    CPython's formatter.
+    CELL_BYTES bytes per cell.  Returns the number of bytes written and
+    the number of cells handed to CPython's formatter.
     """
     check_arrays(block)
     check_arrays(out, dtype=np.uint8)
     if block.ndim != 2 or out.size < CELL_BYTES * block.size:
         raise ValueError(f"need a 2-d block and {CELL_BYTES} bytes of out per cell")
-    if ends is not None:
-        check_arrays(ends, dtype=np.int64)
-        if ends.shape != block.shape:
-            raise ValueError("ends must have the block's shape")
     first, last, significands, exponents = powers_of_ten()
     fallbacks = ctypes.c_long()
     written = library().sidiff_format_block(
         *block.shape, block.ctypes.data, significands.ctypes.data, exponents.ctypes.data, first, last,
-        out.ctypes.data, None if ends is None else ends.ctypes.data, ctypes.byref(fallbacks),
+        out.ctypes.data, ctypes.byref(fallbacks),
     )
     return written, fallbacks.value
 

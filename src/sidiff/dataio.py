@@ -15,8 +15,8 @@ the files these writers write, rows of '\n'-ended cells in repr's
 number grammar, to the doubles float() gives.  Any other file (CRLF
 endings, blank or comment lines among the rows, spaces, other number
 spellings, a missing final newline) and any file where the kernels
-cannot be built is read by the text reader, np.loadtxt with a line
-parser behind it, which words every error with its path:line.
+cannot be built is read line by line with float(), which gives the
+same doubles and words every error with its path:line.
 
 Writes go to a temp file in the target directory, .tmp_<random>.part,
 which is then renamed onto the target, so an exception or a process
@@ -42,10 +42,12 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import io
 import itertools
 import json
 import os
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,11 +135,12 @@ def _write_csv(
     array, written cell by cell as the shortest round-trip repr.
     meta=(payload, seed) puts the metadata comment line first.
 
-    The float columns are stacked into one C-order block, which the C
-    formatter writes as text into one preallocated buffer; a table of
-    floats alone is written from that buffer as it is, and string
-    columns are spliced in row by row.  Where the kernels cannot be
-    built, each float goes through repr, with the same bytes.
+    A table of floats alone is one call of the C formatter, which writes
+    its text into one preallocated buffer, written out as it is.  Any
+    other table is joined row by row from the cells of its columns; a
+    float column's cells are made as their rows are joined (see
+    `_float_cells`), so a float column costs its text, not one object
+    per cell.
     """
     import locale  # the encoding open() would write text in
 
@@ -145,39 +148,31 @@ def _write_csv(
     lines = [metadata_line(*meta)] if meta is not None else []
     lines.append(",".join(header))
     head = ("\n".join(lines) + "\n").encode(encoding)
-    floats = [np.asarray(col, dtype=float) for col in columns if not isinstance(col, list)]
-    if _kernels.library() is None or not floats:
-        cells = [
-            col if isinstance(col, list) else map(repr, np.asarray(col, dtype=float).tolist())
-            for col in columns
-        ]
-        rows = ((",".join(row) + "\n").encode(encoding) for row in zip(*cells))
-        _atomic_write(path, b"".join(itertools.chain([head], rows)))
-        return
-    block = np.stack(floats, axis=1)
-    buffer = np.empty(len(head) + _kernels.CELL_BYTES * block.size, dtype=np.uint8)
-    buffer[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-    body = buffer[len(head) :]
-    if len(floats) == len(columns):
-        written, _ = _kernels.format_block(block, body)
+    if _kernels.library() is not None and not any(isinstance(col, list) for col in columns):
+        block = np.stack([np.asarray(col, dtype=float) for col in columns], axis=1)
+        buffer = np.empty(len(head) + _kernels.CELL_BYTES * block.size, dtype=np.uint8)
+        buffer[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+        written, _ = _kernels.format_block(block, buffer[len(head) :])
         _atomic_write(path, buffer[: len(head) + written].data)
         return
-    # cell (i, j) of the block is body[starts[i, j] : ends[i, j] - 1], its separator dropped
-    offsets = np.zeros(block.size + 1, dtype=np.int64)
-    starts, ends = offsets[:-1].reshape(block.shape), offsets[1:].reshape(block.shape)
-    _kernels.format_block(block, body, ends)
-    # every cell is made as its row is joined, so only the rows of the table are alive at once
-    view, segments, j = body.data, [], 0
-    for is_float, run in itertools.groupby(columns, key=lambda col: not isinstance(col, list)):
-        run = list(run)
-        if is_float:  # a run of float columns is one slice of each row's text
-            bounds = zip(starts[:, j].tolist(), (ends[:, j + len(run) - 1] - 1).tolist())
-            segments.append(view[a:b] for a, b in bounds)
-            j += len(run)
-        else:
-            segments.extend((cell.encode(encoding) for cell in col) for col in run)
-    rows = (b",".join(row) + b"\n" for row in zip(*segments))
+    cells = [
+        (cell.encode(encoding) for cell in col) if isinstance(col, list) else _float_cells(col)
+        for col in columns
+    ]
+    rows = (b",".join(row) + b"\n" for row in zip(*cells))
     _atomic_write(path, b"".join(itertools.chain([head], rows)))
+
+
+def _float_cells(column) -> Iterator[bytes]:
+    """The cells of a float column as repr writes them, each made as it
+    is read: lines of the C formatter's text, or repr where the kernels
+    cannot be built."""
+    values = np.ascontiguousarray(column, dtype=float)
+    if _kernels.library() is None:
+        return (repr(value).encode() for value in values.tolist())
+    text = np.empty(_kernels.CELL_BYTES * values.size, dtype=np.uint8)
+    written, _ = _kernels.format_block(values.reshape(-1, 1), text)
+    return (line[:-1] for line in io.BytesIO(text[:written].tobytes()))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -232,8 +227,8 @@ def _read_table(path: str, first_column: str) -> tuple[list[str], list[int], np.
     or of one field, a row of another width and a non-numeric cell.
 
     The C reader of sidiff._kernels takes the files the writers write;
-    it hands any other file back whole, and the text reader below reads
-    it and words every error.
+    it hands any other file back whole, and `_parse_cells` reads it and
+    words every error.
     """
     table = _read_table_in_c(path, first_column) if _kernels.library() is not None else None
     if table is not None:
@@ -245,18 +240,7 @@ def _read_table(path: str, first_column: str) -> tuple[list[str], list[int], np.
     data = lines[1:]
     if header[0] != first_column or len(header) < 2:
         raise ValueError(f"{path}:{header_line}: expected header {first_column},<column>,...")
-    # np.loadtxt accepts a subset of what float() accepts, with the same
-    # values (it refuses 1_000 and full-width digits); what it refuses goes
-    # to the line parser, which loads the rest and words every error.
-    # comments=None keeps an inline '#' a non-numeric cell.  Where the C
-    # reader runs, only the files it hands back get here
-    try:
-        cells = np.loadtxt([text for _, text in data], delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        cells = None
-    if cells is None or cells.shape[1] != len(header):
-        cells = _parse_cells(path, len(header), data)
-    return header, [lineno for lineno, _ in data], cells
+    return header, [lineno for lineno, _ in data], _parse_cells(path, len(header), data)
 
 
 def _read_table_in_c(path: str, first_column: str) -> tuple[list[str], list[int], np.ndarray] | None:

@@ -22,29 +22,18 @@ theirs bit for bit:
   constant to the previous piece's value at their common knot.
 
 The solve runs in the C kernel `sidiff_spline_solve` (see
-sidiff._kernels), which does dgtsv whole on each fit.  Where the kernel
-cannot be built, `_solve` replays it in Python, with the same bytes,
-and one cache keeps that fit fast.  The row interchanges and
-elimination factors of the solve depend only on the knot spacing, so
-they are worked out once per knot layout, as the Python floats the
-solve reads, and the _LAYOUTS_KEPT most recently used layouts are kept
-(about 112 bytes per knot each, up to about 140 where rows are
-interchanged); a fit then runs the elimination on its right-hand side
-alone.  An entry is a function of its key alone, so no result depends
-on what is cached.
+sidiff._kernels).  `_solve` is that kernel line for line in Python, the
+reference it is tested against and the fallback where it cannot be
+built, with the same bytes.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from . import _kernels
 
 __all__ = ["NaturalSpline"]
-
-_LAYOUTS_KEPT = 8
 
 
 class NaturalSpline:
@@ -80,7 +69,7 @@ class NaturalSpline:
         rhs[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
         lib = _kernels.library()
         if lib is None:
-            s = np.array(_solve(_layout(x.tobytes()), rhs.tolist()), dtype=float)
+            s = np.array(_solve(dx.tolist(), rhs.tolist()))
         else:
             work = np.empty(3 * x.size)
             _kernels.check_arrays(dx, rhs, work)
@@ -138,71 +127,49 @@ class NaturalSpline:
         return self._with(c)
 
 
-@functools.lru_cache(maxsize=_LAYOUTS_KEPT)
-def _layout(knot_bytes: bytes) -> tuple:
-    """Row interchanges and factors of reference `dgtsv` on the spline
-    system of the knots whose float64 bytes are knot_bytes, as the
-    tuples of Python bools and floats that `_solve` zips over: the
-    interchange flags and the factors, first row first, then the
-    eliminated diagonal, superdiagonal and fill-in second
-    superdiagonal, last row first.  The fill-in is zero where no row
-    was interchanged.
+def _solve(dx: list, b: list) -> list:
+    """Reference LAPACK `dgtsv` on the natural spline system of the knot
+    gaps dx: the knot slopes for the right-hand sides b, which are
+    overwritten.  `sidiff_spline_solve` line for line, with d, du and dl
+    the diagonal, superdiagonal and subdiagonal.
     """
-    dx = np.diff(np.frombuffer(knot_bytes))
-    d = np.concatenate(([2 * dx[0]], 2 * (dx[:-1] + dx[1:]), [2 * dx[-1]])).tolist()
-    du = np.concatenate((dx[:1], dx[:-1])).tolist()
-    dl = np.concatenate((dx[1:], dx[-1:])).tolist()
-    n = len(d)
-    swaps, factors = [], []
-    du2 = [0.0] * (n - 2)
+    n = len(b)
+    d = [2 * dx[0], *(2 * (left + right) for left, right in zip(dx, dx[1:])), 2 * dx[-1]]
+    du = [dx[0], *dx[:-1]]
+    dl = [*dx[1:], dx[-1]]
+    # dl[i] becomes the fill-in of row i: du2 in dgtsv, zero where no
+    # rows were interchanged
     for i in range(n - 1):
-        swap = abs(d[i]) < abs(dl[i])
-        if not swap:
+        if not abs(d[i]) < abs(dl[i]):
             if d[i] == 0.0:
                 raise ValueError("singular spline system")
             fact = dl[i] / d[i]
             d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
         else:
             fact = d[i] / dl[i]
             d[i] = dl[i]
             temp = d[i + 1]
             d[i + 1] = du[i] - fact * temp
             if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -fact * du2[i]
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            else:
+                dl[i] = 0.0
             du[i] = temp
-        swaps.append(swap)
-        factors.append(fact)
-    if d[-1] == 0.0:
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[n - 1] == 0.0:
         raise ValueError("singular spline system")
-    # the back substitution starts from two zero unknowns past the last
-    # row, with zero coefficients: v - 0.0 * 0.0 is v, so the last two
-    # rows come out as dgtsv's shorter formulas give them
-    return tuple(swaps), tuple(factors), tuple(d[::-1]), (0.0, *du[::-1]), (0.0, 0.0, *du2[::-1])
-
-
-def _solve(layout: tuple, b: list) -> list:
-    """The elimination and back substitution of `dgtsv` on one right-hand side."""
-    swaps, factors, d, du, du2 = layout
-    # `row` is row i as eliminated so far; row i + 1 loses its factor
-    # times row i, or the two are interchanged first
-    row = b[0]
-    eliminated = []
-    for value, swap, fact in zip(b[1:], swaps, factors):
-        if swap:
-            eliminated.append(value)
-            row = row - fact * value
-        else:
-            eliminated.append(row)
-            row = value - fact * row
-    eliminated.append(row)
+    # the last two rows subtract zero terms too: v - 0.0 * 0.0 is v, so
+    # they come out as dgtsv's shorter formulas give them
     x1 = x2 = 0.0
-    out = []
-    for value, diag, upper, upper2 in zip(reversed(eliminated), d, du, du2):
-        x2, x1 = x1, (value - upper * x1 - upper2 * x2) / diag
-        out.append(x1)
-    out.reverse()
-    return out
+    for i in range(n - 1, -1, -1):
+        upper = du[i] if i < n - 1 else 0.0
+        upper2 = dl[i] if i < n - 2 else 0.0
+        x2, x1 = x1, (b[i] - upper * x1 - upper2 * x2) / d[i]
+        b[i] = x1
+    return b
 
 
 def _locate(x: np.ndarray, t: np.ndarray) -> tuple:

@@ -4,12 +4,14 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sidiff import _kernels
 from sidiff import (
     AnalysisConfig,
     EstimateResult,
@@ -348,6 +350,37 @@ def test_write_csv_edge_tables(tmp_path, kernel_states):
         lines = (d / "mixed.csv").read_text().splitlines()  # in the encoding open() writes
         assert lines[1:] == ["name,x,note,y,z", "Z\u00fcrich,0.5,,3.0,0.3333333333333333", "b,nan,s,-0.0,2.0"]
         assert lines[0] == metadata_line({"k": 1}, 5)
+
+
+def _write_peak(path, header, columns):
+    """The tracemalloc peak of one _write_csv call, in bytes."""
+    tracemalloc.start()
+    try:
+        _write_csv(path, header, columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mixed_tables_make_float_cells_as_their_rows_are_joined(tmp_path, kernel_states):
+    # a table shaped like write_kde's: four string columns, two float
+    # columns.  Against the same table with its float cells handed in as
+    # ready-made strings, the float columns may add their formatted text
+    # (at most CELL_BYTES per cell, and the formatter's buffer beside
+    # it), not one object per cell: a list of cells costs more than 50
+    # bytes per cell in object headers and pointers alone
+    rows = 16_384
+    rng = np.random.default_rng(29)
+    labels = [["case_a"] * rows, ["moment"] * rows, ["lambda"] * rows, [repr(0.123456789)] * rows]
+    floats = [rng.standard_normal(rows), rng.random(rows)]
+    header = ["case", "method", "param", "bandwidth", "x", "density"]
+    for state in kernel_states:  # the C formatter and the repr loop
+        d = tmp_path / state
+        strings = [[repr(v) for v in column.tolist()] for column in floats]
+        baseline = _write_peak(str(d / "strings.csv"), header, labels + strings)
+        peak = _write_peak(str(d / "floats.csv"), header, labels + floats)
+        assert (d / "floats.csv").read_bytes() == (d / "strings.csv").read_bytes()
+        assert peak - baseline < 2 * _kernels.CELL_BYTES * 2 * rows, state
 
 
 def test_no_partial_files_left_behind(tmp_path):

@@ -2,6 +2,7 @@
 reader, and the fallback when the build fails."""
 
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -47,13 +48,21 @@ def test_the_library_is_built_once_per_source_into_pycache(fresh_install):
     cache = fresh_install / "__pycache__"
     built = {p.name for p in cache.iterdir()}
     assert len(built) == 1 and next(iter(built)).startswith("_kernels-")
-    # a changed source builds anew beside the old library; no temporary file stays
+    # a changed source builds anew and replaces the old library; no temporary file stays
     source = fresh_install / _kernels.SOURCE.name
     source.write_text(source.read_text() + "/* changed */\n")
     _kernels.library.cache_clear()
     assert _kernels.library() is not None
     rebuilt = {p.name for p in cache.iterdir()}
-    assert len(rebuilt) == 2 and built < rebuilt and all(name.endswith(".so") for name in rebuilt)
+    assert len(rebuilt) == 1 and rebuilt != built and next(iter(rebuilt)).endswith(".so")
+    # the name carries the interpreter's cache tag, and a build of another tag stays
+    assert next(iter(rebuilt)).startswith(f"_kernels-{sys.implementation.cache_tag}-")
+    other = cache / "_kernels-othertag-0123456789abcdef.so"
+    other.write_bytes(b"")
+    source.write_text(source.read_text() + "/* changed again */\n")
+    _kernels.library.cache_clear()
+    assert _kernels.library() is not None
+    assert other.exists() and len(list(cache.iterdir())) == 2
 
 
 def test_a_failed_build_falls_back_to_the_same_bytes(monkeypatch, tmp_path):
@@ -124,12 +133,11 @@ def test_the_formatter_hands_zeros_and_non_finite_cells_to_cpython(built_kernels
 
 
 def test_the_formatter_separates_cells_and_reports_their_ends(built_kernels):
+    # each cell ends in ',' or, at the end of its row, '\n'
     block = np.array([[1.0, -0.5, 1e-5], [2.0, 1e16, 0.0]])
     out = np.empty(_kernels.CELL_BYTES * block.size, dtype=np.uint8)
-    ends = np.empty(block.shape, dtype=np.int64)
-    written, _ = _kernels.format_block(block, out, ends)
+    written, _ = _kernels.format_block(block, out)
     assert out[:written].tobytes() == b"1.0,-0.5,1e-05\n2.0,1e+16,0.0\n"
-    assert ends.tolist() == [[4, 9, 15], [19, 25, 29]]
     with pytest.raises(ValueError, match="bytes of out per cell"):
         _kernels.format_block(block, out[:-1])
     with pytest.raises(TypeError, match="C-contiguous"):

@@ -1,8 +1,5 @@
 """NaturalSpline against scipy's natural CubicSpline, bit for bit."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +16,6 @@ from sidiff import (
 )
 from sidiff import _kernels
 from sidiff.experiments import STANDARD_GRID, STANDARD_X0, case_rates
-from sidiff.spline import _layout
 from sidiff.synthetic import measles_like_rates
 
 
@@ -89,21 +85,29 @@ def test_spline_matches_scipy_on_two_and_three_knots(x):
     _assert_matches_scipy(x, rng.normal(size=x.size), _times(x, rng))
 
 
+def _interchanges(x):
+    """dgtsv's pivot choice on the spline system of the knots x, worked out
+    from the gaps alone: at each column, whether the next row's entry
+    there is larger in magnitude than the diagonal of the row eliminated
+    so far, so that the two rows trade places."""
+    dx = np.diff(x).tolist()
+    rows = [(2 * (left + right), right, left) for left, right in zip(dx, dx[1:])] + [(2 * dx[-1], dx[-1], 0.0)]
+    diag, upper = 2 * dx[0], dx[0]  # the pivot row so far: its entries in columns i and i + 1
+    swaps = []
+    for next_diag, below, next_upper in rows:  # the next row's entries in columns i + 1, i and i + 2
+        swaps.append(abs(diag) < abs(below))
+        if swaps[-1]:
+            fact = diag / below
+            diag, upper = upper - fact * next_diag, -fact * next_upper
+        else:
+            diag, upper = next_diag - below / diag * upper, next_upper
+    return swaps
+
+
 def test_growing_gaps_interchange_rows():
     # the drawn "growing" layouts exercise dgtsv's row interchange
-    swaps = _layout(np.array([0.0, 1.0, 3.5, 12.0, 40.0]).tobytes())[0]
-    assert all(swaps)
-    assert not any(_layout(np.linspace(0.0, 1.0, 9).tobytes())[0])
-
-
-@pytest.mark.parametrize("x", [np.linspace(0.0, 50.0, 501), np.array([0.0, 1.0, 3.5, 12.0, 40.0])])
-def test_layouts_are_cached_as_the_python_values_the_solve_reads(x):
-    # a cached layout is one representation: tuples of Python bools and
-    # floats, which the solve zips over without converting
-    swaps, *rows = _layout(x.tobytes())
-    assert type(swaps) is tuple and all(type(v) is bool for v in swaps)
-    assert all(type(row) is tuple and all(type(v) is float for v in row) for row in rows)
-    assert len(swaps) == x.size - 1 and [len(row) for row in rows] == [x.size - 1, x.size, x.size, x.size]
+    assert _interchanges(np.array([0.0, 1.0, 3.5, 12.0, 40.0])) == [True] * 4
+    assert not any(_interchanges(np.linspace(0.0, 1.0, 9)))
 
 
 @pytest.mark.parametrize("stride", [1, 10])
@@ -134,8 +138,8 @@ def test_tabulated_rates_match_scipy():
 
 
 def test_repeated_fits_and_evaluations_reuse_nothing_stale():
-    # the layout cache keys on the knots themselves, so a new layout
-    # never sees another's entries
+    # a fit keeps nothing between calls, so a new layout never sees
+    # another's values
     x = np.linspace(0.0, 1.0, 6)
     t = np.linspace(0.0, 1.0, 11)
     for shift in (0.0, 0.5, 0.0):
@@ -150,44 +154,6 @@ def test_scalar_and_array_times_give_the_same_values():
     values = [spline(t) for t in np.linspace(0.05, 0.95, 19)]
     assert all(value.shape == () for value in values)
     assert np.array_equal(values, spline(np.linspace(0.05, 0.95, 19)))
-
-
-def test_layout_cache_holds_under_concurrent_fits(monkeypatch):
-    # threads share the layout cache and fit more layouts than it keeps,
-    # so it evicts while other threads read; every result must still
-    # equal scipy's.  Only the Python solve reads the cache.
-    monkeypatch.setattr(_kernels, "library", lambda: None)
-    maxsize = _layout.cache_info().maxsize
-    layouts = [np.linspace(0.0, 1.0 + k, 40 + k) for k in range(2 * maxsize + 2)]
-    times = np.linspace(0.0, 1.0, 101)
-    expected = [CubicSpline(x, np.sin(x), bc_type="natural")(times) for x in layouts]
-    errors = []
-
-    def work(seed):
-        try:
-            for i in range(60):
-                k = (seed + i) % len(layouts)
-                if not np.array_equal(NaturalSpline(layouts[k], np.sin(layouts[k]))(times), expected[k]):
-                    errors.append(k)
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    _layout.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    info = _layout.cache_info()
-    # every layout was fitted, fewer are kept, and evicted ones missed again
-    assert info.currsize <= info.maxsize < len(layouts) < info.misses
 
 
 def test_spline_keeps_read_only_knots_and_refuses_bad_input():
