@@ -13,7 +13,8 @@
    of rows in the grammar the formatter writes, each cell to the double
    float() gives, by Eisel-Lemire; it calls nothing of CPython, and any
    block it does not take whole goes back to sidiff.dataio's own
-   reader. */
+   reader.  Both take their powers of ten from one table, the 128-bit
+   significands of 5^q, since 10^q = 5^q * 2^q. */
 
 #include <float.h>
 #include <math.h>
@@ -24,6 +25,11 @@
    Python loops run instead */
 #if FLT_EVAL_METHOD != 0
 #error "double arithmetic must round to double"
+#endif
+/* normalize counts leading zeros with a GCC builtin, which clang has too;
+   another compiler fails the build, and the Python twins run instead */
+#ifndef __GNUC__
+#error "need __builtin_clzll"
 #endif
 
 /* The Euler-Maruyama steps of one noise block of simulate._em_batch.
@@ -171,21 +177,18 @@ static diyfp multiply(diyfp x, diyfp y)
 /* x shifted until its top bit is set; x.f is not zero */
 static diyfp normalize(diyfp x)
 {
-#ifdef __GNUC__
     int zeros = __builtin_clzll(x.f);
     x.f <<= zeros;
     x.e -= zeros;
-#else
-    while (!(x.f & 0xFFC0000000000000ULL)) {
-        x.f <<= 10;
-        x.e -= 10;
-    }
-    while (!(x.f & 0x8000000000000000ULL)) {
-        x.f <<= 1;
-        x.e -= 1;
-    }
-#endif
     return x;
+}
+
+/* floor(q * log2(10)) for q from -342 to 324, the range of the table of
+   powers of five, with fast_float's 217706 / 2^16 for log2(10) */
+static int floor_log2_pow10(int q)
+{
+    int v = 217706 * q;
+    return v >= 0 ? v >> 16 : -((-v + 65535) >> 16);
 }
 
 /* The decimal exponent k of the cached power 10^k that scales a
@@ -195,14 +198,6 @@ static int power_for(int e)
     double x = (ALPHA - 1 - e) * LOG10_2;
     int k = (int)x; /* truncation, so a ceiling for x > 0 only */
     return k + (x > k);
-}
-
-/* The k the formatter looks up: normalized doubles and their boundaries
-   have binary exponents from that of DBL_MAX down to that of 5e-324 */
-void sidiff_power_range(int *first, int *last)
-{
-    *first = power_for(DBL_MAX_EXP - 64);
-    *last = power_for(DBL_MIN_EXP - DBL_MANT_DIG - 63);
 }
 
 /* Moves the last digit towards the scaled double w while it stays inside
@@ -266,8 +261,7 @@ static int digit_gen(diyfp low, diyfp w, diyfp high, char *digits, int *length, 
 
 /* The shortest digits of a finite, nonzero, positive v, the closest to v
    among them, with v = 0.digits * 10^decpt; 0 where Grisu3 cannot decide */
-static int grisu3(double v, const uint64_t *pow_f, const int *pow_e, int first, int last, char *digits,
-                  int *length, int *decpt)
+static int grisu3(double v, const uint64_t *powers, int first, int last, char *digits, int *length, int *decpt)
 {
     uint64_t bits;
     memcpy(&bits, &v, sizeof bits);
@@ -284,7 +278,10 @@ static int grisu3(double v, const uint64_t *pow_f, const int *pow_e, int first, 
     int k = power_for(w.e);
     if (k < first || k > last)
         return 0;
-    diyfp c = {pow_f[k - first], pow_e[k - first]};
+    /* 10^k to 64 bits: the high word of 5^k rounded by the low word's top
+       bit, which never carries it to 2^64, and 2^k in the exponent */
+    const uint64_t *power = powers + 2 * (k - first);
+    diyfp c = {power[0] + (power[1] >> 63), floor_log2_pow10(k) - 63};
     int kappa;
     int ok = digit_gen(multiply(minus, c), multiply(w, c), multiply(plus, c), digits, length, &kappa);
     *decpt = *length + kappa - k;
@@ -340,21 +337,22 @@ static int repr_digits(double v, const char *digits, int length, int decpt, char
    repr writes it, followed by ',' or, at the end of a row, '\n'.
 
    out holds at least 25 bytes per cell: the longest repr,
-   -2.2250738585072014e-308, and a separator.  pow_f and pow_e hold
-   the 64-bit significand, rounded to nearest, and the binary exponent of
-   10^k for k from first to last, the range sidiff_power_range reports.
+   -2.2250738585072014e-308, and a separator.  powers holds the high and
+   the low word of the 128-bit significand of 5^k for k from first to
+   last; Grisu3 looks up k from -307, for DBL_MAX, to 324, for 5e-324,
+   and a double whose k lies outside the table goes to CPython.
    *fallbacks is increased by the number of cells handed to
    PyOS_double_to_string: zeros, infinities, NaNs and the doubles Grisu3
    leaves undecided.  Returns the number of bytes written, or -1 when
    CPython's formatter fails, with its Python exception set. */
-long sidiff_format_block(long rows, long cols, const double *values, const uint64_t *pow_f, const int *pow_e,
-                         int first, int last, char *out, long *fallbacks)
+long sidiff_format_block(long rows, long cols, const double *values, const uint64_t *powers, int first, int last,
+                         char *out, long *fallbacks)
 {
     char *p = out, digits[MAX_DIGITS];
     for (long i = 0; i < rows * cols; i++) {
         double v = values[i];
         int length, decpt;
-        if (v != 0 && isfinite(v) && grisu3(fabs(v), pow_f, pow_e, first, last, digits, &length, &decpt)) {
+        if (v != 0 && isfinite(v) && grisu3(fabs(v), powers, first, last, digits, &length, &decpt)) {
             p += repr_digits(v, digits, length, decpt, p);
         } else {
             char *text = PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
@@ -389,14 +387,6 @@ long sidiff_format_block(long rows, long cols, const double *values, const uint6
    hands the others back, so that it needs no subnormal path. */
 
 #define MANTISSA_BITS 52
-
-/* floor(q * log2(10)) for |q| <= 342, with fast_float's 217706 / 2^16
-   for log2(10) */
-static int floor_log2_pow10(int q)
-{
-    int v = 217706 * q;
-    return v >= 0 ? v >> 16 : -((-v + 65535) >> 16);
-}
 
 /* The bits of the positive double nearest w * 10^q, 0 < w < 2^64, into
    *bits; 0 where w * 10^q is below the smallest normal double or its

@@ -19,13 +19,11 @@ returns the CDLL with that function in place of its own.  The other
 kernels, the CSV reader among them, touch no Python object and run on
 the CDLL, which releases the GIL.
 
-Two tables are worked out with Python integers on first use, not at
-import: the formatter's powers of ten, the 64-bit significands of 10**k
-rounded to nearest with their binary exponents (`powers_of_ten()`), and
-the reader's powers of five, the 128-bit significands of 5**q as
-fast_float tabulates them (`powers_of_five()`).  The kernels take raw
-pointers: each call site checks its arrays' dtype and layout once, with
-`check_arrays`.
+Both CSV kernels read one table, worked out with Python integers on
+first use, not at import: the 128-bit significands of 5**q as
+fast_float tabulates them (`powers_of_five()`), which are also those of
+10**q = 5**q * 2**q.  The kernels take raw pointers: each call site
+checks its arrays' dtype and layout once, with `check_arrays`.
 """
 
 from __future__ import annotations
@@ -91,8 +89,6 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.sidiff_em_steps.argtypes = [size, size, *[pointer] * 3, *[real] * 6, ctypes.c_int, pointer, pointer]
     lib.sidiff_spline_solve.restype = ctypes.c_int
     lib.sidiff_spline_solve.argtypes = [size, *[pointer] * 3]
-    lib.sidiff_power_range.restype = None
-    lib.sidiff_power_range.argtypes = [ctypes.POINTER(ctypes.c_int)] * 2
     lib.sidiff_parse_block.restype = ctypes.c_int
     lib.sidiff_parse_block.argtypes = [pointer, size, size, size, pointer, ctypes.c_int, ctypes.c_int, pointer]
     # the formatter may call CPython's allocator, which needs the GIL: a
@@ -100,7 +96,7 @@ def _load(path: Path) -> ctypes.CDLL:
     # the formatter leaves set
     formatter = ctypes.PyDLL(str(path)).sidiff_format_block
     formatter.restype = size
-    formatter.argtypes = [size, size, *[pointer] * 3, ctypes.c_int, ctypes.c_int, pointer, ctypes.POINTER(size)]
+    formatter.argtypes = [size, size, pointer, pointer, ctypes.c_int, ctypes.c_int, pointer, ctypes.POINTER(size)]
     lib.sidiff_format_block = formatter
     return lib
 
@@ -118,11 +114,10 @@ def format_block(block: np.ndarray, out: np.ndarray) -> tuple[int, int]:
     check_arrays(out, dtype=np.uint8)
     if block.ndim != 2 or out.size < CELL_BYTES * block.size:
         raise ValueError(f"need a 2-d block and {CELL_BYTES} bytes of out per cell")
-    first, last, significands, exponents = powers_of_ten()
+    first, last, powers = powers_of_five()
     fallbacks = ctypes.c_long()
     written = library().sidiff_format_block(
-        *block.shape, block.ctypes.data, significands.ctypes.data, exponents.ctypes.data, first, last,
-        out.ctypes.data, ctypes.byref(fallbacks),
+        *block.shape, block.ctypes.data, powers.ctypes.data, first, last, out.ctypes.data, ctypes.byref(fallbacks)
     )
     return written, fallbacks.value
 
@@ -156,53 +151,27 @@ def check_arrays(*arrays: np.ndarray, dtype=np.float64) -> None:
 
 
 @functools.cache
-def powers_of_ten() -> tuple[int, int, np.ndarray, np.ndarray]:
-    """(first, last, significands, exponents): 10**k ~ significands[i] * 2**exponents[i]
-    for k = first + i, over the range of k the formatter looks up.
-
-    Each significand is 10**k rounded to nearest to 64 bits, its top bit
-    set, worked out with Python integers on the first call.
-    """
-    first, last = ctypes.c_int(), ctypes.c_int()
-    library().sidiff_power_range(ctypes.byref(first), ctypes.byref(last))
-    table = [_power_of_ten(k) for k in range(first.value, last.value + 1)]
-    significands, exponents = zip(*table)
-    return first.value, last.value, np.array(significands, dtype=np.uint64), np.array(exponents, dtype=np.intc)
-
-
-def _power_of_ten(k: int) -> tuple[int, int]:
-    """(f, e) with 2**63 <= f < 2**64 and f * 2**e the nearest such number to 10**k."""
-    doubled, e = _leading_bits(*_ratio(10, k), 65)
-    f = (doubled + 1) >> 1  # no 10**k lies halfway between two such numbers
-    return (f >> 1, e + 2) if f >> 64 else (f, e + 1)
-
-
-@functools.cache
 def powers_of_five() -> tuple[int, int, np.ndarray]:
     """(first, last, significands): the 128-bit significand of 5**q as
-    its high and low 64-bit words, significands[i], for q = first + i,
-    over the q of every decimal w * 10**q, 0 < w < 2**64, whose double is
-    neither zero nor infinite.
+    its high and low 64-bit words, significands[i], for q = first + i.
+
+    The range holds the q of every decimal w * 10**q, 0 < w < 2**64, whose
+    double is neither zero nor infinite, for the reader, and runs on to
+    324 for the formatter, which scales 5e-324 by 10**324.  They are also
+    the significands of 10**q = 5**q * 2**q: the high word rounded by the
+    low word's top bit is 10**q rounded to nearest to 64 bits, with the
+    binary exponent floor(q * log2(10)) - 63.
 
     Each significand is fast_float's, worked out with Python integers on
     the first call: 5**q truncated to 128 bits, except that where 5**-q
     fits in 64 bits (q from -27 to -1) it is rounded up.
     """
-    first, last = -342, 308
+    first, last = -342, 324
     words = []
     for q in range(first, last + 1):
-        significand = _leading_bits(*_ratio(5, q), 128)[0] + (-27 <= q < 0)
+        num, den = (5**q, 1) if q >= 0 else (1, 5**-q)
+        shift = num.bit_length() - den.bit_length() - 128  # num / den / 2**shift lies in (2**127, 2**129)
+        significand = (num << max(-shift, 0)) // (den << max(shift, 0))
+        significand = (significand >> (significand.bit_length() - 128)) + (-27 <= q < 0)
         words.append((significand >> 64, significand & (2**64 - 1)))
     return first, last, np.array(words, dtype=np.uint64)
-
-
-def _ratio(base: int, k: int) -> tuple[int, int]:
-    """base**k as a numerator and a denominator."""
-    return (base**k, 1) if k >= 0 else (1, base**-k)
-
-
-def _leading_bits(num: int, den: int, bits: int) -> tuple[int, int]:
-    """(f, e) with 2**(bits - 1) <= f < 2**bits and f = floor(num / den / 2**e)."""
-    e = num.bit_length() - den.bit_length() - bits  # num / den / 2**e lies in (2**(bits - 1), 2**(bits + 1))
-    f = (num << max(-e, 0)) // (den << max(e, 0))
-    return (f >> 1, e + 1) if f >> bits else (f, e)

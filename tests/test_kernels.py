@@ -3,6 +3,7 @@ reader, and the fallback when the build fails."""
 
 import shutil
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,8 +128,9 @@ def test_the_formatter_writes_repr_at_the_hard_cases(built_kernels, name):
 
 
 def test_the_formatter_hands_zeros_and_non_finite_cells_to_cpython(built_kernels):
-    text, fallbacks = _formatted([0.0, -0.0, np.inf, -np.inf, np.nan, 0.1, -2.5])
-    assert text == b"0.0\n-0.0\ninf\n-inf\nnan\n0.1\n-2.5\n"
+    # the two ends of the doubles' range take Grisu3's powers 10**324 and 10**-307, not CPython's formatter
+    text, fallbacks = _formatted([0.0, -0.0, np.inf, -np.inf, np.nan, 0.1, -2.5, 5e-324, -1.7976931348623157e308])
+    assert text == b"0.0\n-0.0\ninf\n-inf\nnan\n0.1\n-2.5\n5e-324\n-1.7976931348623157e+308\n"
     assert fallbacks == 5
 
 
@@ -142,19 +144,6 @@ def test_the_formatter_separates_cells_and_reports_their_ends(built_kernels):
         _kernels.format_block(block, out[:-1])
     with pytest.raises(TypeError, match="C-contiguous"):
         _kernels.format_block(np.asfortranarray(block), out)
-
-
-def test_the_powers_of_ten_are_rounded_to_64_bits(built_kernels):
-    first, last, significands, exponents = _kernels.powers_of_ten()
-    assert first <= -307 and last >= 324 and significands.size == exponents.size == last - first + 1
-    # the table's ends and 10**0 as double-conversion lists them
-    assert _kernels._power_of_ten(-348) == (0xFA8FD5A0081C0288, -1220)
-    assert _kernels._power_of_ten(340) == (0xAF87023B9BF0EE6B, 1066)
-    assert (int(significands[-first]), int(exponents[-first])) == (1 << 63, -63)
-    for k in (first, -1, 1, 22, 23, last):
-        f, e = _kernels._power_of_ten(k)
-        num, den = (10**k * 2 ** max(-e, 0), 2 ** max(e, 0)) if k >= 0 else (2 ** -e, 10**-k)
-        assert 1 << 63 <= f < 1 << 64 and abs(2 * (f * den - num)) <= den
 
 
 def _parsed(cells):
@@ -276,7 +265,7 @@ def test_the_reader_reads_from_an_offset_in_place(built_kernels):
 
 def test_the_powers_of_five_are_fast_float_s(built_kernels):
     first, last, words = _kernels.powers_of_five()
-    assert (first, last) == (-342, 308) and words.shape == (last - first + 1, 2) and words.dtype == np.uint64
+    assert (first, last) == (-342, 324) and words.shape == (last - first + 1, 2) and words.dtype == np.uint64
     significands = {q: int(hi) << 64 | int(lo) for q, (hi, lo) in zip(range(first, last + 1), words.tolist())}
     # fast_float's table generator: truncated, but rounded up where 5**-q < 2**64
     for q, significand in significands.items():
@@ -292,6 +281,18 @@ def test_the_powers_of_five_are_fast_float_s(built_kernels):
     assert significands[-342] == 0xEEF453D6923BD65A_113FAA2906A13B3F
     assert significands[-1] == 0xCCCCCCCCCCCCCCCC_CCCCCCCCCCCCCCCD
     assert significands[0] == 1 << 127
+
+
+def test_the_powers_of_five_rounded_to_64_bits_are_the_powers_of_ten(built_kernels):
+    first, last, words = _kernels.powers_of_five()
+    for k in range(first, last + 1):
+        # the kernels' floor(k * log2(10)), fast_float's 217706 * k / 2**16 floored, is exact over the table
+        floor_log2 = (10**k).bit_length() - 1 if k >= 0 else -(10**-k).bit_length()
+        assert (217706 * k) >> 16 == floor_log2, k
+        if -307 <= k <= 324:  # the k Grisu3 looks up, normalized doubles from DBL_MAX down to 5e-324
+            high, low = (int(word) for word in words[k - first])
+            nearest = round(Fraction(10) ** k / Fraction(2) ** (floor_log2 - 63))  # never halfway
+            assert 1 << 63 <= nearest < 1 << 64 and high + (low >> 63) == nearest, k
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
