@@ -6,15 +6,13 @@
    builds this file with -ffp-contract=off (no fused multiply-add) and
    -fno-fast-math, and the twins stay as the fallback and the reference.
    The CSV float formatter writes the bytes of Python's repr, through
-   Grisu3 digits, and hands the doubles Grisu3 cannot decide to
-   CPython's own formatter.  Only those hand-offs allocate, and they
-   need the GIL: sidiff._kernels calls the formatter through a
-   ctypes.PyDLL handle, which keeps it.  The CSV reader parses a block
-   of rows in the grammar the formatter writes, each cell to the double
-   float() gives, by Eisel-Lemire; it calls nothing of CPython, and any
-   block it does not take whole goes back to sidiff.dataio's own
-   reader.  Both take their powers of ten from one table, the 128-bit
-   significands of 5^q, since 10^q = 5^q * 2^q. */
+   Schubfach's shortest digits.  The CSV reader parses a block of rows in
+   the grammar the formatter writes, each cell to the double float()
+   gives, by Eisel-Lemire; any block it does not take whole goes back to
+   sidiff.dataio's own reader.  No kernel calls anything of CPython, so
+   sidiff._kernels calls them all through a ctypes.CDLL handle, which
+   releases the GIL.  Both CSV kernels take their powers of ten from one
+   table, the 128-bit significands of 5^q, since 10^q = 5^q * 2^q. */
 
 #include <float.h>
 #include <math.h>
@@ -118,27 +116,24 @@ int sidiff_spline_solve(long n, const double *dx, double *b, double *work)
     return 0;
 }
 
-/* Shortest round-trip formatting of doubles: Grisu3 (Loitsch, "Printing
-   floating-point numbers quickly and accurately with integers", PLDI
-   2010), as in the double-conversion library, laid out by the rules of
-   Python's repr.
+/* Shortest round-trip formatting of doubles: Schubfach (Giulietti, "The
+   Schubfach way to render doubles", 2020), as Bolz's C++ port of it
+   does it, laid out by the rules of Python's repr.
 
-   A DiyFp f * 2^e holds a 64-bit significand.  Grisu3 scales the double
-   and its two rounding boundaries by a cached power of ten into the
-   exponent window [ALPHA, -32], generates the digits of the upper
-   boundary until they fall inside the interval, and weeds the last
-   digit towards the double.  Where the error of the 64-bit arithmetic
-   leaves the shortest or the closest digits undecided, it says so, and
-   the double goes to PyOS_double_to_string, which float.__repr__
-   calls. */
+   A double v = c * 2^q is what every decimal strictly inside its
+   rounding interval reads back as, and, where c is even, those on its
+   ends too; the ends lie halfway to the neighbouring doubles.  Schubfach
+   scales v and both ends by 10^-k, with k = floor(log10 of the
+   interval's width), so that at most one multiple of 10^(k+1) lies in
+   the interval, and at least one of the two multiples of 10^k next to
+   v.  It takes that multiple of 10^(k+1) where there is one, and else
+   the one of the two inside, or, where both are, the nearer to v, a tie
+   going to the even digit: the shortest digits and, among them, the
+   closest, as David Gay's dtoa, which repr calls, picks them.  Each
+   scaled value is one product with an upper bound of the 128-bit
+   significand of 10^-k, rounded to odd, which Giulietti proves exact
+   enough for these comparisons. */
 
-/* CPython's formatter and allocator, resolved in the interpreter's process */
-char *PyOS_double_to_string(double val, char format_code, int precision, int flags, int *type);
-void PyMem_Free(void *ptr);
-#define Py_DTSF_ADD_DOT_0 0x02
-
-#define ALPHA (-60) /* the scaled exponent window is [ALPHA, -32] */
-#define LOG10_2 0.30102999566398114 /* as double-conversion rounds 1 / log2(10) */
 #define MAX_DIGITS 17 /* the longest shortest round-trip digits of a double */
 
 typedef struct {
@@ -166,14 +161,6 @@ static u128 full_multiply(uint64_t x, uint64_t y)
 #endif
 }
 
-/* x * y rounded at bit 64 */
-static diyfp multiply(diyfp x, diyfp y)
-{
-    u128 p = full_multiply(x.f, y.f);
-    diyfp r = {p.high + (p.low >> 63), x.e + y.e + 64};
-    return r;
-}
-
 /* x shifted until its top bit is set; x.f is not zero */
 static diyfp normalize(diyfp x)
 {
@@ -191,105 +178,69 @@ static int floor_log2_pow10(int q)
     return v >= 0 ? v >> 16 : -((-v + 65535) >> 16);
 }
 
-/* The decimal exponent k of the cached power 10^k that scales a
-   normalized DiyFp of binary exponent e into [ALPHA, -32] */
-static int power_for(int e)
+/* floor(log10(2^q)), or where three_quarters floor(log10(3/4 * 2^q)), for
+   q from -1074 to 971, with Bolz's 1262611 / 2^22 for log10(2) and
+   524031 / 2^22 for log10(4/3) */
+static int floor_log10_pow2(int q, int three_quarters)
 {
-    double x = (ALPHA - 1 - e) * LOG10_2;
-    int k = (int)x; /* truncation, so a ceiling for x > 0 only */
-    return k + (x > k);
+    int v = 1262611 * q - (three_quarters ? 524031 : 0);
+    return v >= 0 ? v >> 22 : -((-v + (1 << 22) - 1) >> 22);
 }
 
-/* Moves the last digit towards the scaled double w while it stays inside
-   the interval; 1 when the digits are then known to be the closest and
-   safely inside, 0 when the error of the scaled values leaves it open */
-static int round_weed(char *digits, int length, uint64_t distance_too_high_w, uint64_t unsafe_interval,
-                      uint64_t rest, uint64_t ten_kappa, uint64_t unit)
+/* g * x / 2^128 rounded to odd: its floor, with the last bit set where
+   the fraction is more than the error of g's upper bound can make */
+static uint64_t round_to_odd(u128 g, uint64_t x)
 {
-    uint64_t small_distance = distance_too_high_w - unit, big_distance = distance_too_high_w + unit;
-    while (rest < small_distance && unsafe_interval - rest >= ten_kappa &&
-           (rest + ten_kappa < small_distance || small_distance - rest >= rest + ten_kappa - small_distance)) {
-        digits[length - 1]--;
-        rest += ten_kappa;
-    }
-    if (rest < big_distance && unsafe_interval - rest >= ten_kappa &&
-        (rest + ten_kappa < big_distance || big_distance - rest > rest + ten_kappa - big_distance))
-        return 0;
-    return 2 * unit <= rest && rest <= unsafe_interval - 4 * unit;
+    u128 low = full_multiply(g.low, x), high = full_multiply(g.high, x);
+    uint64_t middle = high.low + low.high;
+    return (high.high + (middle < low.high)) | (middle > 1);
 }
 
-/* The shortest digits of the scaled upper boundary that land strictly
-   inside (low, high), weeded towards w; *kappa is the power of ten of
-   the last digit.  Returns round_weed's verdict. */
-static int digit_gen(diyfp low, diyfp w, diyfp high, char *digits, int *length, int *kappa)
+/* The shortest decimal m * 10^*e that reads back as the finite, positive
+   double of the given bits, the nearest to it among them; powers holds
+   the high and the low word of the 128-bit significand of 5^q for q from
+   first, which Schubfach looks up for q = -k from -292 to 324 */
+static uint64_t shortest(uint64_t bits, const uint64_t *powers, int first, int *e)
 {
-    uint64_t unit = 1;
-    uint64_t too_low = low.f - unit, too_high = high.f + unit;
-    uint64_t unsafe_interval = too_high - too_low;
-    int shift = -w.e;
-    uint64_t one = 1ULL << shift, fractionals = too_high & (one - 1);
-    /* at least 4 (high.f >= 2^62, shift <= 60), so the first digit is not 0 */
-    uint32_t integrals = (uint32_t)(too_high >> shift), divisor = 1;
-    *kappa = 1;
-    while (integrals / 10 >= divisor) {
-        divisor *= 10;
-        (*kappa)++;
-    }
-    *length = 0;
-    while (*kappa > 0) {
-        digits[(*length)++] = (char)('0' + integrals / divisor);
-        integrals %= divisor;
-        (*kappa)--;
-        uint64_t rest = ((uint64_t)integrals << shift) + fractionals;
-        if (rest < unsafe_interval)
-            return round_weed(digits, *length, too_high - w.f, unsafe_interval, rest, (uint64_t)divisor << shift,
-                              unit);
-        divisor /= 10;
-    }
-    while (*length < MAX_DIGITS) {
-        fractionals *= 10;
-        unit *= 10;
-        unsafe_interval *= 10;
-        digits[(*length)++] = (char)('0' + (fractionals >> shift));
-        fractionals &= one - 1;
-        (*kappa)--;
-        if (fractionals < unsafe_interval)
-            return round_weed(digits, *length, (too_high - w.f) * unit, unsafe_interval, fractionals, one, unit);
-    }
-    return 0;
-}
-
-/* The shortest digits of a finite, nonzero, positive v, the closest to v
-   among them, with v = 0.digits * 10^decpt; 0 where Grisu3 cannot decide */
-static int grisu3(double v, const uint64_t *powers, int first, int last, char *digits, int *length, int *decpt)
-{
-    uint64_t bits;
-    memcpy(&bits, &v, sizeof bits);
     uint64_t fraction = bits & ((1ULL << 52) - 1);
-    int biased = (int)(bits >> 52 & 0x7FF);
-    diyfp w = biased ? (diyfp){fraction | (1ULL << 52), biased - 1075} : (diyfp){fraction, -1074};
-    /* the boundaries halfway to the neighbouring doubles; the lower one is
-       closer at an exact power of two above the smallest normal */
-    diyfp plus = normalize((diyfp){(w.f << 1) + 1, w.e - 1});
-    diyfp minus = fraction == 0 && biased > 1 ? (diyfp){(w.f << 2) - 1, w.e - 2} : (diyfp){(w.f << 1) - 1, w.e - 1};
-    minus.f <<= minus.e - plus.e;
-    minus.e = plus.e;
-    w = normalize(w);
-    int k = power_for(w.e);
-    if (k < first || k > last)
-        return 0;
-    /* 10^k to 64 bits: the high word of 5^k rounded by the low word's top
-       bit, which never carries it to 2^64, and 2^k in the exponent */
-    const uint64_t *power = powers + 2 * (k - first);
-    diyfp c = {power[0] + (power[1] >> 63), floor_log2_pow10(k) - 63};
-    int kappa;
-    int ok = digit_gen(multiply(minus, c), multiply(w, c), multiply(plus, c), digits, length, &kappa);
-    *decpt = *length + kappa - k;
-    return ok;
+    int biased = (int)(bits >> 52);
+    uint64_t c = biased ? fraction | 1ULL << 52 : fraction;
+    int q = biased ? biased - 1075 : -1074;
+    *e = 0;
+    if (q <= 0 && q > -53 && (c & ((1ULL << -q) - 1)) == 0) /* an integer below 2^53 */
+        return c >> -q;
+    int irregular = fraction == 0 && biased > 1; /* the lower end is nearer: a quarter step down */
+    int k = floor_log10_pow2(q, irregular), h = q + floor_log2_pow10(-k) + 1;
+    /* an upper bound of 10^-k: the table entry plus one, where fast_float
+       has not already rounded it up */
+    const uint64_t *power = powers + 2 * (-k - first);
+    uint64_t up = -k < -27 || -k > -1;
+    u128 g = {power[0] + (power[1] + up < up), power[1] + up};
+    uint64_t odd = c & 1; /* the ends belong to the interval where c is even */
+    uint64_t vb = round_to_odd(g, c << (h + 2));
+    uint64_t lower = round_to_odd(g, (4 * c - 2 + irregular) << h) + odd;
+    uint64_t upper = round_to_odd(g, (4 * c + 2) << h) - odd;
+    uint64_t s = vb >> 2; /* floor(v * 10^-k) */
+    if (s >= 10) {
+        uint64_t sp = s / 10;
+        int u_in = lower <= 40 * sp, w_in = 40 * sp + 40 <= upper;
+        if (u_in != w_in) {
+            *e = k + 1;
+            return sp + w_in;
+        }
+    }
+    *e = k;
+    int u_in = lower <= 4 * s, w_in = 4 * s + 4 <= upper;
+    if (u_in != w_in)
+        return s + w_in;
+    return s + (vb > 4 * s + 2 || (vb == 4 * s + 2 && (s & 1)));
 }
 
-/* v as repr writes it, into out; returns the number of bytes */
-static int repr_digits(double v, const char *digits, int length, int decpt, char *out)
+/* v as repr writes it, into out; returns the number of bytes.  Not
+   inlined: where GCC sees that length is at most 17, it copies the
+   digits with rep movs, which takes longer for so few bytes than a call
+   to memcpy (uniform doubles, 80 against 49 ns a cell). */
+__attribute__((noinline)) static int repr_digits(double v, const char *digits, int length, int decpt, char *out)
 {
     char *p = out;
     if (v < 0)
@@ -333,38 +284,73 @@ static int repr_digits(double v, const char *digits, int length, int decpt, char
     return (int)(p - out);
 }
 
+/* v as repr writes it, into out: zeros, infinities and NaNs too, a NaN of
+   either sign as nan; powers holds the high and the low word of the
+   128-bit significand of 5^q for q from first on.  Returns the byte
+   after the cell. */
+static char *format_cell(double v, const uint64_t *powers, int first, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    if (v == 0 || !isfinite(v)) {
+        const char *text = isnan(v) ? "nan" : isinf(v) ? (v < 0 ? "-inf" : "inf") : bits >> 63 ? "-0.0" : "0.0";
+        size_t n = strlen(text);
+        memcpy(out, text, n);
+        return out + n;
+    }
+    int e;
+    uint64_t m = shortest(bits & ~(1ULL << 63), powers, first, &e);
+    /* the trailing zeros, at most 15, in steps of 8, 4, 2 and 1 */
+    if (m % 100000000 == 0) {
+        m /= 100000000;
+        e += 8;
+    }
+    if (m % 10000 == 0) {
+        m /= 10000;
+        e += 4;
+    }
+    if (m % 100 == 0) {
+        m /= 100;
+        e += 2;
+    }
+    if (m % 10 == 0) {
+        m /= 10;
+        e += 1;
+    }
+    /* the digits from the last, eight at a time in 32 bits */
+    char digits[MAX_DIGITS], *d = digits + MAX_DIGITS;
+    if (m >= 100000000) {
+        uint32_t low = (uint32_t)(m % 100000000);
+        m /= 100000000;
+        for (int j = 0; j < 8; j++) {
+            *--d = (char)('0' + low % 10);
+            low /= 10;
+        }
+    }
+    uint32_t high = (uint32_t)m;
+    do {
+        *--d = (char)('0' + high % 10);
+        high /= 10;
+    } while (high);
+    int length = (int)(digits + MAX_DIGITS - d);
+    return out + repr_digits(v, d, length, length + e, out);
+}
+
 /* The rows x cols C-order block of values as CSV text: each cell as
    repr writes it, followed by ',' or, at the end of a row, '\n'.
 
    out holds at least 25 bytes per cell: the longest repr,
    -2.2250738585072014e-308, and a separator.  powers holds the high and
-   the low word of the 128-bit significand of 5^k for k from first to
-   last; Grisu3 looks up k from -307, for DBL_MAX, to 324, for 5e-324,
-   and a double whose k lies outside the table goes to CPython.
-   *fallbacks is increased by the number of cells handed to
-   PyOS_double_to_string: zeros, infinities, NaNs and the doubles Grisu3
-   leaves undecided.  Returns the number of bytes written, or -1 when
-   CPython's formatter fails, with its Python exception set. */
-long sidiff_format_block(long rows, long cols, const double *values, const uint64_t *powers, int first, int last,
-                         char *out, long *fallbacks)
+   the low word of the 128-bit significand of 5^q for q from first on.
+   Returns the number of bytes written. */
+long sidiff_format_block(long rows, long cols, const double *values, const uint64_t *powers, int first, char *out)
 {
-    char *p = out, digits[MAX_DIGITS];
-    for (long i = 0; i < rows * cols; i++) {
-        double v = values[i];
-        int length, decpt;
-        if (v != 0 && isfinite(v) && grisu3(fabs(v), powers, first, last, digits, &length, &decpt)) {
-            p += repr_digits(v, digits, length, decpt, p);
-        } else {
-            char *text = PyOS_double_to_string(v, 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
-            if (text == NULL)
-                return -1;
-            size_t n = strlen(text);
-            memcpy(p, text, n);
-            p += n;
-            PyMem_Free(text);
-            ++*fallbacks;
+    char *p = out;
+    for (long i = 0; i < rows; i++) {
+        for (long j = 0; j < cols; j++) {
+            p = format_cell(*values++, powers, first, p);
+            *p++ = j < cols - 1 ? ',' : '\n';
         }
-        *p++ = (i + 1) % cols ? ',' : '\n';
     }
     return (long)(p - out);
 }

@@ -11,14 +11,6 @@ package directory, a timeout), `library()` returns None and each caller
 runs its one Python twin of the kernel, which gives the same bytes.
 There is nothing to configure.
 
-The CSV float formatter is the one kernel that calls CPython: it may
-hand a cell to CPython's own formatter, which allocates through the
-allocator that needs the GIL, so it is called through a ctypes.PyDLL
-handle on the same library file, which keeps the GIL; `library()`
-returns the CDLL with that function in place of its own.  The other
-kernels, the CSV reader among them, touch no Python object and run on
-the CDLL, which releases the GIL.
-
 Both CSV kernels read one table, worked out with Python integers on
 first use, not at import: the 128-bit significands of 5**q as
 fast_float tabulates them (`powers_of_five()`), which are also those of
@@ -91,35 +83,25 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.sidiff_spline_solve.argtypes = [size, *[pointer] * 3]
     lib.sidiff_parse_block.restype = ctypes.c_int
     lib.sidiff_parse_block.argtypes = [pointer, size, size, size, pointer, ctypes.c_int, ctypes.c_int, pointer]
-    # the formatter may call CPython's allocator, which needs the GIL: a
-    # PyDLL handle on the same file keeps it, and raises the Python error
-    # the formatter leaves set
-    formatter = ctypes.PyDLL(str(path)).sidiff_format_block
-    formatter.restype = size
-    formatter.argtypes = [size, size, pointer, pointer, ctypes.c_int, ctypes.c_int, pointer, ctypes.POINTER(size)]
-    lib.sidiff_format_block = formatter
+    lib.sidiff_format_block.restype = size
+    lib.sidiff_format_block.argtypes = [size, size, pointer, pointer, ctypes.c_int, pointer]
     return lib
 
 
-def format_block(block: np.ndarray, out: np.ndarray) -> tuple[int, int]:
+def format_block(block: np.ndarray, out: np.ndarray) -> int:
     """The rows of a 2-d float64 block as CSV text, through the loaded
     library's `sidiff_format_block`.
 
     Each cell is written as repr writes it, followed by ',' or, at the
     end of its row, '\n', into the uint8 array out, which holds at least
-    CELL_BYTES bytes per cell.  Returns the number of bytes written and
-    the number of cells handed to CPython's formatter.
+    CELL_BYTES bytes per cell.  Returns the number of bytes written.
     """
     check_arrays(block)
     check_arrays(out, dtype=np.uint8)
     if block.ndim != 2 or out.size < CELL_BYTES * block.size:
         raise ValueError(f"need a 2-d block and {CELL_BYTES} bytes of out per cell")
-    first, last, powers = powers_of_five()
-    fallbacks = ctypes.c_long()
-    written = library().sidiff_format_block(
-        *block.shape, block.ctypes.data, powers.ctypes.data, first, last, out.ctypes.data, ctypes.byref(fallbacks)
-    )
-    return written, fallbacks.value
+    first, _, powers = powers_of_five()
+    return library().sidiff_format_block(*block.shape, block.ctypes.data, powers.ctypes.data, first, out.ctypes.data)
 
 
 def parse_block(text: bytes, start: int, rows: int, cols: int) -> np.ndarray | None:
@@ -158,9 +140,11 @@ def powers_of_five() -> tuple[int, int, np.ndarray]:
     The range holds the q of every decimal w * 10**q, 0 < w < 2**64, whose
     double is neither zero nor infinite, for the reader, and runs on to
     324 for the formatter, which scales 5e-324 by 10**324.  They are also
-    the significands of 10**q = 5**q * 2**q: the high word rounded by the
-    low word's top bit is 10**q rounded to nearest to 64 bits, with the
-    binary exponent floor(q * log2(10)) - 63.
+    the significands of 10**q = 5**q * 2**q.  The formatter reads each
+    entry plus one, its floor + 1, except for q from -27 to -1, where
+    fast_float has rounded it up already: an upper bound of 10**q, at
+    most one unit of 128 bits above it, with the binary exponent
+    floor(q * log2(10)) - 127.
 
     Each significand is fast_float's, worked out with Python integers on
     the first call: 5**q truncated to 128 bits, except that where 5**-q

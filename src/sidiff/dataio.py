@@ -152,7 +152,7 @@ def _write_csv(
         block = np.stack([np.asarray(col, dtype=float) for col in columns], axis=1)
         buffer = np.empty(len(head) + _kernels.CELL_BYTES * block.size, dtype=np.uint8)
         buffer[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-        written, _ = _kernels.format_block(block, buffer[len(head) :])
+        written = _kernels.format_block(block, buffer[len(head) :])
         _atomic_write(path, buffer[: len(head) + written].data)
         return
     cells = [
@@ -171,7 +171,7 @@ def _float_cells(column) -> Iterator[bytes]:
     if _kernels.library() is None:
         return (repr(value).encode() for value in values.tolist())
     text = np.empty(_kernels.CELL_BYTES * values.size, dtype=np.uint8)
-    written, _ = _kernels.format_block(values.reshape(-1, 1), text)
+    written = _kernels.format_block(values.reshape(-1, 1), text)
     return (line[:-1] for line in io.BytesIO(text[:written].tobytes()))
 
 

@@ -1,9 +1,12 @@
 """Building and loading the C kernels, the CSV float formatter and
 reader, and the fallback when the build fails."""
 
+import os
 import shutil
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,27 +87,22 @@ def test_a_failed_build_falls_back_to_the_same_bytes(monkeypatch, tmp_path):
 
 
 def _formatted(values):
-    """values as the C formatter writes them, one per line, and its count of
-    cells handed to CPython's formatter."""
+    """values as the C formatter writes them, one per line."""
     block = np.array(values, dtype=float).reshape(-1, 1)
     out = np.empty(_kernels.CELL_BYTES * block.size, dtype=np.uint8)
-    written, fallbacks = _kernels.format_block(block, out)
-    return out[:written].tobytes(), fallbacks
+    return out[: _kernels.format_block(block, out)].tobytes()
 
 
 def _reprs(values):
     return "".join(f"{v!r}\n" for v in np.array(values, dtype=float).tolist()).encode()
 
 
-def test_the_formatter_writes_repr_of_random_doubles_mostly_without_cpython(built_kernels):
+def test_the_formatter_writes_repr_of_random_doubles(built_kernels):
     bits = np.random.default_rng(27).integers(0, 2**64, size=1_200_000, dtype=np.uint64)
     values = bits.view(np.float64)
     values = values[np.isfinite(values)][:1_000_000]
     assert values.size == 1_000_000
-    text, fallbacks = _formatted(values)
-    assert text == _reprs(values)
-    # both paths run: Grisu3 decides nearly every cell, CPython the rest
-    assert 0 < fallbacks < 0.02 * values.size
+    assert _formatted(values) == _reprs(values)
 
 
 @pytest.mark.parametrize(
@@ -123,22 +121,21 @@ def test_the_formatter_writes_repr_at_the_hard_cases(built_kernels, name):
             5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, 1.7976931348623157e308, -1.5, 123456.0,
         ],
     }[name]
-    text, _ = _formatted(values)
-    assert text == _reprs(values)
+    assert _formatted(values) == _reprs(values)
 
 
-def test_the_formatter_hands_zeros_and_non_finite_cells_to_cpython(built_kernels):
-    # the two ends of the doubles' range take Grisu3's powers 10**324 and 10**-307, not CPython's formatter
-    text, fallbacks = _formatted([0.0, -0.0, np.inf, -np.inf, np.nan, 0.1, -2.5, 5e-324, -1.7976931348623157e308])
-    assert text == b"0.0\n-0.0\ninf\n-inf\nnan\n0.1\n-2.5\n5e-324\n-1.7976931348623157e+308\n"
-    assert fallbacks == 5
+def test_the_formatter_writes_zeros_and_non_finite_cells(built_kernels):
+    # a NaN with its sign bit set is nan too, as repr writes it; the two ends of the doubles' range
+    # take the table's powers 10**324 and 10**-292
+    cells = [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0), 0.1, -2.5, 5e-324, -1.7976931348623157e308]
+    assert _formatted(cells) == b"0.0\n-0.0\ninf\n-inf\nnan\nnan\n0.1\n-2.5\n5e-324\n-1.7976931348623157e+308\n"
 
 
 def test_the_formatter_separates_cells_and_reports_their_ends(built_kernels):
     # each cell ends in ',' or, at the end of its row, '\n'
     block = np.array([[1.0, -0.5, 1e-5], [2.0, 1e16, 0.0]])
     out = np.empty(_kernels.CELL_BYTES * block.size, dtype=np.uint8)
-    written, _ = _kernels.format_block(block, out)
+    written = _kernels.format_block(block, out)
     assert out[:written].tobytes() == b"1.0,-0.5,1e-05\n2.0,1e+16,0.0\n"
     with pytest.raises(ValueError, match="bytes of out per cell"):
         _kernels.format_block(block, out[:-1])
@@ -283,25 +280,66 @@ def test_the_powers_of_five_are_fast_float_s(built_kernels):
     assert significands[0] == 1 << 127
 
 
-def test_the_powers_of_five_rounded_to_64_bits_are_the_powers_of_ten(built_kernels):
+def test_the_powers_of_five_plus_one_bound_the_powers_of_ten(built_kernels):
     first, last, words = _kernels.powers_of_five()
-    for k in range(first, last + 1):
-        # the kernels' floor(k * log2(10)), fast_float's 217706 * k / 2**16 floored, is exact over the table
-        floor_log2 = (10**k).bit_length() - 1 if k >= 0 else -(10**-k).bit_length()
-        assert (217706 * k) >> 16 == floor_log2, k
-        if -307 <= k <= 324:  # the k Grisu3 looks up, normalized doubles from DBL_MAX down to 5e-324
-            high, low = (int(word) for word in words[k - first])
-            nearest = round(Fraction(10) ** k / Fraction(2) ** (floor_log2 - 63))  # never halfway
-            assert 1 << 63 <= nearest < 1 << 64 and high + (low >> 63) == nearest, k
+    for q in range(first, last + 1):
+        # the kernels' floor(q * log2(10)), fast_float's 217706 * q / 2**16 floored, is exact over the table
+        floor_log2 = (10**q).bit_length() - 1 if q >= 0 else -(10**-q).bit_length()
+        assert (217706 * q) >> 16 == floor_log2, q
+        if q >= -292:  # the 10**-k the formatter looks up, from DBL_MAX's k = 292 to 5e-324's k = -324
+            high, low = (int(word) for word in words[q - first])
+            # floor + 1: the entry plus one, except where fast_float has rounded it up already
+            g = (high << 64 | low) + (not -27 <= q <= -1)
+            exact = Fraction(10) ** q * Fraction(2) ** (127 - floor_log2)
+            assert exact < g <= exact + 1 and g < 1 << 128, q
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_the_reader_gives_the_same_doubles_without_a_128_bit_integer(fresh_install, monkeypatch):
+def test_both_csv_kernels_give_the_same_bytes_without_a_128_bit_integer(fresh_install, monkeypatch):
     monkeypatch.setattr(_kernels, "FLAGS", (*_kernels.FLAGS, "-U__SIZEOF_INT128__"))
     assert _kernels.library() is not None
     rng = np.random.default_rng(31)
     values = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
     cells = [repr(v) for v in values[np.isfinite(values)].tolist()] + _random_decimals(rng, 50_000, (-350, 321))
     _assert_parsed_as_float(cells + _halfway_cells())
-    text, _ = _formatted(values[np.isfinite(values)])
-    assert text == _reprs(values[np.isfinite(values)])  # the formatter's rounded product too
+    # the formatter's products too, with its hard cases: powers of two, their predecessors and subnormals
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    subnormals = rng.integers(1, 2**52, size=10_000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([values, powers, np.nextafter(powers, 0.0), subnormals])
+    assert _formatted(values) == _reprs(values)
+
+
+_SANITIZED_RUN = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from sidiff import NaturalSpline, RatePair, TimeGrid, _kernels, constant, simulate_em
+
+_kernels.SOURCE = Path(sys.argv[1])
+_kernels.FLAGS = (*_kernels.FLAGS, *sys.argv[2:])
+assert _kernels.library() is not None, "the build failed"
+values = np.random.default_rng(32).integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+out = np.empty(_kernels.CELL_BYTES * values.size, dtype=np.uint8)
+text = out[: _kernels.format_block(values.reshape(-1, 1), out)].tobytes()
+assert text == "".join(f"{v!r}\\n" for v in values.tolist()).encode()
+normal = values[np.isfinite(values) & (np.abs(values) >= np.finfo(float).tiny)]
+cells = "".join(f"{v!r}\\n" for v in normal.tolist()).encode()
+assert (_kernels.parse_block(cells, 0, normal.size, 1).ravel().view(np.uint64) == normal.view(np.uint64)).all()
+simulate_em(RatePair(constant(1.2), constant(0.1), 200.0), 20.0, TimeGrid(0.0, 0.05, 1001), 6, 3)
+x = np.linspace(0.0, 50.0, 501)
+NaturalSpline(x, np.cos(x))
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_the_kernels_build_clean_and_run_under_the_undefined_behaviour_sanitizer(fresh_install):
+    # in a child process, so that a sanitizer abort fails this test alone
+    flags = ["-Wall", "-Wextra", "-Werror", "-fsanitize=undefined", "-fno-sanitize-recover=all"]
+    source = fresh_install / _kernels.SOURCE.name
+    env = {**os.environ, "PYTHONPATH": str(Path(_kernels.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", _SANITIZED_RUN, str(source), *flags], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
