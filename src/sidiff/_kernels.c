@@ -1,13 +1,15 @@
 /* The loops of sidiff that step one element at a time, in plain C.
 
-   The Euler-Maruyama steps and the spline solve do their Python twins'
-   floating-point operations in the same order, one rounding per
-   operation, so their results are the same bytes: sidiff._kernels
-   builds this file with -ffp-contract=off (no fused multiply-add) and
-   -fno-fast-math, and the twins stay as the fallback and the reference.
-   The CSV float formatter writes the bytes of Python's repr, through
-   Schubfach's shortest digits.  The CSV reader parses a block of rows in
-   the grammar the formatter writes, each cell to the double float()
+   The Euler-Maruyama steps, the exact pass (scale, shift and running
+   sum of the exact sampler's draws), the lag-one covariance and the
+   spline solve do their Python twins' floating-point operations in the
+   same order, one rounding per operation, so their results are the
+   same bytes: sidiff._kernels builds this file with -ffp-contract=off
+   (no fused multiply-add) and -fno-fast-math, and the twins stay as
+   the fallback and the reference.  The CSV float formatter writes the
+   bytes of Python's repr, through Schubfach's shortest digits.  The CSV
+   reader parses a block of rows, counted first by sidiff_count_lines,
+   in the grammar the formatter writes, each cell to the double float()
    gives, by Eisel-Lemire; any block it does not take whole goes back to
    sidiff.dataio's own reader.  No kernel calls anything of CPython, so
    sidiff._kernels calls them all through a ctypes.CDLL handle, which
@@ -114,6 +116,85 @@ int sidiff_spline_solve(long n, const double *dx, double *b, double *work)
         b[i] = xi;
     }
     return 0;
+}
+
+/* The exact pass of simulate._exact_replicates, in place.
+
+   values holds `rows` paths of n grid values, with the standard normal
+   draws of each path from column 1 on.  Column 0 becomes 0.0, and along
+   each row draw j becomes its increment draw * sd_inc[j - 1] +
+   mean_inc[j - 1], then the running sum of the increments so far: the
+   twin's z *= sd_inc, z += mean_inc and np.cumsum in their order.  The
+   sum starts from the first increment itself, not from 0.0 plus it, so
+   a -0.0 stays, as it does in numpy's accumulate.  One row's sum is a
+   chain of dependent additions, so ROW_BLOCK rows go side by side. */
+#define ROW_BLOCK 4
+
+static inline void exact_rows(int count, long n, const double *mean_inc, const double *sd_inc, double *values)
+{
+    double sum[ROW_BLOCK];
+    for (int r = 0; r < count; r++) {
+        double *row = values + r * n;
+        row[0] = 0.0;
+        sum[r] = row[1] * sd_inc[0] + mean_inc[0];
+        row[1] = sum[r];
+    }
+    for (long j = 2; j < n; j++) {
+        double sd = sd_inc[j - 1], mean = mean_inc[j - 1];
+        for (int r = 0; r < count; r++) {
+            double *cell = values + r * n + j;
+            sum[r] = sum[r] + (*cell * sd + mean);
+            *cell = sum[r];
+        }
+    }
+}
+
+void sidiff_exact_paths(long rows, long n, const double *mean_inc, const double *sd_inc, double *values)
+{
+    long i = 0;
+    for (; i + ROW_BLOCK <= rows; i += ROW_BLOCK)
+        exact_rows(ROW_BLOCK, n, mean_inc, sd_inc, values + i * n);
+    for (; i < rows; i++)
+        exact_rows(1, n, mean_inc, sd_inc, values + i * n);
+}
+
+/* The lag-one covariance of estimate.sample_lag_cov, into out.
+
+   values holds `rows` paths of n grid values and mean their n column
+   means.  out[0] is 0.0, and out[j] is the sum over the paths of
+   (y[j] - mean[j]) * (y[j - 1] - mean[j - 1]), added path by path
+   into +0.0, then divided by rows - 1: the twin's operations in its
+   order.  ROW_BLOCK paths go through the columns together, each centred
+   value kept for the next column's product, and their products are
+   added into out[j] one after another, path by path as the twin adds
+   them. */
+static inline void lag_rows(int count, long n, const double *values, const double *mean, double *out)
+{
+    double previous[ROW_BLOCK];
+    for (int r = 0; r < count; r++)
+        previous[r] = values[r * n] - mean[0];
+    for (long j = 1; j < n; j++) {
+        double sum = out[j], m = mean[j];
+        for (int r = 0; r < count; r++) {
+            double centred = values[r * n + j] - m;
+            sum = sum + centred * previous[r];
+            previous[r] = centred;
+        }
+        out[j] = sum;
+    }
+}
+
+void sidiff_lag_cov(long rows, long n, const double *values, const double *mean, double *out)
+{
+    for (long j = 0; j < n; j++)
+        out[j] = 0.0;
+    long i = 0;
+    for (; i + ROW_BLOCK <= rows; i += ROW_BLOCK)
+        lag_rows(ROW_BLOCK, n, values + i * n, mean, out);
+    for (; i < rows; i++)
+        lag_rows(1, n, values + i * n, mean, out);
+    for (long j = 1; j < n; j++)
+        out[j] = out[j] / (double)(rows - 1);
 }
 
 /* Shortest round-trip formatting of doubles: Schubfach (Giulietti, "The
@@ -484,4 +565,14 @@ int sidiff_parse_block(const char *text, long length, long rows, long cols, cons
         }
     }
     return p != end;
+}
+
+/* The number of '\n' bytes among the length bytes at text */
+long sidiff_count_lines(const char *text, long length)
+{
+    long count = 0;
+    const char *end = text + length;
+    for (const char *p = text; p < end && (p = memchr(p, '\n', (size_t)(end - p))) != NULL; p++)
+        count++;
+    return count;
 }

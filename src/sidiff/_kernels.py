@@ -79,12 +79,18 @@ def _load(path: Path) -> ctypes.CDLL:
     pointer, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     lib.sidiff_em_steps.restype = None
     lib.sidiff_em_steps.argtypes = [size, size, *[pointer] * 3, *[real] * 6, ctypes.c_int, pointer, pointer]
+    lib.sidiff_exact_paths.restype = None
+    lib.sidiff_exact_paths.argtypes = [size, size, *[pointer] * 3]
+    lib.sidiff_lag_cov.restype = None
+    lib.sidiff_lag_cov.argtypes = [size, size, *[pointer] * 3]
     lib.sidiff_spline_solve.restype = ctypes.c_int
     lib.sidiff_spline_solve.argtypes = [size, *[pointer] * 3]
     lib.sidiff_parse_block.restype = ctypes.c_int
     lib.sidiff_parse_block.argtypes = [pointer, size, size, size, pointer, ctypes.c_int, ctypes.c_int, pointer]
     lib.sidiff_format_block.restype = size
     lib.sidiff_format_block.argtypes = [size, size, pointer, pointer, ctypes.c_int, pointer]
+    lib.sidiff_count_lines.restype = size
+    lib.sidiff_count_lines.argtypes = [pointer, size]
     return lib
 
 
@@ -122,6 +128,13 @@ def parse_block(text: bytes, start: int, rows: int, cols: int) -> np.ndarray | N
         body.ctypes.data, body.size, rows, cols, powers.ctypes.data, first, last, values.ctypes.data
     )
     return None if refused else values
+
+
+def count_lines(text: bytes, start: int) -> int:
+    """text[start:].count(b"\n"), through the loaded library's
+    `sidiff_count_lines`; text is read in place, not copied."""
+    body = np.frombuffer(text, dtype=np.uint8)[start:]
+    return library().sidiff_count_lines(body.ctypes.data, body.size)
 
 
 def check_arrays(*arrays: np.ndarray, dtype=np.float64) -> None:

@@ -274,7 +274,7 @@ def _read_table_in_c(path: str, first_column: str) -> tuple[list[str], list[int]
         if text and not text.startswith("#"):
             break
     header = _split(text)
-    rows = data.count(b"\n", start)
+    rows = _kernels.count_lines(data, start)
     # a cell takes at least a digit and a separator, so a body shorter
     # than that is not whole rows: handed back before any array is made
     if header[0] != first_column or len(header) < 2 or not 0 < 2 * rows * len(header) <= len(data) - start:

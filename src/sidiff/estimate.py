@@ -7,7 +7,10 @@ those integrals pointwise in time: the sample mean targets the
 transmission integral directly, and the lagged sample covariance
 (current column against the previous one) targets the noise integral
 at the earlier time, because increments past the earlier time are
-independent of the earlier value.
+independent of the earlier value.  The lagged covariance is one call
+of the C kernel `sidiff_lag_cov` (see sidiff._kernels), or, where it
+cannot be built, a numpy loop over the paths that does the same
+operations in the same order and gives the same bytes.
 
 Fitting smooth curves through the moment sequences and differentiating
 recovers the intensities themselves.  A homogeneous-rates maximum
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _kernels
 from .model import CLIP_EPS, x_to_y
 from .rates import _whole_number
 from .simulate import PathSet, TimeGrid
@@ -84,14 +88,25 @@ def sample_lag_cov(ypaths: PathSet, mean: np.ndarray) -> np.ndarray:
     j - 1, normalized by (d - 1).  Its target is the noise integral
     accumulated by time t_{j-1}, since what happens after t_{j-1} is
     independent of the value there.  Entry 0 is identically zero (the
-    first column is constant).
+    first column is constant).  A mean of any shape but (n,) is refused,
+    where it would broadcast into a covariance about another centre.
     """
     if ypaths.space != "Y":
         raise ValueError("expected Y-space paths")
-    y = ypaths.values
+    # the kernel reads raw pointers: both arrays C-contiguous float64,
+    # which is what numpy's subtract casts them to anyway
+    y = np.ascontiguousarray(ypaths.values, dtype=float)
     d = y.shape[0]
     if d < 2:
         raise ValueError("lagged covariance needs at least two paths")
+    if y.ndim != 2 or y.shape[1] < 1 or np.shape(mean) != (y.shape[1],):
+        raise ValueError(f"need paths of shape (d, n >= 1) and a mean of shape (n,), got {y.shape} and {np.shape(mean)}")
+    mean = np.ascontiguousarray(mean, dtype=float)
+    lib = _kernels.library()
+    if lib is not None:
+        out = np.empty(y.shape[1])
+        lib.sidiff_lag_cov(d, y.shape[1], y.ctypes.data, mean.ctypes.data, out.ctypes.data)
+        return out
     # one path at a time: centre the row, multiply it by its own lag
     # and add it into one zeroed accumulator, which is how .sum(axis=0)
     # adds up the rows of a C-ordered product array

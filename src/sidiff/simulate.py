@@ -3,7 +3,11 @@
 Exact sampling works on the Gaussian coordinate: the transformed
 process has independent Gaussian increments whose per-step mean and
 variance are the rate integrals over the step, so a sample path is a
-cumulative sum.  No discretization error enters anywhere.
+cumulative sum.  No discretization error enters anywhere.  A
+replicate's draws are scaled, shifted and summed in one call of the C
+kernel `sidiff_exact_paths` (see sidiff._kernels), or, where it cannot
+be built, by numpy's in-place multiply, add and cumsum, which do the
+same operations in the same order and give the same bytes.
 
 An Euler-Maruyama integrator on the original state equation is kept as
 an independent cross-check.  It carries O(step) weak bias and a
@@ -186,7 +190,11 @@ def _exact_replicates(
     """Yield each replicate's exact paths as a Y-space PathSet, one per `next`.
 
     The checks and increment tables run once, on the first `next`; path
-    i of replicate r draws from its own stream into row i."""
+    i of replicate r draws from its own stream into row i, from column 1
+    on.  One call of the C kernel `sidiff_exact_paths` then zeroes column
+    0 and scales, shifts and sums the draws of every row into Y values;
+    where it cannot be built, the same operations run as numpy's
+    in-place multiply, add and cumsum, which give the same bytes."""
     k = rates.capacity
     _check_state(x0, k, "x0")
     _whole_number(n_paths, "n_paths", 1)
@@ -196,15 +204,22 @@ def _exact_replicates(
     if np.any(var_inc <= 0.0):
         raise ValueError("noise integral must be positive on every step")
     sd_inc = np.sqrt(var_inc)
+    lib = _kernels.library()
+    if lib is not None:  # the kernel reads raw pointers
+        _kernels.check_arrays(mean_inc, sd_inc)
 
     for r in replicates:
-        values = np.zeros((n_paths, grid.n))
+        values = np.empty((n_paths, grid.n))
         z = values[:, 1:]  # steps drawn and summed in place: no second path-sized array is held
         for i in range(n_paths):
             default_rng(derive_path_seed(master_seed, r, i)).standard_normal(out=z[i])
-        z *= sd_inc
-        z += mean_inc
-        np.cumsum(z, axis=1, out=z)
+        if lib is None:
+            values[:, 0] = 0.0
+            z *= sd_inc
+            z += mean_inc
+            np.cumsum(z, axis=1, out=z)
+        else:
+            lib.sidiff_exact_paths(n_paths, grid.n, mean_inc.ctypes.data, sd_inc.ctypes.data, values.ctypes.data)
         yield PathSet(grid, values, "Y", k, seed={"master_seed": int(master_seed), "replicate": int(r)})
 
 

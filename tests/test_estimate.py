@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from sidiff import (
     transform_paths,
     x_to_y,
 )
+from sidiff import _kernels
 from sidiff.estimate import CLIP_EPS, _abs_median
 
 K = 200.0
@@ -179,6 +181,19 @@ def test_sample_moments_validation():
         sample_lag_cov(single, sample_mean(single))
     with pytest.raises(ValueError):
         mle_homogeneous(xs)
+
+
+def test_sample_lag_cov_refuses_a_mean_of_another_shape(kernel_states):
+    # a scalar or length-1 mean would broadcast into a covariance about a constant
+    y = _ypaths([[0.0, 1.0, 3.0], [0.0, 3.0, 1.0]])
+    for _ in kernel_states:
+        for mean in (np.zeros(1), np.float64(0.0), np.zeros(2), np.zeros(4), np.zeros((1, 3))):
+            shape = re.escape(str(np.shape(mean)))
+            with pytest.raises(ValueError, match=rf"got \(2, 3\) and {shape}$"):
+                sample_lag_cov(y, mean)
+        with pytest.raises(ValueError, match=r"got \(2, 0\) and \(0,\)$"):
+            sample_lag_cov(PathSet(TimeGrid(0.0, 1.0, 2), np.empty((2, 0)), "Y", K), np.empty(0))
+        assert sample_lag_cov(y, [1.0, 1.0, 1.0]).tolist() == [0.0, -2.0, 0.0]  # a list of the width is taken
 
 
 # ----------------------------------------------------------------- curve fits
@@ -409,7 +424,11 @@ def test_in_place_estimates_match_the_one_line_expressions(d, n, seed, zero_star
     nu = np.empty(n)
     nu[0] = 0.0
     nu[1:] = (centered[:, 1:] * centered[:, :-1]).sum(axis=0) / (d - 1)
-    assert sample_lag_cov(ypaths, sample_mean(ypaths)).tobytes() == nu.tobytes()
+    with pytest.MonkeyPatch.context() as m:  # the C kernel, where it builds, then its numpy twin
+        got = [sample_lag_cov(ypaths, sample_mean(ypaths))] if _kernels.library() is not None else []
+        m.setattr(_kernels, "library", lambda: None)
+        got.append(sample_lag_cov(ypaths, sample_mean(ypaths)))
+    assert all(cov.tobytes() == nu.tobytes() for cov in got)
 
     inc = np.diff(y, axis=1)
     m = inc.size

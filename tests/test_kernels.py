@@ -11,8 +11,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sidiff import NaturalSpline, RatePair, TimeGrid, _kernels, constant, load_csv, load_paths, save_paths, simulate_em
+from sidiff import (
+    NaturalSpline,
+    RatePair,
+    TimeGrid,
+    _kernels,
+    constant,
+    load_csv,
+    load_paths,
+    sample_lag_cov,
+    sample_mean,
+    save_paths,
+    simulate_em,
+)
 from sidiff.dataio import _write_csv, save_raw_series
+from sidiff.experiments import case_rates
+from sidiff.simulate import _exact_replicates
 from sidiff.synthetic import measles_like_table
 
 
@@ -29,10 +43,13 @@ def fresh_install(monkeypatch, tmp_path):
 
 
 def _outputs(directory):
-    """Euler-Maruyama paths with clamp hits, a 501-knot spline fit, an
-    all-float and a mixed CSV of both, as bytes, and the arrays of a path
-    bundle and a count table read back."""
+    """Euler-Maruyama paths with clamp hits, an exact replicate's Y paths
+    and their lag-one covariance, a 501-knot spline fit, an all-float and
+    a mixed CSV of both, as bytes, and the arrays of a path bundle and a
+    count table read back."""
     ps = simulate_em(RatePair(constant(1.2), constant(0.1), 200.0), 20.0, TimeGrid(0.0, 0.05, 1001), 6, 3)
+    exact = next(_exact_replicates(case_rates("b"), 20.0, TimeGrid(0.0, 0.05, 1001), 7, 3, [1]))
+    lag_cov = sample_lag_cov(exact, sample_mean(exact))
     x = np.linspace(0.0, 50.0, 501)
     c = NaturalSpline(x, np.cos(x)).c
     _write_csv(str(directory / "paths.csv"), ["t", "a", "b"], [ps.grid.times, *ps.values[:2]], meta=({}, 3))
@@ -43,7 +60,8 @@ def _outputs(directory):
     save_raw_series(measles_like_table(master_seed=3), counts, populations)
     back, table = load_paths(bundle), load_csv(counts, populations)
     read = [back.grid.times, back.values, table.times, table.counts, table.populations]
-    return ps.values.tobytes(), ps.meta["clamp_count"], c.tobytes(), *csvs, *(array.tobytes() for array in read)
+    computed = [ps.values, exact.values, lag_cov, c]
+    return ps.meta["clamp_count"], *(array.tobytes() for array in computed), *csvs, *(array.tobytes() for array in read)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -260,6 +278,14 @@ def test_the_reader_reads_from_an_offset_in_place(built_kernels):
     assert got.shape == (2, 2) and got.tolist() == [[0.5, -1e-05], [1.0, 2.5e16]]
 
 
+@pytest.mark.parametrize("body", [b"", b"\n", b"1,2\n3,4\n", b"1,2\n3,4", b"\n\n\nx", b"x" * 100, b"0.5\n" * 1000])
+@pytest.mark.parametrize("start", [0, 3])
+def test_the_line_counter_counts_as_bytes_count(built_kernels, body, start):
+    text = b"t,a\n" + body
+    assert _kernels.count_lines(text, start) == text.count(b"\n", start)
+    assert _kernels.count_lines(text, len(text)) == 0
+
+
 def test_the_powers_of_five_are_fast_float_s(built_kernels):
     first, last, words = _kernels.powers_of_five()
     assert (first, last) == (-342, 324) and words.shape == (last - first + 1, 2) and words.dtype == np.uint64
@@ -315,7 +341,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sidiff import NaturalSpline, RatePair, TimeGrid, _kernels, constant, simulate_em
+from sidiff import NaturalSpline, RatePair, TimeGrid, _kernels, constant, sample_lag_cov, sample_mean, simulate_em
+from sidiff.simulate import _exact_replicates
 
 _kernels.SOURCE = Path(sys.argv[1])
 _kernels.FLAGS = (*_kernels.FLAGS, *sys.argv[2:])
@@ -328,6 +355,9 @@ normal = values[np.isfinite(values) & (np.abs(values) >= np.finfo(float).tiny)]
 cells = "".join(f"{v!r}\\n" for v in normal.tolist()).encode()
 assert (_kernels.parse_block(cells, 0, normal.size, 1).ravel().view(np.uint64) == normal.view(np.uint64)).all()
 simulate_em(RatePair(constant(1.2), constant(0.1), 200.0), 20.0, TimeGrid(0.0, 0.05, 1001), 6, 3)
+exact = next(_exact_replicates(RatePair(constant(0.4), constant(0.1), 200.0), 20.0, TimeGrid(0.0, 0.05, 1001), 7, 3, [0]))
+sample_lag_cov(exact, sample_mean(exact))
+assert _kernels.count_lines(cells, 0) == normal.size
 x = np.linspace(0.0, 50.0, 501)
 NaturalSpline(x, np.cos(x))
 """

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import anderson
 
 from sidiff import (
@@ -22,6 +23,7 @@ from sidiff import (
 )
 import sidiff.simulate as simulate
 from sidiff import _kernels
+from sidiff.experiments import case_rates
 from sidiff.model import CLIP_EPS
 from sidiff.simulate import DRIFT_CORRECTIONS, EM_MAX_CAPACITY, EM_NOISE_BLOCK
 
@@ -176,6 +178,58 @@ def test_exact_paths_match_the_per_path_reference(rates, grid):
         y = np.concatenate([[0.0], np.cumsum(mean_inc + sd_inc * z)])
         x = np.clip(y_to_x(y, 20.0, K), np.nextafter(0.0, K), np.nextafter(K, 0.0))
         assert np.array_equal(ps.values[i], x)
+
+
+class _SignedZeroDraws:
+    """A stand-in for a path's numpy Generator: its standard normal draws,
+    with those of the first `zeros` steps replaced by -0.0."""
+
+    def __init__(self, seed, zeros):
+        self.rng, self.zeros = np.random.default_rng(seed), zeros
+
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        out[: self.zeros] = -0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_paths=st.integers(1, 9),
+    n=st.integers(2, 300),
+    case=st.sampled_from("abc"),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.integers(0, 3),
+)
+@example(n_paths=5, n=2, case="a", seed=0, zeros=1)
+def test_exact_kernel_gives_the_bytes_of_the_numpy_pass(n_paths, n, case, seed, zeros):
+    # zeros > 0 makes the first steps' increments exactly -0.0: -0.0 draws
+    # times sd, plus a transmission integral of -0.0; a running sum that
+    # starts from 0.0 + increment would turn them into +0.0
+    rates, grid = case_rates(case), TimeGrid(0.0, 5.0 / (n - 1), n)
+    real_table = simulate.increment_table
+
+    def table(f, grid):
+        inc = real_table(f, grid)
+        if f is rates.transmission:
+            inc[:zeros] = -0.0
+        return inc
+
+    def run():
+        return next(simulate._exact_replicates(rates, 20.0, grid, n_paths, seed, [2])).values
+
+    runs = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simulate, "increment_table", table)
+        m.setattr(simulate, "default_rng", lambda key: _SignedZeroDraws(key, zeros))
+        if _kernels.library() is not None:
+            runs.append(run())
+        m.setattr(_kernels, "library", lambda: None)
+        runs.append(run())
+    assert all(run.tobytes() == runs[-1].tobytes() for run in runs)
+    y = runs[-1]
+    assert y.shape == (n_paths, n) and not np.signbit(y[:, 0]).any() and (y[:, 0] == 0.0).all()
+    leading = y[:, 1 : 1 + zeros]
+    assert (leading == 0.0).all() and np.signbit(leading).all()
 
 
 def test_exact_boundary_rounding_is_fixed_and_counted():
