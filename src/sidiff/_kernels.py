@@ -78,7 +78,9 @@ def _load(path: Path) -> ctypes.CDLL:
     # raw pointers: each call site checks its arrays' dtype and layout itself
     pointer, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     lib.sidiff_em_steps.restype = None
-    lib.sidiff_em_steps.argtypes = [size, size, *[pointer] * 3, *[real] * 6, ctypes.c_int, pointer, pointer]
+    lib.sidiff_em_steps.argtypes = [
+        *[size] * 4, *[pointer] * 4, *[real] * 6, ctypes.c_int, size, pointer, pointer, size, pointer
+    ]
     lib.sidiff_exact_paths.restype = None
     lib.sidiff_exact_paths.argtypes = [size, size, *[pointer] * 3]
     lib.sidiff_lag_cov.restype = None

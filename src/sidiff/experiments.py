@@ -17,19 +17,18 @@ replicates are grouped.
 Replicates run one after another from one simulation stream per run.
 The exact stream checks the rate window and builds its increment
 tables once, then draws each replicate in the Gaussian coordinate,
-where it stays from draw to estimate.  The Euler-Maruyama stream
-integrates replicates in batches of simulate.EM_BATCH_BYTES of path
-values (five 50 x 5001 replicates in 10 MiB), since a wider batch takes
-fewer Python steps per replicate.  Estimation is per replicate: it
-writes the replicate's two curve rows into the report's arrays, which
-are allocated once, and returns a record of its scalars, which the run
+where it stays from draw to estimate.  The Euler-Maruyama stream checks
+its arguments and tabulates its per-step rates once, then integrates
+one replicate per `next`.  Estimation is per replicate: it writes the
+replicate's two curve rows into the report's arrays, which are
+allocated once, and returns a record of its scalars, which the run
 stacks and folds once at the end.  So every output is the same as
 simulating and estimating each replicate on its own.  A run's peak
-memory is one Euler-Maruyama batch with its noise buffers (or one exact
-replicate) plus one replicate's estimate, which holds the transformed
-paths and one other array of their size at a time.  An Euler-Maruyama
-replicate lies in the clamp band already, so model.x_to_y maps it over
-its own rows of the batch, unclipped, and only the other array is new.
+memory is one replicate with its noise buffer plus its estimate, which
+holds the transformed paths and one other array of their size at a
+time.  An Euler-Maruyama replicate lies in the clamp band already, so
+model.x_to_y maps it over its own values, unclipped, and only the other
+array is new.
 """
 
 from __future__ import annotations
@@ -173,7 +172,7 @@ class ExperimentReport:
 
 
 def _simulations(config: ExperimentConfig):
-    """Lazy per-replicate PathSets of the whole run: exact draws one in Y per `next`, EM a batch at a time in X."""
+    """Lazy per-replicate PathSets of the whole run, one per `next`: exact draws in Y, Euler-Maruyama paths in X."""
     args = (config.rates, config.x0, config.grid, config.n_paths, config.master_seed, range(config.replicates))
     if config.simulator == "exact":
         return _exact_replicates(*args)
@@ -194,7 +193,7 @@ def _run_replicate(config: ExperimentConfig, r: int, simulations, lambda_curves,
             x = paths.values
             saturation = np.mean(x[:, -1] > 0.99 * k)
             # an Euler-Maruyama replicate lies in the clamp band, where transform_paths
-            # clips nothing; its Y paths go over its rows of the batch, not read again
+            # clips nothing; its Y paths go over its X values, not read again
             paths = replace(paths, values=x_to_y(x, x[:, :1].copy(), k, out=x), space="Y")
         else:
             saturation = np.mean(y_to_x(paths.values[:, -1], config.x0, k) > 0.99 * k)
@@ -216,10 +215,9 @@ def _run_replicate(config: ExperimentConfig, r: int, simulations, lambda_curves,
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Simulate and estimate all replicates, in order, from one stream.
 
-    Seeds are keyed by replicate index and the Euler-Maruyama batch is
-    elementwise, so the report does not depend on how replicates share
-    a batch.  A failure is raised as RuntimeError naming the first
-    failing replicate.
+    Seeds are keyed by replicate index, so each replicate's paths are
+    those it would have alone.  A failure is raised as RuntimeError
+    naming the first failing replicate.
     """
     started = time.perf_counter()
     shape = (config.replicates, config.grid.n)

@@ -11,26 +11,20 @@ same operations in the same order and give the same bytes.
 
 An Euler-Maruyama integrator on the original state equation is kept as
 an independent cross-check.  It carries O(step) weak bias and a
-boundary clamp, and is not meant for production runs.  It runs once
-for a whole batch of paths: every path of every replicate in the batch
-takes each internal step together (`simulate_em` is the batch of one
-replicate; a run integrates as many replicates at a time as fit
-EM_BATCH_BYTES of path values, five 50 x 5001 replicates in 10 MiB).
-The argument checks, the per-step rate tables and the step's scalar
-operands, held as 0-d float64 arrays, are made once per run.  Noise is
-drawn per path in blocks of EM_NOISE_BLOCK steps, never as one
-(paths, steps) array, so a batch holds its path values plus two small
-noise buffers.  The steps of a block run in one call of the C kernel
-`sidiff_em_steps` (see sidiff._kernels), or, where it cannot be built,
-in `_em_steps`, one ufunc call per operation of the scheme; the two do
-the same operations in the same order and give the same bytes.  A step
-writes its unclamped iterate over the noise it has used; once per
-block, one vectorised pass over that buffer counts the clamp hits,
-clips the iterates and stores those at the observation times.
+boundary clamp, and is not meant for production runs.  A run makes its
+argument checks and per-step rate tables once, then integrates one
+replicate at a time: each path draws its noise in blocks of
+EM_NOISE_BLOCK steps, never as one (paths, steps) array, and the steps
+of a block run in one call of the C kernel `sidiff_em_steps` (see
+sidiff._kernels), which reads the draws in place, counts the clamp
+hits, clamps, and stores the observed iterates.  Where it cannot be
+built, its numpy twin `_em_steps` does the same operations in the same
+order, one array expression per step, and gives the same bytes, about
+seven times slower.
 
 Random numbers: every (replicate, path) pair gets its own stream,
-derived from the master seed by a counter-based key.  Serial, parallel
-and batched schedules therefore produce bit-identical output, and a
+derived from the master seed by a counter-based key.  Serial and
+parallel schedules therefore produce bit-identical output, and a
 subset of paths is unchanged by simulating more of them.
 """
 
@@ -43,11 +37,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
-
-try:  # the ufunc np.clip calls after its checks; keeps NaN, as np.clip does
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy 1.x
-    from numpy.core.umath import clip as _clip
 
 from . import _kernels
 from .model import CLIP_EPS, _check_state, y_to_x
@@ -62,9 +51,6 @@ __all__ = [
 ]
 
 EM_NOISE_BLOCK = 512  # internal steps of noise drawn per path at a time
-# path values per Euler-Maruyama batch of replicates (five of 50 x 5001);
-# wider batches step faster but raise the peak memory of a run
-EM_BATCH_BYTES = 10 * 2**20
 # largest capacity whose Euler-Maruyama drift term (K - x) x stays finite
 EM_MAX_CAPACITY = math.sqrt(np.finfo(float).max)
 
@@ -172,8 +158,7 @@ def simulate_exact(
     transmission integral over the step, variance: the noise integral)
     and maps back.  The noise must be positive on the whole window.
     """
-    batch = _exact_replicates(rates, x0, grid, n_paths, master_seed, [replicate])
-    ypaths = next(batch)
+    ypaths = next(_exact_replicates(rates, x0, grid, n_paths, master_seed, [replicate]))
     ps = PathSet(grid, y_to_x(ypaths.values, x0, rates.capacity), "X", rates.capacity, seed=ypaths.seed)
     _fix_boundary_rounding(ps)
     return ps
@@ -275,10 +260,9 @@ def simulate_em(
                   s2 * x / K at any step size.  Kept as an explicit
                   option for replicating results produced that way.
     """
-    batch = _em_replicates(
+    return next(_em_replicates(
         rates, x0, grid, n_paths, master_seed, [replicate], refine=refine, drift_correction=drift_correction
-    )
-    return next(batch)
+    ))
 
 
 def _em_replicates(
@@ -292,47 +276,60 @@ def _em_replicates(
     refine: int,
     drift_correction: str,
 ):
-    """Yield the `simulate_em` PathSet of each replicate, in order.
+    """Yield the `simulate_em` PathSet of each replicate, one per `next`.
 
     The checks and the step operands (`_em_scheme`) run once, on the
-    first `next`.  Replicates are integrated together, as many as fit
-    EM_BATCH_BYTES of path values (at least one), on the `next` that
-    reaches the first of them.  A batch's paths are the rows of one
-    array, each yielded PathSet holds a view of its rows, and the batch
-    is dropped before the next one is integrated.  A replicate with a
-    NaN path raises when its turn comes, so callers that interleave
-    other work per replicate see failures in replicate order.
+    first `next`.  Path i of replicate r draws its noise from its own
+    stream, EM_NOISE_BLOCK steps at a time, into row i of one (paths,
+    block) buffer; consecutive draws from one generator continue its
+    stream, so the noise equals one draw of the full length.  The steps
+    of a block run in one call of the C kernel `sidiff_em_steps` or,
+    where it cannot be built, of its twin `_em_steps`, which count the
+    clamp hits, clamp, and store x at each observation time.  A NaN
+    iterate stays NaN through the step and the clamp and is never
+    counted as a clamp, so a replicate with a NaN path is found from its
+    last column and raises when its `next` comes.
     """
     _whole_number(n_paths, "n_paths", 1)
-    scheme = _em_scheme(rates, x0, grid, refine, drift_correction)
-    size = max(1, EM_BATCH_BYTES // (8 * n_paths * grid.n))
-    for lo in range(0, len(replicates), size):
-        batch = replicates[lo : lo + size]
-        seeds = [derive_path_seed(master_seed, r, i) for r in batch for i in range(n_paths)]
-        values, clamps = _em_batch(seeds, x0, grid, scheme)
-        for j, r in enumerate(batch):
-            rows = slice(j * n_paths, (j + 1) * n_paths)
-            nan_paths = np.flatnonzero(np.isnan(values[rows, -1]))
-            if nan_paths.size:
-                i = int(nan_paths[0])
-                first = int(np.argmax(np.isnan(values[rows][i])))
-                raise RuntimeError(
-                    f"Euler-Maruyama path {i} went NaN by t={grid.times[first]}; "
-                    "reduce the step or check the rates"
+    s = _em_scheme(rates, x0, grid, refine, drift_correction)
+    total_steps = s.lam.shape[0]
+    draws = np.empty((n_paths, min(EM_NOISE_BLOCK, total_steps)))
+    lib = _kernels.library()
+    if lib is not None:  # the kernel reads raw pointers
+        _kernels.check_arrays(s.lam, s.s2, s.sd)
+    for r in replicates:
+        rngs = [default_rng(derive_path_seed(master_seed, r, i)) for i in range(n_paths)]
+        x = np.full(n_paths, float(x0))
+        values = np.empty((n_paths, grid.n))
+        values[:, 0] = x
+        clamps = np.zeros(n_paths, dtype=np.int64)
+        for start in range(0, total_steps, EM_NOISE_BLOCK):
+            steps = min(EM_NOISE_BLOCK, total_steps - start)
+            for i, rng in enumerate(rngs):
+                rng.standard_normal(out=draws[i, :steps])
+            if lib is None:
+                _em_steps(start, steps, draws, s, x, clamps, values)
+            else:
+                lib.sidiff_em_steps(
+                    n_paths, start, steps, draws.shape[1], draws.ctypes.data,
+                    s.lam.ctypes.data, s.s2.ctypes.data, s.sd.ctypes.data, s.k, s.two_k, s.h, s.sqrt_h, s.lo, s.hi,
+                    s.state_drift, s.refine, x.ctypes.data, clamps.ctypes.data, grid.n, values.ctypes.data,
                 )
-            yield PathSet(
-                grid=grid,
-                values=values[rows],
-                space="X",
-                capacity=rates.capacity,
-                seed={"master_seed": int(master_seed), "replicate": int(r)},
-                meta={
-                    "clamp_count": int(clamps[rows].sum()),
-                    "refine": int(refine),
-                    "drift_correction": drift_correction,
-                },
+        nan_paths = np.flatnonzero(np.isnan(values[:, -1]))
+        if nan_paths.size:
+            i = int(nan_paths[0])
+            first = int(np.argmax(np.isnan(values[i])))
+            raise RuntimeError(
+                f"Euler-Maruyama path {i} went NaN by t={grid.times[first]}; reduce the step or check the rates"
             )
-        del values, clamps
+        yield PathSet(
+            grid=grid,
+            values=values,
+            space="X",
+            capacity=rates.capacity,
+            seed={"master_seed": int(master_seed), "replicate": int(r)},
+            meta={"clamp_count": int(clamps.sum()), "refine": int(refine), "drift_correction": drift_correction},
+        )
 
 
 class _EMScheme(NamedTuple):
@@ -340,9 +337,7 @@ class _EMScheme(NamedTuple):
 
     lam, s2 and sd are the transmission (with the constant correction
     folded in), the noise and its square root at the left end of each
-    internal step.  The scalars are 0-d float64 arrays, which a ufunc
-    takes with less overhead than Python floats; the values, and so
-    the iterates, are the same.
+    internal step.
     """
 
     refine: int
@@ -350,13 +345,12 @@ class _EMScheme(NamedTuple):
     lam: np.ndarray
     s2: np.ndarray
     sd: np.ndarray
-    k: np.ndarray
-    two_k: np.ndarray
-    two: np.ndarray
-    h: np.ndarray
-    sqrt_h: np.ndarray
-    lo: np.ndarray  # clamp edges CLIP_EPS K and (1 - CLIP_EPS) K
-    hi: np.ndarray
+    k: float
+    two_k: float
+    h: float
+    sqrt_h: float
+    lo: float  # clamp edges CLIP_EPS K and (1 - CLIP_EPS) K
+    hi: float
 
 
 def _em_scheme(rates: RatePair, x0: float, grid: TimeGrid, refine: int, drift_correction: str) -> _EMScheme:
@@ -378,8 +372,8 @@ def _em_scheme(rates: RatePair, x0: float, grid: TimeGrid, refine: int, drift_co
     sd_vals = np.sqrt(s2_vals)
     if drift_correction == "constant":
         lam_vals = lam_vals + 0.5 * s2_vals
-    scalars = (k, 2.0 * k, 2.0, h, math.sqrt(h), lo, hi)
-    return _EMScheme(int(refine), drift_correction == "state", lam_vals, s2_vals, sd_vals, *map(np.array, scalars))
+    state_drift = drift_correction == "state"
+    return _EMScheme(int(refine), state_drift, lam_vals, s2_vals, sd_vals, k, 2.0 * k, h, math.sqrt(h), lo, hi)
 
 
 def _check_em_start(x0: float, k: float) -> tuple[float, float]:
@@ -395,100 +389,25 @@ def _check_em_start(x0: float, k: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _zero_d(values: np.ndarray) -> list[np.ndarray]:
-    """The entries of a 1-d array as 0-d array views."""
-    return [values[j, ...] for j in range(values.shape[0])]
+def _em_steps(start: int, steps: int, draws: np.ndarray, s: _EMScheme, x: np.ndarray, clamps: np.ndarray,
+              values: np.ndarray) -> None:
+    """The C kernel `sidiff_em_steps` in numpy: its reference and its fallback.
 
-
-def _em_batch(seeds: list[SeedSequence], x0: float, grid: TimeGrid, scheme: _EMScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maruyama paths of one batch: each internal step for all paths at once.
-
-    Path i draws its noise from `seeds[i]`, EM_NOISE_BLOCK steps at a
-    time; consecutive draws from one generator continue its stream, so
-    the noise equals one draw of the full length.  Each block is copied
-    into one reused (steps, paths) buffer, one row per step, and its
-    steps run in one call of the C kernel `sidiff_em_steps` or, where
-    it cannot be built, of `_em_steps`: a step reads its row, writes its
-    iterate there before the clamp, and clamps x into [lo, hi] as
-    np.clip does.  After the block, its cells below and above the
-    clamp edges are counted (one boolean array of the block at a time),
-    clipped (the same values the clamped x took), and every refine-th
-    row is copied, transposed, into the path values, so no buffer of
-    iterates is needed besides the block's.  Every operation is
-    elementwise, so a path's values do not depend on which other paths
-    share the batch.  Returns the (len(seeds), grid.n) values and the
-    clamp hits per path.  A NaN iterate stays NaN through the step and
-    the clamp and is never counted as a clamp, so NaN paths are left in
-    and found by the caller from the last column.
+    Internal step start + j reads the draws in column j and takes the
+    kernel's step, one expression in the kernel's operation order, so
+    the iterates are bit-identical.  Iterates outside [lo, hi] are
+    counted into clamps, np.clip (as the array method) clamps them into
+    x, where a NaN stays NaN as in the kernel, and x is written into
+    values at each observation time.
     """
-    s = scheme
-    refine, total_steps = s.refine, s.lam.shape[0]
-    rngs = [default_rng(seed) for seed in seeds]
-    n_paths = len(rngs)
-    x = np.full(n_paths, float(x0))
-    values = np.empty((n_paths, grid.n))
-    values[:, 0] = x
-    clamps = np.zeros(n_paths, dtype=np.int64)
-    lib = _kernels.library()
-    draws = np.empty((n_paths, min(EM_NOISE_BLOCK, total_steps)))
-    steps_by_paths = np.empty(draws.shape[::-1])
-    if lib is not None:  # the kernel reads raw pointers; a contiguous array's slices stay contiguous
-        _kernels.check_arrays(s.lam, s.s2, s.sd, x, steps_by_paths)
-    for start in range(0, total_steps, EM_NOISE_BLOCK):
-        stop = min(start + EM_NOISE_BLOCK, total_steps)
-        for i, rng in enumerate(rngs):
-            rng.standard_normal(out=draws[i, : stop - start])
-        block = steps_by_paths[: stop - start]  # one contiguous row per step
-        block[...] = draws[:, : stop - start].T
-        rates = s.lam[start:stop], s.s2[start:stop], s.sd[start:stop]
-        if lib is None:
-            _em_steps(block, x, *rates, s)
-        else:
-            scalars = map(float, (s.k, s.two_k, s.h, s.sqrt_h, s.lo, s.hi))
-            pointers = (a.ctypes.data for a in rates)
-            lib.sidiff_em_steps(stop - start, n_paths, *pointers, *scalars, s.state_drift, x.ctypes.data, block.ctypes.data)
-        clamps += np.count_nonzero(block < s.lo, axis=0) + np.count_nonzero(block > s.hi, axis=0)
-        _clip(block, s.lo, s.hi, block)
-        first = (refine - 1 - start) % refine  # first row that ends an observation step
-        kept = block[first::refine]
-        col = (start + first + 1) // refine
-        values[:, col : col + kept.shape[0]] = kept.T
-    return values, clamps
-
-
-def _em_steps(block: np.ndarray, x: np.ndarray, lams: np.ndarray, s2s: np.ndarray, sds: np.ndarray,
-              scheme: _EMScheme) -> None:
-    """The steps of one noise block, one ufunc call per operation; the
-    reference for, and the fallback of, the C kernel `sidiff_em_steps`.
-
-    Step j reads the draws in block[j], writes its iterate there before
-    the clamp, and clamps x with the ufunc behind np.clip.
-    """
-    s = scheme
-    k, two_k, two, h, sqrt_h, lo, hi, state_drift = s.k, s.two_k, s.two, s.h, s.sqrt_h, s.lo, s.hi, s.state_drift
-    # the step is x + drift h + sd logistic sqrt(h) z written in place,
-    # with every operation in that expression's order, so the iterates
-    # are bit-identical to evaluating it directly; local ufuncs with
-    # positional outputs are the cheapest calls
-    add, sub, mul, div, clip = np.add, np.subtract, np.multiply, np.true_divide, _clip
-    logistic, drift, shock = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
-    for row, lam, s2, sd in zip(block, _zero_d(lams), _zero_d(s2s), _zero_d(sds)):
-        sub(k, x, logistic)
-        mul(logistic, x, logistic)
-        div(logistic, k, logistic)
-        if state_drift:
-            mul(x, two, drift)
-            sub(k, drift, drift)
-            mul(drift, s2, drift)
-            div(drift, two_k, drift)
-            add(drift, lam, drift)
-            mul(drift, logistic, drift)
-        else:
-            mul(logistic, lam, drift)
-        mul(drift, h, drift)
-        mul(logistic, sd, shock)
-        mul(shock, sqrt_h, shock)
-        mul(shock, row, shock)
-        add(x, drift, x)
-        add(x, shock, row)
-        clip(row, lo, hi, x)
+    k, two_k, h, sqrt_h, lo, hi = s.k, s.two_k, s.h, s.sqrt_h, s.lo, s.hi
+    rates = zip(*(a[start : start + steps].tolist() for a in (s.lam, s.s2, s.sd)))
+    for j, (lam, s2, sd) in enumerate(rates):
+        logistic = (k - x) * x / k
+        drift = ((k - x * 2.0) * s2 / two_k + lam) * logistic if s.state_drift else logistic * lam
+        y = (x + drift * h) + logistic * sd * sqrt_h * draws[:, j]
+        clamps += y < lo
+        clamps += y > hi
+        y.clip(lo, hi, out=x)
+        if (start + j + 1) % s.refine == 0:
+            values[:, (start + j + 1) // s.refine] = x

@@ -283,9 +283,9 @@ def test_criterion_8_byte_identical_reruns(tmp_path, monkeypatch):
     outputs = []
     for sub in ("run1", "run2", "run3"):
         if sub == "run3":
-            # two replicates of 4 paths x 51 points per Euler-Maruyama
-            # batch, where the standard budget holds all 12 replicates
-            monkeypatch.setattr(sd.simulate, "EM_BATCH_BYTES", 2 * 8 * 4 * 51)
+            # Euler-Maruyama noise drawn 7 steps at a time, where the
+            # standard 512-step block holds all 50 steps of a path
+            monkeypatch.setattr(sd.simulate, "EM_NOISE_BLOCK", 7)
         out_dir = tmp_path / sub
         code = main(["experiment", "--config", str(exp_cfg), "--out-dir", str(out_dir)])
         assert code == 0
@@ -299,5 +299,5 @@ def test_criterion_8_byte_identical_reruns(tmp_path, monkeypatch):
         8,
         ok,
         f"simulate rerun byte-identical: {sim_ok}; "
-        f"experiment reruns incl. two-replicate EM batches byte-identical: {exp_ok}",
+        f"experiment reruns incl. 7-step EM noise blocks byte-identical: {exp_ok}",
     )

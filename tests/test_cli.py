@@ -334,9 +334,9 @@ def test_experiment_reruns_and_rechunked_runs_are_byte_identical(tmp_path, monke
     outs = []
     for name in ("r1", "r2", "r3"):
         if name == "r3":
-            # two replicates of 8 paths x 101 points per Euler-Maruyama
-            # batch, where the standard budget holds all 12 replicates
-            monkeypatch.setattr("sidiff.simulate.EM_BATCH_BYTES", 2 * 8 * 8 * 101)
+            # Euler-Maruyama noise drawn 7 steps at a time, where the
+            # standard 512-step block holds all 100 steps of a path
+            monkeypatch.setattr("sidiff.simulate.EM_NOISE_BLOCK", 7)
         out_dir = str(tmp_path / name)
         assert main(["experiment", "--config", cfg, "--out-dir", out_dir]) == 0
         outs.append({

@@ -378,40 +378,6 @@ def _em_config(**changes):
     return ExperimentConfig(**fields)
 
 
-STANDARD_BATCH_BYTES = simulate.EM_BATCH_BYTES
-# two replicates of 6 paths x 101 points; the standard 10 MiB batch
-# holds every replicate of these small runs
-TWO_REPLICATE_BATCH_BYTES = 2 * 8 * 6 * 101
-
-
-@pytest.fixture
-def two_replicate_batches(monkeypatch):
-    monkeypatch.setattr(simulate, "EM_BATCH_BYTES", TWO_REPLICATE_BATCH_BYTES)
-
-
-def _record_em_batches(monkeypatch, n_paths):
-    """Replicates per Euler-Maruyama batch, appended as each batch is integrated."""
-    sizes = []
-    em_batch = simulate._em_batch
-
-    def recording(seeds, *args):
-        sizes.append(len(seeds) // n_paths)
-        return em_batch(seeds, *args)
-
-    monkeypatch.setattr(simulate, "_em_batch", recording)
-    return sizes
-
-
-def _in_one_batch(cfg):
-    """The run at the standard batch budget, which holds all of cfg's replicates."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(simulate, "EM_BATCH_BYTES", STANDARD_BATCH_BYTES)
-        sizes = _record_em_batches(m, cfg.n_paths)
-        report = run_experiment(cfg)
-    assert sizes == ([cfg.replicates] if cfg.simulator == "em" else [])
-    return report
-
-
 def test_exact_run_tabulates_increments_once(monkeypatch):
     # one stream for the whole run: the window check and the two
     # increment tables are not redone per group of replicates
@@ -423,16 +389,14 @@ def test_exact_run_tabulates_increments_once(monkeypatch):
         return increment_table(rate, grid)
 
     monkeypatch.setattr(simulate, "increment_table", counting)
-    batches = _record_em_batches(monkeypatch, 50)
     report = run_experiment(case_config("b", replicates=20))
     assert tables == ["sinusoid", "exp_saturating"]
-    assert batches == []
     assert report.diagnostics["replicates"] == 20
 
 
-def test_em_run_checks_the_window_and_tabulates_steps_once(two_replicate_batches, monkeypatch):
-    # three batches from one stream: the window check and the per-step
-    # rate tables are made once per run, not once per batch
+def test_em_run_checks_the_window_and_tabulates_steps_once(monkeypatch):
+    # five replicates from one stream: the window check and the per-step
+    # rate tables are made once per run, not once per replicate
     windows, tables = [], []
     validate_window = RatePair.validate_window
     evaluate_rate = simulate.evaluate
@@ -447,16 +411,15 @@ def test_em_run_checks_the_window_and_tabulates_steps_once(two_replicate_batches
 
     monkeypatch.setattr(RatePair, "validate_window", checking)
     monkeypatch.setattr(simulate, "evaluate", tabulating)
-    batches = _record_em_batches(monkeypatch, 6)
     cfg = _em_config()
     report = run_experiment(cfg)
-    assert batches == [2, 2, 1]
     assert windows == [(cfg.grid.t0, cfg.grid.end, cfg.grid.n)]
     assert tables == ["sinusoid", "constant"]
     assert report.diagnostics["replicates"] == cfg.replicates
 
 
-def test_exact_run_ignores_the_em_batch_budget(two_replicate_batches):
+def test_exact_run_ignores_the_em_batch_budget():
+    # the exact stream's rows are those of each replicate drawn and estimated alone
     exact = _em_config(simulator="exact")
     report = run_experiment(exact)
     for r in range(exact.replicates):
@@ -464,7 +427,6 @@ def test_exact_run_ignores_the_em_batch_budget(two_replicate_batches):
         est = estimate_pipeline(ps, stride=4, with_mle=False)
         assert np.array_equal(report.lambda_curves[r], est.lambda_hat(exact.grid.times))
         assert np.array_equal(report.sigma2_curves[r], est.sigma2_hat_raw(exact.grid.times))
-    assert report.diagnostics == _in_one_batch(exact).diagnostics
 
 
 @pytest.mark.parametrize(
@@ -473,18 +435,13 @@ def test_exact_run_ignores_the_em_batch_budget(two_replicate_batches):
     # a falling transmission, as FALLING in test_simulate, holds paths at the lower clamp
     ids=["state", "constant", "lower_clamp-state", "lower_clamp-constant"],
 )
-def test_em_batches_match_per_replicate_composition(
-    two_replicate_batches, monkeypatch, kernel_states, transmission, drift_correction
-):
+def test_em_batches_match_per_replicate_composition(kernel_states, transmission, drift_correction):
     # the run maps each replicate to Y without the clip, which the replicate
     # run alone goes through: the two agree at the clamp edges
     cfg = _em_config(
         rates=RatePair(constant(transmission), constant(3.0), K), em_drift_correction=drift_correction)
-    batches = _record_em_batches(monkeypatch, cfg.n_paths)
     for _ in kernel_states:
-        batches.clear()
         report = run_experiment(cfg)
-        assert batches == [2, 2, 1]
         a, b = cfg.resolved_scalar_window()
         alone = []
         edge, at_edge = (CLIP_EPS * K if transmission < 0.0 else (1.0 - CLIP_EPS) * K), 0
@@ -524,37 +481,25 @@ def test_em_config_refuses_a_capacity_whose_drift_overflows(capacity):
     assert _em_config(rates=rates, x0=capacity / 2.0, simulator="exact").rates.capacity == capacity
 
 
-def test_em_report_does_not_depend_on_the_schedule(two_replicate_batches, monkeypatch):
-    cfg = _em_config()
-    batches = _record_em_batches(monkeypatch, cfg.n_paths)
-    batched = run_experiment(cfg)
-    assert batches == [2, 2, 1]
-    whole = _in_one_batch(cfg)
-    for name in ("lambda_curves", "sigma2_curves", "scalar_lambda", "scalar_sigma2", "mle_lambda", "mle_sigma2"):
-        assert np.array_equal(getattr(whole, name), getattr(batched, name))
-    assert whole.diagnostics == batched.diagnostics
-
-
-def test_em_run_holds_one_batch_at_a_time(monkeypatch):
-    # six replicates in three two-replicate batches: a batch is dropped
-    # before the next is integrated, so the run peaks at one batch, its
-    # noise buffer and one replicate's estimate, not at two batches
+def test_em_run_holds_one_replicate_at_a_time():
+    # a replicate is dropped before the next is integrated, so six
+    # replicates peak at one replicate, its noise buffer and its
+    # estimate (about 2.5 bundles), never at two replicates
     cfg = _em_config(n_paths=50, grid=TimeGrid(0.0, 0.01, 5001), replicates=6)
     bundle = 8 * cfg.n_paths * cfg.grid.n
-    monkeypatch.setattr(simulate, "EM_BATCH_BYTES", 2 * bundle)
     tracemalloc.start()
     try:
         run_experiment(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.6 * bundle
+    assert peak <= 2.75 * bundle
 
 
-def test_em_run_at_the_standard_budget_peaks_under_eight_bundles():
-    # 20 standard-grid replicates at the standard batch budget: one
-    # batch, its noise buffer and one replicate's estimate must stay
-    # within eight 50 x 5001 bundles, so a wider batch cannot creep in
+def test_em_run_peaks_under_three_and_a_half_bundles():
+    # 20 standard-grid replicates: one replicate, its noise buffer, its
+    # estimate and the report's curve rows (0.8 bundles) must stay
+    # within three and a half 50 x 5001 bundles (3.03 measured)
     cfg = table1_config(0.4, 0.1, replicates=20)
     bundle = 8 * cfg.n_paths * cfg.grid.n
     tracemalloc.start()
@@ -563,7 +508,7 @@ def test_em_run_at_the_standard_budget_peaks_under_eight_bundles():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * bundle
+    assert peak <= 3.5 * bundle
 
 
 def test_report_curves_are_held_once():
@@ -582,11 +527,7 @@ def test_report_curves_are_held_once():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize(
-    "batch_bytes", [STANDARD_BATCH_BYTES, TWO_REPLICATE_BATCH_BYTES], ids=["standard", "two_replicate"]
-)
-def test_em_failures_name_the_first_failing_replicate(monkeypatch, batch_bytes):
-    monkeypatch.setattr(simulate, "EM_BATCH_BYTES", batch_bytes)
+def test_em_failures_name_the_first_failing_replicate():
     zero_noise = _em_config(rates=RatePair(constant(0.4), constant(0.0), K))
     with pytest.raises(RuntimeError, match="replicate 0 failed: rate kind"):
         run_experiment(zero_noise)
@@ -599,7 +540,7 @@ def test_em_failures_name_the_first_failing_replicate(monkeypatch, batch_bytes):
         run_experiment(wild)
 
 
-def test_em_estimate_failure_in_a_later_chunk_is_attributed(two_replicate_batches, monkeypatch):
+def test_em_estimate_failure_in_a_later_chunk_is_attributed(monkeypatch):
     def failing_on_replicate_3(paths, **kwargs):
         if paths.seed["replicate"] == 3:
             raise ValueError("boom")
@@ -610,8 +551,8 @@ def test_em_estimate_failure_in_a_later_chunk_is_attributed(two_replicate_batche
         run_experiment(_em_config())
 
 
-def test_report_records_stage_timings(two_replicate_batches):
-    for report in (_in_one_batch(_em_config()), run_experiment(_em_config())):
+def test_report_records_stage_timings():
+    for report in (run_experiment(_em_config()), run_experiment(_em_config(simulator="exact"))):
         assert set(report.timings) == {"simulate", "estimate"}
         assert all(v > 0.0 for v in report.timings.values())
         assert sum(report.timings.values()) <= report.elapsed_seconds

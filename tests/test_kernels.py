@@ -306,18 +306,49 @@ def test_the_powers_of_five_are_fast_float_s(built_kernels):
     assert significands[0] == 1 << 127
 
 
-def test_the_powers_of_five_plus_one_bound_the_powers_of_ten(built_kernels):
+_BOUND_DRIVER = r"""
+#include <stdio.h>
+#include <stdlib.h>
+#include "_kernels.c"
+
+/* reads the table of powers_of_five() from stdin; prints, for each of its
+   q, floor_log2_pow10(q) and the formatter's bound of 10^q */
+int main(int argc, char **argv)
+{
+    int first = atoi(argv[1]), last = atoi(argv[2]);
+    uint64_t powers[2 * 1024];
+    size_t words = 2 * (size_t)(last - first + 1);
+    if (words > 2 * 1024 || fread(powers, sizeof *powers, words, stdin) != words)
+        return 1;
+    for (int q = first; q <= last; q++) {
+        u128 g = power_of_ten_bound(powers, first, q);
+        printf("%d %d %llu %llu\n", q, floor_log2_pow10(q), (unsigned long long)g.high, (unsigned long long)g.low);
+    }
+    return 0;
+}
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_the_powers_of_five_plus_one_bound_the_powers_of_ten(tmp_path):
+    # the kernel's own helpers, compiled into a small driver
     first, last, words = _kernels.powers_of_five()
-    for q in range(first, last + 1):
-        # the kernels' floor(q * log2(10)), fast_float's 217706 * q / 2**16 floored, is exact over the table
-        floor_log2 = (10**q).bit_length() - 1 if q >= 0 else -(10**-q).bit_length()
-        assert (217706 * q) >> 16 == floor_log2, q
+    (tmp_path / "bound.c").write_text(_BOUND_DRIVER)
+    driver = tmp_path / "bound"
+    build = ["cc", "-O2", "-I", str(_kernels.SOURCE.parent), "-o", str(driver), str(tmp_path / "bound.c")]
+    subprocess.run(build, check=True, capture_output=True, timeout=_kernels.BUILD_TIMEOUT_S)
+    run = subprocess.run(
+        [str(driver), str(first), str(last)], input=words.tobytes(), check=True, capture_output=True, timeout=60
+    )
+    lines = run.stdout.decode().splitlines()
+    assert len(lines) == last - first + 1
+    for line in lines:
+        q, floor_log2, high, low = map(int, line.split())
+        # floor(q * log2(10)), fast_float's 217706 * q / 2**16 floored, is exact over the table
+        assert floor_log2 == ((10**q).bit_length() - 1 if q >= 0 else -(10**-q).bit_length()), q
         if q >= -292:  # the 10**-k the formatter looks up, from DBL_MAX's k = 292 to 5e-324's k = -324
-            high, low = (int(word) for word in words[q - first])
-            # floor + 1: the entry plus one, except where fast_float has rounded it up already
-            g = (high << 64 | low) + (not -27 <= q <= -1)
             exact = Fraction(10) ** q * Fraction(2) ** (127 - floor_log2)
-            assert exact < g <= exact + 1 and g < 1 << 128, q
+            assert exact < (high << 64 | low) <= exact + 1, q
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -354,7 +385,8 @@ assert text == "".join(f"{v!r}\\n" for v in values.tolist()).encode()
 normal = values[np.isfinite(values) & (np.abs(values) >= np.finfo(float).tiny)]
 cells = "".join(f"{v!r}\\n" for v in normal.tolist()).encode()
 assert (_kernels.parse_block(cells, 0, normal.size, 1).ravel().view(np.uint64) == normal.view(np.uint64)).all()
-simulate_em(RatePair(constant(1.2), constant(0.1), 200.0), 20.0, TimeGrid(0.0, 0.05, 1001), 6, 3)
+for refine in (1, 3):
+    simulate_em(RatePair(constant(1.2), constant(0.1), 200.0), 20.0, TimeGrid(0.0, 0.05, 1001), 6, 3, refine=refine)
 exact = next(_exact_replicates(RatePair(constant(0.4), constant(0.1), 200.0), 20.0, TimeGrid(0.0, 0.05, 1001), 7, 3, [0]))
 sample_lag_cov(exact, sample_mean(exact))
 assert _kernels.count_lines(cells, 0) == normal.size

@@ -289,7 +289,7 @@ def test_em_records_refine():
 
 def _reference_em(rates, x0, grid, n_paths, master_seed, refine, replicate, drift_correction):
     """Euler-Maruyama as one full-length draw per path and one loop step per
-    internal step, the form the batched kernel must reproduce bit for bit."""
+    internal step, the form the blocked kernel must reproduce bit for bit."""
     k = rates.capacity
     h = grid.delta / refine
     total_steps = (grid.n - 1) * refine
@@ -397,20 +397,28 @@ def test_em_nan_names_the_path_and_the_time(kernel_states):
 )
 def test_em_kernel_gives_the_bytes_of_the_numpy_loop(built_kernels, monkeypatch, transmission, drift_correction):
     # lambda 1.2 and 6.0 hold paths at the upper clamp, -1.0 at the lower one;
-    # five replicates of one batch, over two noise blocks
+    # five replicates, each over two noise blocks or, at refine 3, six, the last one partial
     rates = RatePair(constant(transmission), constant(0.1), K)
     grid = TimeGrid(0.0, 0.05, 1001)
-    scheme = simulate._em_scheme(rates, 20.0, grid, 1, drift_correction)
-    seeds = [derive_path_seed(17, r, i) for r in range(5) for i in range(10)]
-    values, clamps = simulate._em_batch(seeds, 20.0, grid, scheme)
-    monkeypatch.setattr(_kernels, "library", lambda: None)
-    numpy_values, numpy_clamps = simulate._em_batch(seeds, 20.0, grid, scheme)
-    assert values.tobytes() == numpy_values.tobytes()
-    assert clamps.tobytes() == numpy_clamps.tobytes()
-    if transmission > 1.0:
-        assert clamps.sum() > 0 and np.any(values == (1.0 - CLIP_EPS) * K)
-    if transmission < 0.0:
-        assert clamps.sum() > 0 and np.any(values == CLIP_EPS * K)
+
+    def run(refine):
+        replicates = simulate._em_replicates(
+            rates, 20.0, grid, 10, 17, range(5), refine=refine, drift_correction=drift_correction
+        )
+        return [(ps.values.tobytes(), ps.meta["clamp_count"]) for ps in replicates]
+
+    for refine in (1, 3):
+        assert (grid.n - 1) * refine % EM_NOISE_BLOCK != 0
+        with_kernel = run(refine)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "library", lambda: None)
+            assert run(refine) == with_kernel
+        clamps = sum(count for _, count in with_kernel)
+        values = np.frombuffer(b"".join(data for data, _ in with_kernel))
+        if transmission > 1.0:
+            assert clamps > 0 and np.any(values == (1.0 - CLIP_EPS) * K)
+        if transmission < 0.0:
+            assert clamps > 0 and np.any(values == CLIP_EPS * K)
 
 
 @pytest.mark.filterwarnings("error")
